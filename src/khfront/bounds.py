@@ -16,13 +16,13 @@ run: such a disagreement can only come from a sign or ordering bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConventionError
 from .front import FrontDiagram
 from .oracle import DEFAULT_MAX_CROSSINGS, khovanov_homology
-from .tait import Coloring, TaitGraph, checkerboard, tait_graph
+from .tait import Coloring, checkerboard, tait_graph
 from .trees import (
     SpanningTreeRecord,
     classify_activities,
@@ -48,8 +48,10 @@ class BoundReport:
 
     def __post_init__(self):
         assert self.verdict in VERDICTS
-        if self.min_delta is not None:
-            assert self.tb <= self.min_delta
+        if self.min_delta is not None and self.tb > self.min_delta:
+            raise ConventionError(
+                f"tb={self.tb} exceeds homology min delta={self.min_delta}"
+            )
 
     def bound_is_equality(self) -> Optional[bool]:
         if self.min_delta is None:
@@ -77,23 +79,17 @@ class BoundReport:
 
 def _tree_records(
     front: FrontDiagram, coloring: Optional[Coloring] = None
-) -> tuple[TaitGraph, list[SpanningTreeRecord], int]:
+) -> list[SpanningTreeRecord]:
+    """Every spanning tree of the front's Tait graph, labelled and classed
+    good/bad; the canonical coloring unless one is given."""
     d = front.desingularize()
     if coloring is None:
         coloring, _ = checkerboard(d)
     g = tait_graph(d, coloring)
-    records = [
-        classify_activities(g, t, front) for t in spanning_trees(g)
-    ]
-    return g, records, d.writhe()
+    return [classify_activities(g, t, front) for t in spanning_trees(g)]
 
 
-def good_bad_census(
-    front: FrontDiagram, coloring: Optional[Coloring] = None
-) -> dict[int, tuple[int, int]]:
-    """For every spanning tree of the Tait graph, classify good/bad by
-    u(T) against C(F) and bucket the counts by v(T)."""
-    _, records, _ = _tree_records(front, coloring)
+def _census(records: list[SpanningTreeRecord]) -> dict[int, tuple[int, int]]:
     census: dict[int, tuple[int, int]] = {}
     for rec in records:
         g, b = census.get(rec.v, (0, 0))
@@ -104,6 +100,14 @@ def good_bad_census(
         elif rec.v not in census:
             census[rec.v] = (g, b)
     return census
+
+
+def good_bad_census(
+    front: FrontDiagram, coloring: Optional[Coloring] = None
+) -> dict[int, tuple[int, int]]:
+    """For every spanning tree of the Tait graph, classify good/bad by
+    u(T) against C(F) and bucket the counts by v(T)."""
+    return _census(_tree_records(front, coloring))
 
 
 def _certificate_verdict(census: dict[int, tuple[int, int]]) -> str:
@@ -121,17 +125,35 @@ def ng_bound(
     with_oracle: bool = False,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> BoundReport:
-    """The Thurston-Bennequin bound for a front.
+    """The Thurston-Bennequin bound for a front: the checks and numbers of
+    ``sharpness_report``, with the verdict left at ``bound_holds``."""
+    report = sharpness_report(front, with_oracle, max_crossings)
+    return replace(report, verdict="bound_holds")
 
-    Always computes tb and the spanning-tree minimum of u; with the
-    oracle, also the true minimum delta of the homology, checking
-    tb <= min_delta and the grading identity
-    min over tree generators of (j - i) = min u + w - 1.
+
+def sharpness_report(
+    front: FrontDiagram,
+    with_oracle: bool = False,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+) -> BoundReport:
+    """The bound and its certificate-based sharpness verdict, cross-checked
+    against the oracle when requested.
+
+    Always computes tb and the spanning-tree minimum of u, checking
+    u >= 1 - C and the grading identity
+    min over tree generators of (j - i) = min u + w - 1.  With the oracle,
+    also the true minimum delta of the homology, checking
+    tb <= min_delta.
+
+    sharp_certified: some v has more good v-trees than bad (v+2)-trees,
+    so the homology is nonzero on the bound line and the bound is an
+    equality.  not_sharp_certified: no good tree exists, so the bound is
+    strict.  Otherwise inconclusive.
     """
     d = front.desingularize()
-    g, records, w = _tree_records(front)
+    w = d.writhe()
     c = front.cusp_count
-    tb = front.tb()
+    records = _tree_records(front)
     min_u = min(rec.u for rec in records)
     if min_u < 1 - c:
         raise ConventionError(
@@ -142,60 +164,34 @@ def ng_bound(
         for rec in records
         for i, j in to_khovanov_bigrading(rec, d.n, w).ij
     )
-    assert tree_min_delta == min_u + w - 1
-    census = good_bad_census(front)
+    if tree_min_delta != min_u + w - 1:
+        raise ConventionError(
+            f"tree generators reach delta {tree_min_delta}, "
+            f"not min u + w - 1 = {min_u + w - 1}"
+        )
+    census = _census(records)
     min_delta = None
     if with_oracle:
-        table = khovanov_homology(d, max_crossings=max_crossings)
-        min_delta = table.min_delta()
-        if tb > min_delta:
-            raise ConventionError(
-                f"tb={tb} exceeds homology min delta={min_delta}"
-            )
-    return BoundReport(
-        tb=tb,
+        min_delta = khovanov_homology(d, max_crossings=max_crossings).min_delta()
+    report = BoundReport(
+        tb=front.tb(),
         C=c,
         min_u=min_u,
         census=census,
-        verdict="bound_holds",
+        verdict=_certificate_verdict(census),
         min_delta=min_delta,
         tree_count=len(records),
     )
-
-
-def sharpness_report(
-    front: FrontDiagram,
-    with_oracle: bool = False,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> BoundReport:
-    """Certificate-based sharpness verdict, cross-checked against the
-    oracle when requested.
-
-    sharp_certified: some v has more good v-trees than bad (v+2)-trees,
-    so the homology is nonzero on the bound line and the bound is an
-    equality.  not_sharp_certified: no good tree exists, so the bound is
-    strict.  Otherwise inconclusive.
-    """
-    base = ng_bound(front, with_oracle=with_oracle, max_crossings=max_crossings)
-    verdict = _certificate_verdict(base.census)
-    if base.min_delta is not None:
-        equal = base.tb == base.min_delta
-        if verdict == "sharp_certified" and not equal:
+    if min_delta is not None:
+        equal = report.tb == min_delta
+        if report.verdict == "sharp_certified" and not equal:
             raise ConventionError(
                 "sharpness certificate contradicts the oracle: "
-                f"tb={base.tb} < min_delta={base.min_delta}"
+                f"tb={report.tb} < min_delta={min_delta}"
             )
-        if verdict == "not_sharp_certified" and equal:
+        if report.verdict == "not_sharp_certified" and equal:
             raise ConventionError(
                 "strictness certificate contradicts the oracle: "
-                f"tb={base.tb} = min_delta={base.min_delta}"
+                f"tb={report.tb} = min_delta={min_delta}"
             )
-    return BoundReport(
-        tb=base.tb,
-        C=base.C,
-        min_u=base.min_u,
-        census=base.census,
-        verdict=verdict,
-        min_delta=base.min_delta,
-        tree_count=base.tree_count,
-    )
+    return report

@@ -23,13 +23,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .bounds import sharpness_report
-from .corpus import read_front_file, write_corpus_dir
+from .bounds import _tree_records, sharpness_report
+from .corpus import read_front_file, recorded_tb, write_corpus_dir
 from .errors import ConventionError, KhfrontError
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
-from .tait import checkerboard, tait_graph
-from .trees import PRETTY, classify_activities, spanning_trees, to_khovanov_bigrading
+from .tait import checkerboard
+from .trees import PRETTY, to_khovanov_bigrading
 
 EXIT_OK = 0
 EXIT_CONVENTION = 2
@@ -163,22 +163,18 @@ def _cmd_certify(args) -> int:
 
 def _tree_rows(front: FrontDiagram, which: str):
     d = front.desingularize()
+    w = d.writhe()
     canonical, rev = checkerboard(d)
     colorings = {"canonical": [canonical], "reversed": [rev], "both": [canonical, rev]}
-    rows = []
-    for coloring in colorings[which]:
-        g = tait_graph(d, coloring)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
-            pair = to_khovanov_bigrading(rec, d.n, d.writhe())
-            rows.append(
-                (
-                    "canonical" if coloring.canonical else "reversed",
-                    rec,
-                    pair,
-                )
-            )
-    return rows
+    return [
+        (
+            "canonical" if coloring.canonical else "reversed",
+            rec,
+            to_khovanov_bigrading(rec, d.n, w),
+        )
+        for coloring in colorings[which]
+        for rec in _tree_records(front, coloring)
+    ]
 
 
 def _cmd_trees(args) -> int:
@@ -226,12 +222,16 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    directory = args.directory
-    if directory is None:
-        import tempfile
+    if args.directory is not None:
+        return _run_corpus(args, args.directory)
+    import tempfile
 
-        directory = Path(tempfile.mkdtemp(prefix="khfront-corpus-"))
-        write_corpus_dir(directory)
+    with tempfile.TemporaryDirectory(prefix="khfront-corpus-") as tmp:
+        write_corpus_dir(Path(tmp))
+        return _run_corpus(args, Path(tmp))
+
+
+def _run_corpus(args, directory: Path) -> int:
     files = sorted(directory.glob("*.front"))
     if not files:
         print(f"error: no .front files in {directory}", file=sys.stderr)
@@ -242,24 +242,25 @@ def _cmd_corpus(args) -> int:
         r = sharpness_report(
             front, with_oracle=args.oracle, max_crossings=args.max_crossings
         )
-        return path.stem, r
+        return path.stem, r, recorded_tb(path)
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(run_one, files))
 
+    violations = sum(tb is not None and r.tb != tb for _, r, tb in results)
     payload = {
         "schema": 1,
-        "items": [{"name": name, **r.to_json_dict()} for name, r in results],
-        "violations": 0,
+        "items": [{"name": name, **r.to_json_dict()} for name, r, _ in results],
+        "violations": violations,
     }
-    width = max(len(name) for name, _ in results)
+    width = max(len(name) for name, _, _ in results)
     lines = [
         f"{name:<{width}}  tb={r.tb:>3}  "
         + (f"min_delta={r.min_delta:>3}  " if r.min_delta is not None else "")
         + f"verdict={r.verdict}"
-        for name, r in results
+        for name, r, _ in results
     ]
-    lines.append(f"{len(results)} fronts, 0 violations")
+    lines.append(f"{len(results)} fronts, {violations} violations")
     _emit(payload, args.json, args.out, "\n".join(lines))
     return EXIT_OK
 

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
+from .errors import MalformedToken
 from .front import FrontDiagram, parse_front
+
+_TB_HEADER = "# tb="
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,20 @@ def write_corpus_dir(path: Path) -> list[Path]:
     out = []
     for e in BUNDLED:
         p = path / f"{e.name}.front"
-        p.write_text(f"# tb={e.tb}\n{e.word}\n")
+        p.write_text(f"{_TB_HEADER}{e.tb}\n{e.word}\n")
         out.append(p)
     return out
+
+
+def recorded_tb(path: Path) -> Optional[int]:
+    """The tb of a .front file's ``# tb=N`` header line, or None."""
+    for line in path.read_text().splitlines():
+        if line.startswith(_TB_HEADER):
+            try:
+                return int(line[len(_TB_HEADER):])
+            except ValueError:
+                raise MalformedToken(f"{path}: bad header {line!r}") from None
+    return None
 
 
 def read_front_file(path: Path) -> FrontDiagram:

@@ -14,7 +14,7 @@ is purely combinatorial (sphere compactification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -72,9 +72,8 @@ class LinkDiagram:
     attach_log : optional chronological list of (crossing, in-port) entries
         recorded by the front sweep; used for canonical component order and
         orientation.
-    quad_regions / region_parity / outer_region : optional sweep-region data
-        (region id per crossing quadrant, checkerboard parity per region,
-        id of the unbounded region).
+    quad_regions / outer_region : optional sweep-region data (region id
+        per crossing quadrant, id of the unbounded region).
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class LinkDiagram:
         free_loops: int = 0,
         attach_log: Optional[Sequence[PortEnd]] = None,
         quad_regions: Optional[Sequence[dict[str, int]]] = None,
-        region_parity: Optional[dict[int, int]] = None,
         outer_region: Optional[int] = None,
     ):
         self.n = n
@@ -94,7 +92,6 @@ class LinkDiagram:
         self.free_loops = free_loops
         self.attach_log = list(attach_log) if attach_log is not None else None
         self.quad_regions = list(quad_regions) if quad_regions is not None else None
-        self.region_parity = dict(region_parity) if region_parity is not None else None
         self.outer_region = outer_region
         if len(self.arcs) != 2 * n:
             raise ValueError(f"expected {2 * n} arcs, got {len(self.arcs)}")

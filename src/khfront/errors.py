@@ -51,7 +51,8 @@ class EmptyTable(KhfrontError, ValueError):
 
 
 class ConventionError(KhfrontError, RuntimeError):
-    """A spanning-tree certificate contradicts the homology oracle.
+    """A spanning-tree certificate contradicts the homology oracle, or an
+    identity that the sign and ordering conventions guarantee fails.
 
     This is the designated tripwire for sign or ordering convention bugs;
     it should never fire on a correct build.

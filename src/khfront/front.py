@@ -46,6 +46,10 @@ class FrontDiagram:
         _simulate(self.events)
         self.desingularize().require_connected()
 
+    @cached_property
+    def _diagram(self) -> LinkDiagram:
+        return desingularize(self)
+
     @property
     def cusp_count(self) -> int:
         """C(F): half the number of cusps."""
@@ -59,8 +63,10 @@ class FrontDiagram:
     def word(self) -> str:
         return " ".join(f"{kind}{pos}" for kind, pos in self.events)
 
-    def desingularize(self, flips: Optional[Sequence[bool]] = None) -> LinkDiagram:
-        return desingularize(self, flips)
+    def desingularize(self) -> LinkDiagram:
+        """The desingularized link diagram.  It is computed once per front
+        and shared by every caller, so it must not be mutated."""
+        return self._diagram
 
     def tb(self, flips: Optional[Sequence[bool]] = None) -> int:
         return tb(self, flips)
@@ -120,19 +126,14 @@ class _Strand:
         self.far = None
 
 
-def desingularize(
-    front: FrontDiagram, flips: Optional[Sequence[bool]] = None
-) -> LinkDiagram:
+def desingularize(front: FrontDiagram) -> LinkDiagram:
     """Smooth all cusps of the front into a link diagram.
 
     Cusps become smooth turning arcs; every crossing keeps its x-order and
     has the smaller-slope (NW-SE) branch on top.  The returned diagram
-    carries the sweep's region data (faces, checkerboard parity, unbounded
-    region) and an attach log fixing the canonical orientation.  ``flips``
-    is accepted for signature symmetry with writhe-related calls and is not
-    stored (orientation flips are applied by consumers).
+    carries the sweep's region data (region per crossing quadrant,
+    unbounded region) and an attach log fixing the canonical orientation.
     """
-    del flips
     strands: list[_Strand] = []
     arcs: list[tuple[PortEnd, PortEnd]] = []
     free_loops = 0
@@ -217,7 +218,6 @@ def desingularize(
     resolved = [
         {q: find(r) for q, r in quads.items()} for quads in quad_regions
     ]
-    parity = {find(r): p for r, p in region_parity.items()}
     return LinkDiagram(
         n=len(over),
         over=over,
@@ -225,7 +225,6 @@ def desingularize(
         free_loops=free_loops,
         attach_log=attach_log,
         quad_regions=resolved,
-        region_parity=parity,
         outer_region=find(0),
     )
 

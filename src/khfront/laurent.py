@@ -80,9 +80,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def items(self) -> Iterable[tuple[int, int]]:
         return sorted(self.coeffs.items())
 

@@ -44,9 +44,6 @@ class BigradedTable:
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.groups)
 
-    def total_rank(self) -> int:
-        return sum(rank for rank, _ in self.groups.values())
-
     def min_delta(self) -> int:
         """min of j - i over the support; the diagram-side bound datum."""
         if not self.groups:

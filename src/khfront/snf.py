@@ -148,7 +148,3 @@ def _dense_smith(m: list[list[int]]) -> list[int]:
         out.append(p)
         t += 1
     return out
-
-
-def rank(entries: dict[tuple[int, int], int], n_rows: int, n_cols: int) -> int:
-    return len(invariant_factors(entries, n_rows, n_cols))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .diagram import Face, LinkDiagram
-from .errors import NonplanarRotation
+from .errors import ConventionError, NonplanarRotation
 
 #: quadrant pair merged by the A-smoothing, per over-diagonal
 _A_QUADS = {0: frozenset({"W", "E"}), 1: frozenset({"N", "S"})}
@@ -38,9 +38,6 @@ class Coloring:
         all_faces = frozenset(f.index for f in faces(self.diagram))
         return Coloring(self.diagram, all_faces - self.black, not self.canonical)
 
-    def color_of(self, face_index: int) -> str:
-        return "black" if face_index in self.black else "white"
-
 
 def _unbounded_face(diagram: LinkDiagram) -> int:
     """The unbounded face: exact for sweep-built diagrams; for diagrams
@@ -59,25 +56,27 @@ def _unbounded_face(diagram: LinkDiagram) -> int:
 
 def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     """Both checkerboard colorings; the canonical one (unbounded face
-    white) comes first."""
+    white) comes first.  One search over the arcs' face adjacency colors
+    sweep-built diagrams and PD imports alike."""
     if diagram.n == 0:
         canonical = Coloring(diagram, frozenset({1}), True)
         return canonical, canonical.reversed()
+    sides = [diagram.arc_faces(idx) for idx in range(len(diagram.arcs))]
+    neighbours: dict[int, list[int]] = {f.index: [] for f in diagram.faces}
+    for fa, fb in sides:
+        neighbours[fa].append(fb)
+        neighbours[fb].append(fa)
     outer = _unbounded_face(diagram)
     color = {outer: 0}
     stack = [outer]
     while stack:
         f = stack.pop()
-        for idx in range(len(diagram.arcs)):
-            fa, fb = diagram.arc_faces(idx)
-            for here, there in ((fa, fb), (fb, fa)):
-                if here == f and there not in color:
-                    color[there] = 1 - color[f]
-                    stack.append(there)
-    # adjacency consistency: opposite colors across every arc
-    for idx in range(len(diagram.arcs)):
-        fa, fb = diagram.arc_faces(idx)
-        assert color[fa] != color[fb], "faces are not 2-colorable"
+        for there in neighbours[f]:
+            if there not in color:
+                color[there] = 1 - color[f]
+                stack.append(there)
+    if any(color[fa] == color[fb] for fa, fb in sides):
+        raise ConventionError("faces are not 2-colorable")
     black = frozenset(f for f, col in color.items() if col == 1)
     canonical = Coloring(diagram, black, True)
     return canonical, canonical.reversed()

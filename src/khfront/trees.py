@@ -75,9 +75,6 @@ class GeneratorPair:
     v: int
     ij: tuple[tuple[int, int], tuple[int, int]]
 
-    def bidegrees(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.u, self.v), (self.u + 2, self.v + 2)
-
 
 def _adjacency(g: TaitGraph, edge_ids: set[int]) -> dict[int, list[tuple[int, int]]]:
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
@@ -111,7 +108,7 @@ def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
     if not g.is_connected():
         raise Disconnected("graph is not connected")
 
-    def rec(vertices: list[int], vmap: dict[int, int], edges: list[tuple[int, int, int]]):
+    def rec(vertices: list[int], edges: list[tuple[int, int, int]]):
         # edges: (edge id, u, v) with u, v in contracted-vertex labels
         if len(vertices) == 1:
             yield []
@@ -124,13 +121,11 @@ def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
         # include eid: contract u and v
         merged = [w for w in vertices if w != u]
         cmap = {w: (v if w == u else w) for w in vertices}
-        for tail in rec(
-            merged, cmap, [(i, cmap[a], cmap[b]) for i, a, b in rest]
-        ):
+        for tail in rec(merged, [(i, cmap[a], cmap[b]) for i, a, b in rest]):
             yield [eid] + tail
         # exclude eid, unless it is an isthmus
         if _still_connected(vertices, rest):
-            yield from rec(vertices, vmap, rest)
+            yield from rec(vertices, rest)
 
     def _still_connected(vertices: list[int], edges) -> bool:
         if not vertices:
@@ -151,7 +146,7 @@ def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
 
     vertices = list(range(g.n_vertices))
     edges = [(i, e.u, e.v) for i, e in enumerate(g.edges)]
-    trees = [frozenset(t) for t in rec(vertices, {}, edges)]
+    trees = [frozenset(t) for t in rec(vertices, edges)]
     trees.sort(key=lambda t: sorted(t))
     yield from trees
 

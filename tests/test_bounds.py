@@ -1,7 +1,13 @@
 """Bound reports, censuses, sharpness certificates, tripwire."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 
+import khfront
 from khfront import (
     checkerboard,
     good_bad_census,
@@ -99,3 +105,24 @@ class TestReportShape:
         assert payload["schema"] == 1
         assert payload["verdict"] == "sharp_certified"
         assert payload["census"] == {"2": {"good": 1, "bad": 0}}
+
+
+class TestTripwires:
+    def test_report_invariant_survives_optimize(self):
+        # python -O strips asserts; the tb <= min_delta tripwire must not
+        code = (
+            "from khfront import BoundReport, ConventionError\n"
+            "try:\n"
+            "    BoundReport(tb=2, C=1, min_u=0, census={},"
+            " verdict='bound_holds', min_delta=1)\n"
+            "except ConventionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(khfront.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, timeout=60
+        )
+        assert proc.returncode == 0

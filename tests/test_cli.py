@@ -83,6 +83,27 @@ class TestCorpus:
         assert code == EXIT_OK
         assert "0 violations" in out
 
+    def test_violations_count_recorded_tb_mismatches(self, capsys, tmp_path):
+        from khfront.corpus import write_corpus_dir
+
+        write_corpus_dir(tmp_path)
+        (tmp_path / "trefoil-right-max-tb.front").write_text(
+            "# tb=5\nL1 L2 X1 X1 X1 R2 R1\n"
+        )
+        (tmp_path / "no-header.front").write_text("L1 L2 X1 R2 R1\n")
+        code, out, _ = run(capsys, "corpus", str(tmp_path), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["violations"] == 1
+
+    def test_bundled_corpus_temp_dir_removed(self, capsys, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code, out, _ = run(capsys, "corpus")
+        assert code == EXIT_OK
+        assert "10 fronts, 0 violations" in out
+        assert not list(tmp_path.glob("khfront-corpus-*"))
+
     def test_out_file_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(

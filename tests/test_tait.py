@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, settings
 
-from khfront import checkerboard, dual_graph, parse_front, tait_graph
+from khfront import LinkDiagram, checkerboard, dual_graph, parse_front, tait_graph
 from khfront.tait import faces
 
 from conftest import front_words
@@ -85,6 +85,21 @@ class TestTaitGraph:
         assert len(g.edges) == len(gr.edges) == d.n
         # black + white face counts add up to all faces
         assert g.n_vertices + gr.n_vertices == max(len(faces(d)), 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(front_words())
+    def test_pd_import_coloring(self, front):
+        # PD imports carry no sweep-region data: the unbounded face is
+        # chosen by boundary length and the search colors from there
+        d = front.desingularize()
+        d2 = LinkDiagram.from_pd(d.to_pd())
+        canonical, rev = checkerboard(d2)
+        for idx in range(len(d2.arcs)):
+            fa, fb = d2.arc_faces(idx)
+            assert (fa in canonical.black) != (fb in canonical.black)
+        g, gr = tait_graph(d2, canonical), tait_graph(d2, rev)
+        assert len(g.edges) == len(gr.edges) == d.n
+        assert g.n_vertices + gr.n_vertices == len(faces(d2))
 
     @settings(max_examples=50, deadline=None)
     @given(front_words())
