@@ -28,6 +28,7 @@ from .trees import (
     SpanningTreeRecord,
     classify_activities,
     dual_tree,
+    labelled_trees,
     min_x_spanning_tree,
     spanning_trees,
     splice_front,
@@ -70,6 +71,7 @@ __all__ = [
     "good_bad_census",
     "kauffman_jones",
     "khovanov_homology",
+    "labelled_trees",
     "min_x_spanning_tree",
     "ng_bound",
     "parse_front",

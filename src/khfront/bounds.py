@@ -23,12 +23,7 @@ from .errors import ConventionError
 from .front import FrontDiagram
 from .oracle import DEFAULT_MAX_CROSSINGS, khovanov_homology
 from .tait import Coloring, checkerboard, tait_graph
-from .trees import (
-    SpanningTreeRecord,
-    classify_activities,
-    spanning_trees,
-    to_khovanov_bigrading,
-)
+from .trees import SpanningTreeRecord, labelled_trees, to_khovanov_bigrading
 
 VERDICTS = ("bound_holds", "sharp_certified", "not_sharp_certified", "inconclusive")
 
@@ -47,7 +42,8 @@ class BoundReport:
     tree_count: int = 0
 
     def __post_init__(self):
-        assert self.verdict in VERDICTS
+        if self.verdict not in VERDICTS:
+            raise ConventionError(f"unknown verdict {self.verdict!r}")
         if self.min_delta is not None and self.tb > self.min_delta:
             raise ConventionError(
                 f"tb={self.tb} exceeds homology min delta={self.min_delta}"
@@ -86,7 +82,7 @@ def _tree_records(
     if coloring is None:
         coloring, _ = checkerboard(d)
     g = tait_graph(d, coloring)
-    return [classify_activities(g, t, front) for t in spanning_trees(g)]
+    return list(labelled_trees(g, front))
 
 
 def _census(records: list[SpanningTreeRecord]) -> dict[int, tuple[int, int]]:

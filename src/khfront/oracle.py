@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import LinkDiagram, _a_smoothing_pairs, _b_smoothing_pairs
-from .errors import EmptyTable, TooLarge
+from .errors import ConventionError, EmptyTable, TooLarge
 from .laurent import LaurentPoly
 from .snf import invariant_factors
 
@@ -31,9 +31,9 @@ class BigradedTable:
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 
     def __post_init__(self):
-        for key, (rank, torsion) in list(self.groups.items()):
-            if rank == 0 and not torsion:
-                del self.groups[key]
+        # a filtered copy: the caller's dict is left as it was
+        nonzero = {key: g for key, g in self.groups.items() if g[0] or g[1]}
+        object.__setattr__(self, "groups", nonzero)
 
     def rank(self, i: int, j: int) -> int:
         return self.groups.get((i, j), (0, ()))[0]
@@ -225,7 +225,7 @@ def khovanov_homology(
                     else:
                         key = (rows[base[mask]], col)
                         mat[key] = mat.get(key, 0) + sign
-    _assert_d_squared_zero(mats, dims)
+    _check_d_squared_zero(mats)
 
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     factors: dict[tuple[int, int], list[int]] = {}
@@ -246,7 +246,9 @@ def khovanov_homology(
     return BigradedTable(groups)
 
 
-def _assert_d_squared_zero(mats, dims):
+def _check_d_squared_zero(mats) -> None:
+    """Raise ConventionError unless every composite d(i+1) d(i) of the
+    sparse differentials ``mats``, keyed by (i, j), is zero."""
     by_col: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
     for key, mat in mats.items():
         cols = by_col.setdefault(key, {})
@@ -261,7 +263,10 @@ def _assert_d_squared_zero(mats, dims):
             for r2, val2 in nxt.get(r, ()):
                 key = (r2, c)
                 acc[key] = acc.get(key, 0) + val * val2
-        assert all(v == 0 for v in acc.values()), "differential does not square to zero"
+        if any(acc.values()):
+            raise ConventionError(
+                f"differential does not square to zero at (i, j) = ({i}, {jq})"
+            )
 
 
 def kauffman_jones(

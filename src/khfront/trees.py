@@ -2,7 +2,14 @@
 
 An edge in the tree is internally active when its order is lowest in its
 cut set; an edge outside is externally active when its order is lowest in
-its cycle set.  Labels combine activity and sign:
+its cycle set.  ``labelled_trees`` finds every tree and its labels in one
+pass of Tutte's recursion on the highest-order edge: deleting and
+contracting edges from the highest order down, a loop of the current
+minor is externally active, a bridge is internally active and gets
+contracted, and any other edge branches into an inactive tree edge
+(contracted) and an inactive non-tree edge (deleted).  Signs follow
+Kauffman's labels for signed graphs.  ``classify_activities`` labels one
+given tree from its cut and cycle sets.  Labels combine activity and sign:
 
     tree:      L (active +)   Lb (active -)   D (inactive +)   Db (inactive -)
     non-tree:  l (active +)   lb (active -)   d (inactive +)   db (inactive -)
@@ -18,7 +25,13 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .diagram import LinkDiagram
-from .errors import Disconnected, NotASpanningTree, NotUnknot, ParityViolation
+from .errors import (
+    ConventionError,
+    Disconnected,
+    NotASpanningTree,
+    NotUnknot,
+    ParityViolation,
+)
 from .front import FrontDiagram
 from .laurent import LaurentPoly
 from .tait import TaitGraph, dual_graph
@@ -98,57 +111,142 @@ def _component_of(g: TaitGraph, edge_ids: set[int], start: int) -> set[int]:
     return seen
 
 
-def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
-    """All spanning trees, each exactly once, in lexicographic order of
-    their sorted edge-id lists.
+#: labels by code in the byte strings of the labelling pass: tree labels
+#: take codes 0-3, non-tree labels 4-7, and a negative edge adds 1
+_LABEL_OF_CODE = ("L", "Lb", "D", "Db", "l", "lb", "d", "db")
+_L, _D, _LOOP, _DEL = 0, 2, 4, 6
+#: code -> 0 on the tree, 1 off it; ascending order of the translated
+#: strings is lexicographic order of the trees' sorted edge lists
+_MEMBERSHIP = bytes.maketrans(bytes(range(8)), bytes([0, 0, 0, 0, 1, 1, 1, 1]))
 
-    Recursive contraction/deletion on the lowest-ranked edge, with the
-    usual isthmus and loop shortcuts.
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _bridges(
+    parent: list[int], ends: list[tuple[int, int]], edge_ids: list[int]
+) -> set[int]:
+    """Bridges of the minor whose vertices are the union-find classes of
+    ``parent`` and whose edges are ``edge_ids`` (iterative Tarjan)."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e in edge_ids:
+        a, b = _find(parent, ends[e][0]), _find(parent, ends[e][1])
+        if a != b:
+            adj.setdefault(a, []).append((b, e))
+            adj.setdefault(b, []).append((a, e))
+    bridges: set[int] = set()
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, around = stack[-1]
+            for w, e in around:
+                if e == via:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, e, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    up = stack[-1][0]
+                    low[up] = min(low[up], low[v])
+                    if low[v] > disc[up]:
+                        bridges.add(via)
+    return bridges
+
+
+def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
+    """Tutte's activity recursion on the highest-order edge, depth first.
+
+    Each yielded string holds one spanning tree's label codes, indexed by
+    edge id.  In the current minor a loop is externally active and a
+    bridge internally active (and contracted); any other edge branches
+    into contraction (inactive tree edge) and deletion (inactive non-tree
+    edge).  Contraction creates no bridge, so the bridges are recomputed
+    only after a deletion.
     """
     if not g.is_connected():
         raise Disconnected("graph is not connected")
+    order = sorted(range(len(g.edges)), key=lambda i: g.edges[i].order, reverse=True)
+    ends = [(e.u, e.v) for e in g.edges]
+    neg = [1 if e.sign < 0 else 0 for e in g.edges]
+    codes = bytearray(len(g.edges))
+    parent = list(range(g.n_vertices))
+    # (next depth, union-find parents, bridges of the minor, the edge just
+    # contracted as inactive or -1); entries at depth k never rewrite the
+    # codes of edges processed above k, so one buffer serves every branch
+    stack = [(0, parent, _bridges(parent, ends, order), -1)]
+    while stack:
+        k, parent, bridges, contracted = stack.pop()
+        if contracted >= 0:
+            codes[contracted] = _D + neg[contracted]
+        for depth in range(k, len(order)):
+            e = order[depth]
+            a, b = _find(parent, ends[e][0]), _find(parent, ends[e][1])
+            if a == b:
+                codes[e] = _LOOP + neg[e]
+            elif e in bridges:
+                codes[e] = _L + neg[e]
+                parent[a] = b
+            else:
+                merged = parent.copy()
+                merged[a] = b
+                stack.append((depth + 1, merged, bridges, e))
+                codes[e] = _DEL + neg[e]
+                bridges = _bridges(parent, ends, order[depth + 1:])
+        yield bytes(codes)
 
-    def rec(vertices: list[int], edges: list[tuple[int, int, int]]):
-        # edges: (edge id, u, v) with u, v in contracted-vertex labels
-        if len(vertices) == 1:
-            yield []
-            return
-        live = [(i, u, v) for i, u, v in edges if u != v]
-        if not live:
-            return  # disconnected remainder: no trees
-        eid, u, v = min(live)
-        rest = [e for e in live if e[0] != eid]
-        # include eid: contract u and v
-        merged = [w for w in vertices if w != u]
-        cmap = {w: (v if w == u else w) for w in vertices}
-        for tail in rec(merged, [(i, cmap[a], cmap[b]) for i, a, b in rest]):
-            yield [eid] + tail
-        # exclude eid, unless it is an isthmus
-        if _still_connected(vertices, rest):
-            yield from rec(vertices, rest)
 
-    def _still_connected(vertices: list[int], edges) -> bool:
-        if not vertices:
-            return True
-        adj: dict[int, list[int]] = {v: [] for v in vertices}
-        for _, a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {vertices[0]}
-        stack = [vertices[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(vertices)
+def _record(
+    g: TaitGraph, codes: bytes, front: Optional[FrontDiagram]
+) -> SpanningTreeRecord:
+    tree = frozenset(i for i, c in enumerate(codes) if c < _LOOP)
+    _validate_tree(g, tree)
+    count = codes.count
+    rec = SpanningTreeRecord(
+        tree=tree,
+        labels={i: _LABEL_OF_CODE[c] for i, c in enumerate(codes)},
+        u=count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1),
+        v=count(_L) + count(_D) + count(_LOOP + 1) + count(_DEL + 1),
+    )
+    if front is not None:
+        rec = attach_front_class(rec, front.cusp_count)
+    return rec
 
-    vertices = list(range(g.n_vertices))
-    edges = [(i, e.u, e.v) for i, e in enumerate(g.edges)]
-    trees = [frozenset(t) for t in rec(vertices, edges)]
-    trees.sort(key=lambda t: sorted(t))
-    yield from trees
+
+def labelled_trees(
+    g: TaitGraph, front: Optional[FrontDiagram] = None
+) -> Iterator[SpanningTreeRecord]:
+    """Every spanning tree with its activity labels, u and v (and its
+    good/bad class when a front is attached), each exactly once, in
+    lexicographic order of the sorted edge-id lists.
+
+    One deletion-contraction pass on the highest-order edge labels every
+    tree as it is found; the records equal ``classify_activities`` on each
+    tree without its cut and cycle searches.
+    """
+    for codes in sorted(_labelling_pass(g), key=lambda c: c.translate(_MEMBERSHIP)):
+        yield _record(g, codes, front)
+
+
+def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
+    """All spanning trees, each exactly once, in lexicographic order of
+    their sorted edge-id lists: the tree-only view of ``labelled_trees``.
+    """
+    for rec in labelled_trees(g):
+        yield rec.tree
 
 
 def cut_set(g: TaitGraph, tree: frozenset[int], e_idx: int) -> frozenset[int]:
@@ -245,8 +343,8 @@ def dual_tree(
     """The complementary spanning tree of the dual graph.
 
     Returns (dual graph, dual tree, per-edge label pair (label, dual
-    label)); asserts the complementary set is a tree and that every label
-    swaps L<->lb, D<->db, l<->Lb, d<->Db.
+    label)); checks that the complementary set is a tree and raises
+    ConventionError unless every label swaps L<->lb, D<->db, l<->Lb, d<->Db.
     """
     _validate_tree(g, tree)
     gd = dual_graph(g)
@@ -257,7 +355,11 @@ def dual_tree(
     pairs = {}
     for i in range(len(g.edges)):
         lab, dlab = rec.labels[i], rec_d.labels[i]
-        assert dlab == DUAL_LABEL[lab], (i, lab, dlab)
+        if dlab != DUAL_LABEL[lab]:
+            raise ConventionError(
+                f"edge {i}: label {lab} has dual label {dlab}, "
+                f"not {DUAL_LABEL[lab]}"
+            )
         pairs[i] = (lab, dlab)
     return gd, dual, pairs
 
@@ -270,17 +372,10 @@ def min_x_spanning_tree(
     if not g.is_connected():
         raise Disconnected("graph is not connected")
     parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = set()
     for i in sorted(range(len(g.edges)), key=lambda i: g.edges[i].order):
         e = g.edges[i]
-        ru, rv = find(e.u), find(e.v)
+        ru, rv = _find(parent, e.u), _find(parent, e.v)
         if ru != rv:
             parent[ru] = rv
             chosen.add(i)
@@ -310,8 +405,8 @@ def to_khovanov_bigrading(
 def tree_euler_characteristic(g: TaitGraph, n: int, w: int) -> LaurentPoly:
     """Sum of (-1)^i q^j over both generators of every spanning tree."""
     total = LaurentPoly.zero()
-    for tree in spanning_trees(g):
-        pair = to_khovanov_bigrading(classify_activities(g, tree), n, w)
+    for rec in labelled_trees(g):
+        pair = to_khovanov_bigrading(rec, n, w)
         for i, j in pair.ij:
             total = total + LaurentPoly.monomial(j, (-1) ** (i % 2))
     return total

@@ -7,11 +7,32 @@ because every property test runs exact integer machinery downstream.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import khfront
 from khfront import FrontDiagram, KhfrontError
+
+
+def run_optimized(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``python -O *args`` with this khfront importable.  ``-O`` strips
+    asserts, so a check that must survive it has to raise explicitly."""
+    src = str(Path(khfront.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        env=env,
+        timeout=timeout,
+        capture_output=True,
+        text=True,
+    )
 
 
 @st.composite

@@ -1,13 +1,7 @@
 """Bound reports, censuses, sharpness certificates, tripwire."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from hypothesis import given, settings
 
-import khfront
 from khfront import (
     checkerboard,
     good_bad_census,
@@ -17,7 +11,7 @@ from khfront import (
     sharpness_report,
 )
 
-from conftest import front_words
+from conftest import front_words, run_optimized
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -109,20 +103,17 @@ class TestReportShape:
 
 class TestTripwires:
     def test_report_invariant_survives_optimize(self):
-        # python -O strips asserts; the tb <= min_delta tripwire must not
+        # python -O strips asserts; the tb <= min_delta and verdict
+        # tripwires must not
         code = (
             "from khfront import BoundReport, ConventionError\n"
-            "try:\n"
-            "    BoundReport(tb=2, C=1, min_u=0, census={},"
-            " verdict='bound_holds', min_delta=1)\n"
-            "except ConventionError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
+            "for tb, verdict, min_delta in ((2, 'bound_holds', 1), (0, 'maybe', None)):\n"
+            "    try:\n"
+            "        BoundReport(tb=tb, C=1, min_u=0, census={},"
+            " verdict=verdict, min_delta=min_delta)\n"
+            "    except ConventionError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
         )
-        src = str(Path(khfront.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, timeout=60
-        )
-        assert proc.returncode == 0
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr

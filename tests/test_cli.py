@@ -4,6 +4,8 @@ import json
 
 from khfront.cli import EXIT_CONVENTION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
+from conftest import run_optimized
+
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
 
@@ -28,6 +30,13 @@ class TestAnalyze:
         assert payload["tb"] == 1
         assert payload["min_delta"] == 1
         assert payload["verdict"] == "sharp_certified"
+
+    def test_thousand_crossing_twist(self, capsys):
+        # the tree pass keeps no recursion depth per edge
+        word = "L1 L2 " + "X1 " * 1001 + "R2 R1"
+        code, out, err = run(capsys, "analyze", word, "--json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["tree_count"] == 1001
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "analyze", TREFOIL, "--json")
@@ -103,6 +112,11 @@ class TestCorpus:
         assert code == EXIT_OK
         assert "10 fronts, 0 violations" in out
         assert not list(tmp_path.glob("khfront-corpus-*"))
+
+    def test_bundled_corpus_oracle_under_optimize(self):
+        proc = run_optimized("-m", "khfront.cli", "corpus", "--oracle", "--json")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["violations"] == 0
 
     def test_out_file_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from khfront import (
+    BigradedTable,
     EmptyTable,
     LaurentPoly,
     TooLarge,
@@ -12,7 +13,7 @@ from khfront import (
     parse_front,
 )
 
-from conftest import front_words
+from conftest import front_words, run_optimized
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 FIG8 = "L1 L1 L1 X2 X2 X4 R3 X2 R1 R1"
@@ -76,6 +77,33 @@ class TestKhovanov:
 
         with pytest.raises(EmptyTable):
             BigradedTable({}).min_delta()
+
+
+class TestBigradedTable:
+    def test_caller_dict_left_unchanged(self):
+        g = {(0, 0): (0, ()), (1, 1): (1, ())}
+        table = BigradedTable(g)
+        assert set(g) == {(0, 0), (1, 1)}
+        assert table.groups == {(1, 1): (1, ())}
+
+
+class TestTripwires:
+    def test_d_squared_check_survives_optimize(self):
+        # d0 = (1, 1)^T followed by d1 = (1, -1) composes to zero;
+        # followed by d1 = (1, 1) it does not
+        code = (
+            "from khfront import ConventionError\n"
+            "from khfront.oracle import _check_d_squared_zero\n"
+            "d0 = {(0, 0): 1, (1, 0): 1}\n"
+            "_check_d_squared_zero({(0, 0): d0, (1, 0): {(0, 0): 1, (0, 1): -1}})\n"
+            "try:\n"
+            "    _check_d_squared_zero({(0, 0): d0, (1, 0): {(0, 0): 1, (0, 1): 1}})\n"
+            "except ConventionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestJones:

@@ -5,10 +5,14 @@ import sympy
 from hypothesis import given, settings
 
 from khfront import (
+    ConventionError,
+    Disconnected,
     NotASpanningTree,
+    TaitGraph,
     checkerboard,
     classify_activities,
     dual_tree,
+    labelled_trees,
     min_x_spanning_tree,
     parse_front,
     spanning_trees,
@@ -18,6 +22,7 @@ from khfront import (
     to_khovanov_bigrading,
     tree_euler_characteristic,
 )
+import khfront.trees
 from khfront.trees import DUAL_LABEL
 
 from conftest import front_words
@@ -76,6 +81,10 @@ class TestEnumeration:
         g = tait_graph(d, canonical)
         assert len(list(spanning_trees(g))) == matrix_tree_count(g)
 
+    def test_disconnected_graph(self):
+        with pytest.raises(Disconnected):
+            list(spanning_trees(TaitGraph(2, [], [[], []])))
+
     def test_not_a_spanning_tree(self):
         _, _, g = setup(TREFOIL)
         with pytest.raises(NotASpanningTree):
@@ -97,6 +106,21 @@ class TestActivities:
         assert [recs[k].u for k in sorted(recs)] == [2, 1, -1]
         assert all(r.v == 2 for r in recs.values())
         assert recs[(1, 2)].class_ == "good"
+
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=8))
+    def test_pass_matches_classify_activities(self, front):
+        # the labelling pass against per-tree cut/cycle classification,
+        # on both colorings
+        d = front.desingularize()
+        for coloring in checkerboard(d):
+            g = tait_graph(d, coloring)
+            recs = list(labelled_trees(g, front))
+            keys = [sorted(rec.tree) for rec in recs]
+            assert keys == sorted(keys)
+            assert len(set(map(tuple, keys))) == len(recs) == matrix_tree_count(g)
+            for rec in recs:
+                assert rec == classify_activities(g, rec.tree, front)
 
     def test_good_bad_mutually_exclusive(self):
         front, _, g = setup(TREFOIL)
@@ -161,6 +185,12 @@ class TestDualTrees:
             assert dual == frozenset(range(len(g.edges))) - t
             for lab, dlab in pairs.values():
                 assert dlab == DUAL_LABEL[lab]
+
+    def test_label_swap_check_raises(self, monkeypatch):
+        _, _, g = setup(TREFOIL)
+        monkeypatch.setattr(khfront.trees, "DUAL_LABEL", {k: "d" for k in DUAL_LABEL})
+        with pytest.raises(ConventionError):
+            dual_tree(g, frozenset({0, 1}))
 
     def test_dual_label_involution(self):
         assert all(DUAL_LABEL[DUAL_LABEL[k]] == k for k in DUAL_LABEL)
