@@ -21,7 +21,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import _tree_records, sharpness_report
 from .corpus import read_front_file, recorded_tb, write_corpus_dir
@@ -116,8 +116,12 @@ def _flips(front: FrontDiagram, orient: Optional[str]) -> Optional[list[bool]]:
     return [s == "-" for s in signs]
 
 
-def _emit(payload, as_json: bool, out: Optional[Path], text: str) -> None:
-    body = json.dumps(payload, indent=2, sort_keys=True) if as_json else text
+def _emit(
+    payload, as_json: bool, out: Optional[Path], text: Callable[[], str]
+) -> None:
+    """Write the payload as JSON, or else the text report; ``text`` is a
+    function, so JSON runs never format the report."""
+    body = json.dumps(payload, indent=2, sort_keys=True) if as_json else text()
     if out:
         tmp = out.with_suffix(out.suffix + ".tmp")
         tmp.write_text(body + "\n")
@@ -147,7 +151,7 @@ def _cmd_analyze(args) -> int:
     r = sharpness_report(
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
-    _emit(r.to_json_dict(), args.json, args.out, _report_text(r))
+    _emit(r.to_json_dict(), args.json, args.out, lambda: _report_text(r))
     return EXIT_OK
 
 
@@ -157,7 +161,7 @@ def _cmd_certify(args) -> int:
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, "verdict": r.verdict, "tb": r.tb, "min_delta": r.min_delta}
-    _emit(payload, args.json, args.out, f"verdict = {r.verdict}")
+    _emit(payload, args.json, args.out, lambda: f"verdict = {r.verdict}")
     return EXIT_OK
 
 
@@ -187,12 +191,15 @@ def _cmd_trees(args) -> int:
             for col, rec, pair in rows
         ],
     }
-    text = "\n".join(
-        f"[{col}] edges={sorted(rec.tree)} labels="
-        + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
-        + f" u={rec.u} v={rec.v} class={rec.class_} generators={pair.ij}"
-        for col, rec, pair in rows
-    )
+
+    def text() -> str:
+        return "\n".join(
+            f"[{col}] edges={sorted(rec.tree)} labels="
+            + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
+            + f" u={rec.u} v={rec.v} class={rec.class_} generators={pair.ij}"
+            for col, rec, pair in rows
+        )
+
     _emit(payload, args.json, args.out, text)
     return EXIT_OK
 
@@ -204,7 +211,7 @@ def _cmd_homology(args) -> int:
         front.desingularize(), flips=flips, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, **table.to_json_dict(), "min_delta": table.min_delta()}
-    _emit(payload, args.json, args.out, table.pretty())
+    _emit(payload, args.json, args.out, table.pretty)
     return EXIT_OK
 
 
@@ -217,7 +224,7 @@ def _cmd_jones(args) -> int:
         "variable": poly.var,
         "terms": [[e, c] for e, c in poly.items()],
     }
-    _emit(payload, args.json, args.out, repr(poly))
+    _emit(payload, args.json, args.out, lambda: repr(poly))
     return EXIT_OK
 
 
@@ -253,15 +260,19 @@ def _run_corpus(args, directory: Path) -> int:
         "items": [{"name": name, **r.to_json_dict()} for name, r, _ in results],
         "violations": violations,
     }
-    width = max(len(name) for name, _, _ in results)
-    lines = [
-        f"{name:<{width}}  tb={r.tb:>3}  "
-        + (f"min_delta={r.min_delta:>3}  " if r.min_delta is not None else "")
-        + f"verdict={r.verdict}"
-        for name, r, _ in results
-    ]
-    lines.append(f"{len(results)} fronts, {violations} violations")
-    _emit(payload, args.json, args.out, "\n".join(lines))
+
+    def text() -> str:
+        width = max(len(name) for name, _, _ in results)
+        lines = [
+            f"{name:<{width}}  tb={r.tb:>3}  "
+            + (f"min_delta={r.min_delta:>3}  " if r.min_delta is not None else "")
+            + f"verdict={r.verdict}"
+            for name, r, _ in results
+        ]
+        lines.append(f"{len(results)} fronts, {violations} violations")
+        return "\n".join(lines)
+
+    _emit(payload, args.json, args.out, text)
     return EXIT_OK
 
 

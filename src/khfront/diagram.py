@@ -34,16 +34,11 @@ CORNER_AT = {0: "W", 3: "S", 2: "E", 1: "N"}
 QUADRANTS = ("N", "E", "S", "W")
 
 
-def _a_smoothing_pairs(over_diag: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Port pairings of the A-smoothing (the one merging the two regions
-    swept counterclockwise from the over-strand)."""
-    if over_diag == 0:  # over NW-SE: A joins NW-NE and SW-SE
-        return (0, 1), (3, 2)
-    return (0, 3), (1, 2)  # over SW-NE: A joins NW-SW and NE-SE
-
-
-def _b_smoothing_pairs(over_diag: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    return _a_smoothing_pairs(1 - over_diag)
+#: port pairings of the A- and B-smoothings.  The NW-SE strand is always
+#: over, so the A-smoothing (the one merging the two regions swept
+#: counterclockwise from the over-strand) joins NW-NE and SW-SE
+A_PAIRS = ((0, 1), (3, 2))
+B_PAIRS = ((0, 3), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -58,41 +53,38 @@ class Face:
 
 
 class LinkDiagram:
-    """A connected-or-not planar diagram with over/under data.
+    """A connected-or-not planar diagram.  At every crossing the NW-SE
+    strand is over: fronts put the smaller-slope strand on top, and PD
+    imports are read into that position.
 
     Parameters
     ----------
     n : number of crossings; crossing ids 0..n-1 are in x-order when the
         diagram comes from a front.
-    over : per crossing, 0 if the NW-SE diagonal is the over-strand,
-        1 if SW-NE is.
     arcs : arc endpoints, each a ((c, port), (c, port)) pair; every port of
         every crossing appears exactly once.
     free_loops : closed curves that meet no crossing.
     attach_log : optional chronological list of (crossing, in-port) entries
         recorded by the front sweep; used for canonical component order and
         orientation.
-    quad_regions / outer_region : optional sweep-region data (region id
-        per crossing quadrant, id of the unbounded region).
+    white_corner : optional (crossing, quadrant) corner recorded by the
+        front sweep; its face has the color of the unbounded face, so the
+        canonical checkerboard coloring is seeded there.
     """
 
     def __init__(
         self,
         n: int,
-        over: Sequence[int],
         arcs: Sequence[tuple[PortEnd, PortEnd]],
         free_loops: int = 0,
         attach_log: Optional[Sequence[PortEnd]] = None,
-        quad_regions: Optional[Sequence[dict[str, int]]] = None,
-        outer_region: Optional[int] = None,
+        white_corner: Optional[tuple[int, str]] = None,
     ):
         self.n = n
-        self.over = list(over)
         self.arcs = [tuple(a) for a in arcs]
         self.free_loops = free_loops
         self.attach_log = list(attach_log) if attach_log is not None else None
-        self.quad_regions = list(quad_regions) if quad_regions is not None else None
-        self.outer_region = outer_region
+        self.white_corner = white_corner
         if len(self.arcs) != 2 * n:
             raise ValueError(f"expected {2 * n} arcs, got {len(self.arcs)}")
         self._port_loc: dict[PortEnd, tuple[int, int]] = {}
@@ -191,11 +183,7 @@ class LinkDiagram:
                     dir_b[c] = s
                 else:
                     dir_b[c] = -s
-        signs = []
-        for c in range(self.n):
-            s = dir_a[c] * dir_b[c]
-            signs.append(s if self.over[c] == 0 else -s)
-        return signs
+        return [a * b for a, b in zip(dir_a, dir_b)]
 
     def writhe(self, flips: Optional[Sequence[bool]] = None) -> int:
         return sum(self.crossing_signs(flips))
@@ -270,12 +258,7 @@ class LinkDiagram:
         newid = {c: i for i, c in enumerate(keep)}
         partner: dict[PortEnd, PortEnd] = {}
         for c, kind in resolution.items():
-            pairs = (
-                _a_smoothing_pairs(self.over[c])
-                if kind == "A"
-                else _b_smoothing_pairs(self.over[c])
-            )
-            for p, q in pairs:
+            for p, q in A_PAIRS if kind == "A" else B_PAIRS:
                 partner[(c, p)] = (c, q)
                 partner[(c, q)] = (c, p)
 
@@ -316,12 +299,7 @@ class LinkDiagram:
                     visited.add(nxt)
                     e = partner[nxt]
                 loops += 1
-        return LinkDiagram(
-            n=len(keep),
-            over=[self.over[c] for c in keep],
-            arcs=new_arcs,
-            free_loops=loops,
-        )
+        return LinkDiagram(n=len(keep), arcs=new_arcs, free_loops=loops)
 
     # -- PD codes ----------------------------------------------------------
 
@@ -347,7 +325,7 @@ class LinkDiagram:
             if len(ends) != 2:
                 raise ValueError(f"arc label {label} appears {len(ends)} times")
             arcs.append((ends[0], ends[1]))
-        return cls(n=len(code), over=[0] * len(code), arcs=arcs)
+        return cls(n=len(code), arcs=arcs)
 
     def to_pd(self) -> list[tuple[int, int, int, int]]:
         """Export a PD code (labels follow the canonical traversal)."""

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .diagram import LinkDiagram, PortEnd
 from .errors import (
+    ConventionError,
     Disconnected,
     MalformedToken,
     NonzeroEndState,
@@ -131,40 +132,17 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
 
     Cusps become smooth turning arcs; every crossing keeps its x-order and
     has the smaller-slope (NW-SE) branch on top.  The returned diagram
-    carries the sweep's region data (region per crossing quadrant,
-    unbounded region) and an attach log fixing the canonical orientation.
+    carries an attach log fixing the canonical orientation and a white
+    corner: the gap below the k-th strand is white exactly when k is even,
+    so the first crossing ``X p`` has its N corner white when p is odd and
+    its W corner white when p is even.
     """
     strands: list[_Strand] = []
     arcs: list[tuple[PortEnd, PortEnd]] = []
     free_loops = 0
     attach_log: list[PortEnd] = []
-    over: list[int] = []
-    quad_regions: list[dict[str, int]] = []
-
-    region_parity: dict[int, int] = {0: 0}
-    parent: dict[int, int] = {0: 0}
-    gaps: list[int] = [0]  # region id per gap, top to bottom
-    next_region = 1
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            assert region_parity[ra] == region_parity[rb]
-            parent[ra] = rb
-
-    def new_region(parity: int) -> int:
-        nonlocal next_region
-        r = next_region
-        next_region += 1
-        parent[r] = r
-        region_parity[r] = parity
-        return r
+    white_corner: Optional[tuple[int, str]] = None
+    n = 0
 
     def attach(s: _Strand, end: PortEnd) -> None:
         attach_log.append(end)
@@ -179,8 +157,6 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             a, b = _Strand(), _Strand()
             a.far, b.far = b, a
             strands[pos - 1 : pos - 1] = [a, b]
-            r = new_region(pos % 2)
-            gaps[pos : pos] = [r, gaps[pos - 1]]
         elif kind == "R":
             s, t = strands[pos - 1], strands[pos]
             fs, ft = s.far, t.far
@@ -196,36 +172,26 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             else:
                 arcs.append((fs, ft))
             del strands[pos - 1 : pos + 1]
-            union(gaps[pos - 1], gaps[pos + 1])
-            gaps[pos - 1 : pos + 2] = [gaps[pos + 1]]
         else:  # crossing
-            c = len(over)
-            over.append(0)
-            quad_regions.append(
-                {"N": gaps[pos - 1], "W": gaps[pos], "S": gaps[pos + 1]}
-            )
+            c = n
+            n += 1
+            if c == 0:
+                white_corner = (c, "N" if pos % 2 else "W")
             attach(strands[pos - 1], (c, 0))
             attach(strands[pos], (c, 3))
             ne, se = _Strand(), _Strand()
             ne.far = (c, 1)
             se.far = (c, 2)
             strands[pos - 1], strands[pos] = ne, se
-            r = new_region(pos % 2)
-            quad_regions[c]["E"] = r
-            gaps[pos] = r
 
-    assert not strands and len(gaps) == 1
-    resolved = [
-        {q: find(r) for q, r in quads.items()} for quads in quad_regions
-    ]
+    if strands:
+        raise ConventionError(f"{len(strands)} strands open after the sweep")
     return LinkDiagram(
-        n=len(over),
-        over=over,
+        n=n,
         arcs=arcs,
         free_loops=free_loops,
         attach_log=attach_log,
-        quad_regions=resolved,
-        outer_region=find(0),
+        white_corner=white_corner,
     )
 
 

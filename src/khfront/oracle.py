@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import LinkDiagram, _a_smoothing_pairs, _b_smoothing_pairs
+from .diagram import A_PAIRS, B_PAIRS, LinkDiagram
 from .errors import ConventionError, EmptyTable, TooLarge
 from .laurent import LaurentPoly
 from .snf import invariant_factors
@@ -97,12 +97,7 @@ class _StateLoops:
             return x
 
         for c in range(d.n):
-            kind = (
-                _b_smoothing_pairs(d.over[c])
-                if (state >> c) & 1
-                else _a_smoothing_pairs(d.over[c])
-            )
-            for p, q in kind:
+            for p, q in B_PAIRS if (state >> c) & 1 else A_PAIRS:
                 ra, rb = find(port_arc[(c, p)]), find(port_arc[(c, q)])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)

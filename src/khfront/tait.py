@@ -15,8 +15,8 @@ from functools import cached_property
 from .diagram import Face, LinkDiagram
 from .errors import ConventionError, NonplanarRotation
 
-#: quadrant pair merged by the A-smoothing, per over-diagonal
-_A_QUADS = {0: frozenset({"W", "E"}), 1: frozenset({"N", "S"})}
+#: quadrant pair merged by the A-smoothing (the NW-SE strand is over)
+_A_QUADS = frozenset({"W", "E"})
 
 
 def faces(diagram: LinkDiagram) -> list[Face]:
@@ -39,18 +39,13 @@ class Coloring:
         return Coloring(self.diagram, all_faces - self.black, not self.canonical)
 
 
-def _unbounded_face(diagram: LinkDiagram) -> int:
-    """The unbounded face: exact for sweep-built diagrams; for diagrams
-    without region data (PD imports) any face may play the role on the
-    sphere, so the longest boundary walk is chosen deterministically."""
-    if diagram.n == 0:
-        return 0
-    if diagram.quad_regions is not None and diagram.outer_region is not None:
-        for f in diagram.faces:
-            c, q = f.corners[0]
-            if diagram.quad_regions[c][q] == diagram.outer_region:
-                return f.index
-        raise AssertionError("outer region has no face")
+def _white_face(diagram: LinkDiagram) -> int:
+    """A face colored like the unbounded one: the sweep's white corner for
+    front-built diagrams; PD imports carry no corner, and on the sphere any
+    face may play the unbounded one, so the longest boundary walk is chosen
+    deterministically."""
+    if diagram.white_corner is not None:
+        return diagram.face_of_corner[diagram.white_corner]
     return max(diagram.faces, key=lambda f: (len(f.corners), -f.index)).index
 
 
@@ -66,9 +61,9 @@ def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     for fa, fb in sides:
         neighbours[fa].append(fb)
         neighbours[fb].append(fa)
-    outer = _unbounded_face(diagram)
-    color = {outer: 0}
-    stack = [outer]
+    white = _white_face(diagram)
+    color = {white: 0}
+    stack = [white]
     while stack:
         f = stack.pop()
         for there in neighbours[f]:
@@ -308,10 +303,12 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
     for c in range(diagram.n):
         quad_face = {q: corner_face[(c, q)] for q in "NESW"}
         ns_black = quad_face["N"] in coloring.black
-        assert ns_black == (quad_face["S"] in coloring.black)
-        assert ns_black != (quad_face["W"] in coloring.black)
+        if ns_black != (quad_face["S"] in coloring.black) or ns_black == (
+            quad_face["W"] in coloring.black
+        ):
+            raise ConventionError(f"crossing {c}: quadrants are not checkerboard")
         quads = ("N", "S") if ns_black else ("W", "E")
-        sign = 1 if frozenset(quads) == _A_QUADS[diagram.over[c]] else -1
+        sign = 1 if frozenset(quads) == _A_QUADS else -1
         edges.append(
             TaitEdge(
                 u=vid[quad_face[quads[0]]],
@@ -329,7 +326,8 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
         cyc = []
         for c, q in f.corners:
             e_idx = c  # one edge per crossing, same index
-            assert q in edges[e_idx].ends
+            if q not in edges[e_idx].ends:
+                raise ConventionError(f"crossing {c}: black corner {q} is no edge end")
             cyc.append((e_idx, q))
         rotation[vid[f.index]] = cyc
     return TaitGraph(len(black_faces), edges, rotation)

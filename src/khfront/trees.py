@@ -47,9 +47,6 @@ DUAL_LABEL = {
 #: splicing of inactive crossings; active ones keep their crossing
 INACTIVE_SPLICE = {"D": "A", "d": "B", "Db": "B", "db": "A"}
 
-#: writhe contribution of an active crossing to the twisted unknot
-ACTIVE_WRITHE = {"L": -1, "l": +1, "Lb": +1, "lb": -1}
-
 PRETTY = {
     "L": "L", "Lb": "L̄", "D": "D", "Db": "D̄",
     "l": "l", "lb": "l̄", "d": "d", "db": "d̄",
@@ -210,7 +207,7 @@ def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
 
 
 def _record(
-    g: TaitGraph, codes: bytes, front: Optional[FrontDiagram]
+    g: TaitGraph, codes: bytes, cusp_count: Optional[int]
 ) -> SpanningTreeRecord:
     tree = frozenset(i for i, c in enumerate(codes) if c < _LOOP)
     _validate_tree(g, tree)
@@ -221,8 +218,8 @@ def _record(
         u=count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1),
         v=count(_L) + count(_D) + count(_LOOP + 1) + count(_DEL + 1),
     )
-    if front is not None:
-        rec = attach_front_class(rec, front.cusp_count)
+    if cusp_count is not None:
+        rec = attach_front_class(rec, cusp_count)
     return rec
 
 
@@ -237,8 +234,9 @@ def labelled_trees(
     tree as it is found; the records equal ``classify_activities`` on each
     tree without its cut and cycle searches.
     """
+    cusp_count = front.cusp_count if front is not None else None
     for codes in sorted(_labelling_pass(g), key=lambda c: c.translate(_MEMBERSHIP)):
-        yield _record(g, codes, front)
+        yield _record(g, codes, cusp_count)
 
 
 def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
@@ -288,8 +286,13 @@ def cycle_set(g: TaitGraph, tree: frozenset[int], f_idx: int) -> frozenset[int]:
 def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
     if len(tree) != g.n_vertices - 1:
         raise NotASpanningTree(f"{len(tree)} edges for {g.n_vertices} vertices")
-    if len(_component_of(g, set(tree), 0)) != g.n_vertices:
-        raise NotASpanningTree("edge set does not span")
+    # V - 1 edges without a cycle span the graph
+    parent = list(range(g.n_vertices))
+    for e_idx in tree:
+        a, b = _find(parent, g.edges[e_idx].u), _find(parent, g.edges[e_idx].v)
+        if a == b:
+            raise NotASpanningTree(f"edge {e_idx} closes a cycle")
+        parent[a] = b
 
 
 def classify_activities(

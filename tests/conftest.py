@@ -20,19 +20,24 @@ import khfront
 from khfront import FrontDiagram, KhfrontError
 
 
-def run_optimized(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
-    """Run ``python -O *args`` with this khfront importable.  ``-O`` strips
-    asserts, so a check that must survive it has to raise explicitly."""
+def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this khfront importable."""
     src = str(Path(khfront.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-O", *args],
+        [sys.executable, *args],
         env=env,
         timeout=timeout,
         capture_output=True,
         text=True,
     )
+
+
+def run_optimized(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``python -O *args`` with this khfront importable.  ``-O`` strips
+    asserts, so a check that must survive it has to raise explicitly."""
+    return run_python("-O", *args, timeout=timeout)
 
 
 @st.composite

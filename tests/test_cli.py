@@ -1,12 +1,16 @@
-"""CLI commands, output formats, exit codes."""
+"""CLI commands, output formats, exit codes, and the demo scripts."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from khfront.cli import EXIT_CONVENTION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
-from conftest import run_optimized
+from conftest import run_optimized, run_python
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def run(capsys, *argv):
@@ -149,3 +153,11 @@ class TestExitCodes:
 
     def test_convention_exit_code_value(self):
         assert EXIT_CONVENTION == 2
+
+
+class TestDemos:
+    @pytest.mark.parametrize("script", ["01_trefoil_walkthrough.py", "02_duality.py"])
+    def test_demo_runs_and_every_check_holds(self, script):
+        proc = run_python(str(DEMOS / script), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "False" not in proc.stdout

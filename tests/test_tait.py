@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from khfront import LinkDiagram, checkerboard, dual_graph, parse_front, tait_graph
 from khfront.tait import faces
 
-from conftest import front_words
+from conftest import front_words, run_optimized
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -41,6 +41,19 @@ class TestColoring:
         for idx in range(len(d.arcs)):
             fa, fb = d.arc_faces(idx)
             assert (fa in canonical.black) != (fb in canonical.black)
+
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=8))
+    def test_white_corners_follow_strand_parity(self, front):
+        # the gap below the k-th strand is white exactly when k is even,
+        # so crossing X p has its N corner (the gap below strand p - 1)
+        # white exactly when p is odd
+        d = front.desingularize()
+        canonical, _ = checkerboard(d)
+        positions = [pos for kind, pos in front.events if kind == "X"]
+        for c, pos in enumerate(positions):
+            white = d.face_of_corner[(c, "N")] not in canonical.black
+            assert white == (pos % 2 == 1)
 
 
 class TestTaitGraph:
@@ -89,8 +102,8 @@ class TestTaitGraph:
     @settings(max_examples=50, deadline=None)
     @given(front_words())
     def test_pd_import_coloring(self, front):
-        # PD imports carry no sweep-region data: the unbounded face is
-        # chosen by boundary length and the search colors from there
+        # PD imports carry no white corner from the sweep: the search
+        # colors from the face with the longest boundary walk
         d = front.desingularize()
         d2 = LinkDiagram.from_pd(d.to_pd())
         canonical, rev = checkerboard(d2)
@@ -139,3 +152,28 @@ class TestDuality:
             g.negative_count(),
             g.positive_count(),
         )
+
+
+class TestTripwires:
+    def test_sweep_and_quadrant_checks_survive_optimize(self):
+        # a sweep that leaves strands open, and a coloring with no black
+        # face, must raise ConventionError under python -O as well
+        code = (
+            "from types import SimpleNamespace\n"
+            "from khfront import ConventionError, parse_front\n"
+            "from khfront.front import desingularize\n"
+            "from khfront.tait import Coloring, tait_graph\n"
+            "d = parse_front('L1 L2 X1 X1 X1 R2 R1').desingularize()\n"
+            "checks = (\n"
+            "    lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
+            "    lambda: tait_graph(d, Coloring(d, frozenset(), True)),\n"
+            ")\n"
+            "for check in checks:\n"
+            "    try:\n"
+            "        check()\n"
+            "    except ConventionError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr

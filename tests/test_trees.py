@@ -91,6 +91,11 @@ class TestEnumeration:
             classify_activities(g, frozenset({0}))
         with pytest.raises(NotASpanningTree):
             classify_activities(g, frozenset({0, 1, 2}))
+        # two Hopf clasps: V - 1 = 2 edges, but edges 0 and 1 are parallel
+        _, _, g = setup("L1 L2 X1 X1 R2 L2 X1 X1 R2 R1")
+        assert g.n_vertices == 3
+        with pytest.raises(NotASpanningTree):
+            classify_activities(g, frozenset({0, 1}))
 
 
 class TestActivities:
