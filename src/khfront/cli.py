@@ -84,6 +84,7 @@ def _build_parser() -> _Parser:
 
     sp = add("jones", "unreduced Jones polynomial")
     add_front(sp, orient=True)
+    sp.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
 
     sp = add("corpus", "batch run over a directory of .front files")
     sp.add_argument(
@@ -117,11 +118,14 @@ def _flips(front: FrontDiagram, orient: Optional[str]) -> Optional[list[bool]]:
 
 
 def _emit(
-    payload, as_json: bool, out: Optional[Path], text: Callable[[], str]
+    payload: Callable[[], object],
+    as_json: bool,
+    out: Optional[Path],
+    text: Callable[[], str],
 ) -> None:
-    """Write the payload as JSON, or else the text report; ``text`` is a
-    function, so JSON runs never format the report."""
-    body = json.dumps(payload, indent=2, sort_keys=True) if as_json else text()
+    """Write the JSON payload, or else the text report; both are
+    functions, so each run builds only the one it prints."""
+    body = json.dumps(payload(), indent=2, sort_keys=True) if as_json else text()
     if out:
         tmp = out.with_suffix(out.suffix + ".tmp")
         tmp.write_text(body + "\n")
@@ -151,7 +155,7 @@ def _cmd_analyze(args) -> int:
     r = sharpness_report(
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
-    _emit(r.to_json_dict(), args.json, args.out, lambda: _report_text(r))
+    _emit(r.to_json_dict, args.json, args.out, lambda: _report_text(r))
     return EXIT_OK
 
 
@@ -161,7 +165,7 @@ def _cmd_certify(args) -> int:
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, "verdict": r.verdict, "tb": r.tb, "min_delta": r.min_delta}
-    _emit(payload, args.json, args.out, lambda: f"verdict = {r.verdict}")
+    _emit(lambda: payload, args.json, args.out, lambda: f"verdict = {r.verdict}")
     return EXIT_OK
 
 
@@ -184,13 +188,15 @@ def _tree_rows(front: FrontDiagram, which: str):
 def _cmd_trees(args) -> int:
     front = _load_front(args.front)
     rows = _tree_rows(front, args.coloring)
-    payload = {
-        "schema": 1,
-        "trees": [
-            {"coloring": col, **rec.to_json_dict(), "generators": list(pair.ij)}
-            for col, rec, pair in rows
-        ],
-    }
+
+    def payload() -> dict:
+        return {
+            "schema": 1,
+            "trees": [
+                {"coloring": col, **rec.to_json_dict(), "generators": list(pair.ij)}
+                for col, rec, pair in rows
+            ],
+        }
 
     def text() -> str:
         return "\n".join(
@@ -211,20 +217,22 @@ def _cmd_homology(args) -> int:
         front.desingularize(), flips=flips, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, **table.to_json_dict(), "min_delta": table.min_delta()}
-    _emit(payload, args.json, args.out, table.pretty)
+    _emit(lambda: payload, args.json, args.out, table.pretty)
     return EXIT_OK
 
 
 def _cmd_jones(args) -> int:
     front = _load_front(args.front)
     flips = _flips(front, args.orient)
-    poly = kauffman_jones(front.desingularize(), flips=flips)
+    poly = kauffman_jones(
+        front.desingularize(), flips=flips, max_crossings=args.max_crossings
+    )
     payload = {
         "schema": 1,
         "variable": poly.var,
         "terms": [[e, c] for e, c in poly.items()],
     }
-    _emit(payload, args.json, args.out, lambda: repr(poly))
+    _emit(lambda: payload, args.json, args.out, lambda: repr(poly))
     return EXIT_OK
 
 
@@ -272,7 +280,7 @@ def _run_corpus(args, directory: Path) -> int:
         lines.append(f"{len(results)} fronts, {violations} violations")
         return "\n".join(lines)
 
-    _emit(payload, args.json, args.out, text)
+    _emit(lambda: payload, args.json, args.out, text)
     return EXIT_OK
 
 

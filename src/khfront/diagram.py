@@ -31,9 +31,6 @@ CCW_NEXT = {0: 3, 3: 2, 2: 1, 1: 0}
 #: quadrant swept between arriving at port p and leaving at CCW_NEXT[p]
 CORNER_AT = {0: "W", 3: "S", 2: "E", 1: "N"}
 
-QUADRANTS = ("N", "E", "S", "W")
-
-
 #: port pairings of the A- and B-smoothings.  The NW-SE strand is always
 #: over, so the A-smoothing (the one merging the two regions swept
 #: counterclockwise from the over-strand) joins NW-NE and SW-SE

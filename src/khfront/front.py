@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .diagram import LinkDiagram, PortEnd
 from .errors import (
     ConventionError,
-    Disconnected,
     MalformedToken,
     NonzeroEndState,
     StrandUnderflow,
@@ -105,7 +104,8 @@ def _simulate(events: Sequence[Event]) -> None:
 def parse_front(text: str) -> FrontDiagram:
     """Parse a whitespace-separated front word such as ``"L1 L3 X2 R2 R1"``.
 
-    Raises MalformedToken, StrandUnderflow, NonzeroEndState or Disconnected.
+    Raises MalformedToken, StrandUnderflow, NonzeroEndState, or Disconnected
+    from the connectivity check of the desingularized diagram.
     """
     events: list[Event] = []
     for token in text.split():

@@ -5,6 +5,13 @@ Both work directly on a LinkDiagram and share nothing with the spanning
 tree model beyond the diagram itself, so agreement between the two sides
 is meaningful evidence.
 
+Khovanov homology runs in four steps: build the differential of the whole
+cube once, as sparse rows over global generator ids; check d∘d = 0 on
+that full, unreduced complex; cancel unit entries by Gaussian elimination
+(Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318)
+until none is left; and read ranks and torsion off the Smith normal form
+of each residual (i, j) block.
+
 Conventions: the unknot has homology Z at (0, -1) and (0, 1) (unreduced,
 graded Euler characteristic (q + 1/q) times the Jones polynomial); the
 0-smoothing of a crossing is the A-smoothing.
@@ -12,6 +19,7 @@ graded Euler characteristic (q + 1/q) times the Jones polynomial); the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -114,10 +122,11 @@ def khovanov_homology(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> BigradedTable:
     """Integer Khovanov homology of an oriented diagram, computed from the
-    full cube of resolutions with Smith normal form over Z.
+    full cube of resolutions.
 
-    The square of the differential is verified to vanish on every
-    computed complex.
+    The square of the differential is verified to vanish on the whole,
+    unreduced complex; unit entries are then cancelled, and each residual
+    bidegree block goes through Smith normal form.
     """
     if d.n > max_crossings:
         raise TooLarge(
@@ -132,7 +141,8 @@ def khovanov_homology(
         return BigradedTable(
             {(0, j): (c, ()) for j, c in out.items()}
         )
-    assert d.free_loops == 0, "crossing-free loops alongside crossings"
+    if d.free_loops:
+        raise ConventionError("crossing-free loops alongside crossings")
 
     n = d.n
     n_plus, n_minus = d.positive_negative(flips)
@@ -140,156 +150,203 @@ def khovanov_homology(
     port_arc = _port_arc(d)
     loops = [_StateLoops(d, port_arc, s) for s in range(1 << n)]
 
-    # index all generators; a generator is (state, label mask) and lives in
-    # bidegree (i, j).  idx_of[s][mask] is its index within that bucket.
-    dims: dict[tuple[int, int], int] = {}
-    idx_of: list[list[int]] = []
-    for s in range(1 << n):
+    # generator x = offset[s] + mask is state s with loop labels mask (bit
+    # set = v+) in bidegree deg[x]; out[x] = {y: coefficient of y in dx}
+    offset: list[int] = []
+    deg: list[tuple[int, int]] = []
+    for s, ls in enumerate(loops):
+        offset.append(len(deg))
         i = s.bit_count() - n_minus
-        nl = loops[s].count
-        here = []
-        for mask in range(1 << nl):
-            key = (i, i + w + 2 * mask.bit_count() - nl)
-            k = dims.get(key, 0)
-            here.append(k)
-            dims[key] = k + 1
-        idx_of.append(here)
-
-    # differentials, one sparse matrix per (i, j) mapping into (i+1, j)
-    mats: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for s in range(1 << n):
-        i = s.bit_count() - n_minus
-        ls = loops[s]
         nl = ls.count
-        cols = idx_of[s]
+        deg += [(i, i + w + 2 * m.bit_count() - nl) for m in range(1 << nl)]
+    out: list[Optional[dict[int, int]]] = [{} for _ in deg]
+    for s, ls in enumerate(loops):
+        nl = ls.count
+        rows = out[offset[s] : offset[s] + (1 << nl)]
         for c in range(n):
             if (s >> c) & 1:
                 continue
             t = s | (1 << c)
             lt = loops[t]
-            rows = idx_of[t]
             sign = -1 if (s & ((1 << c) - 1)).bit_count() % 2 else 1
             touch = sorted(
                 {ls.loop_of_arc[port_arc[(c, p)]] for p in range(4)}
             )
-            # unaffected loops keep their minimum arc, hence their identity
+            # unaffected loops keep their minimum arc, hence their identity;
+            # base[mask] is the generator of t carrying their labels
             t_pos_of_root = {r: k for k, r in enumerate(lt.roots)}
             bit_map = [0] * nl
             for k in range(nl):
                 if k not in touch:
                     bit_map[k] = 1 << t_pos_of_root[ls.roots[k]]
-            base = [0] * (1 << nl)
+            base = [offset[t]] * (1 << nl)
             for mask in range(1, 1 << nl):
                 lsb = mask & -mask
-                base[mask] = base[mask ^ lsb] | bit_map[lsb.bit_length() - 1]
+                base[mask] = base[mask ^ lsb] + bit_map[lsb.bit_length() - 1]
             if len(touch) == 2:  # merge: m(v+,v+)=v+, m(v+,v-)=v-, m(v-,v-)=0
                 la, lb = touch
                 tbit = 1 << lt.loop_of_arc[ls.roots[la]]
                 ba, bb = 1 << la, 1 << lb
-                for mask in range(1 << nl):
+                for mask, row in enumerate(rows):
                     if mask & ba:
-                        tmask = (base[mask] | tbit) if mask & bb else base[mask]
+                        row[base[mask] + tbit if mask & bb else base[mask]] = sign
                     elif mask & bb:
-                        tmask = base[mask]
-                    else:
-                        continue
-                    jq = i + w + 2 * mask.bit_count() - nl
-                    mat = mats.setdefault((i, jq), {})
-                    key = (rows[tmask], cols[mask])
-                    mat[key] = mat.get(key, 0) + sign
+                        row[base[mask]] = sign
             else:  # split: d(v+) = v+ v- + v- v+, d(v-) = v- v-
                 (la,) = touch
-                targets = sorted(
-                    {
-                        lt.loop_of_arc[a]
-                        for a in range(len(ls.loop_of_arc))
-                        if ls.loop_of_arc[a] == la
-                    }
-                )
-                assert len(targets) == 2, "one loop must split in two"
-                b1, b2 = 1 << targets[0], 1 << targets[1]
+                targets = {
+                    lt.loop_of_arc[a]
+                    for a in range(len(ls.loop_of_arc))
+                    if ls.loop_of_arc[a] == la
+                }
+                if len(targets) != 2:
+                    raise ConventionError("one loop must split in two")
+                b1, b2 = (1 << k for k in targets)
                 ba = 1 << la
-                for mask in range(1 << nl):
-                    jq = i + w + 2 * mask.bit_count() - nl
-                    mat = mats.setdefault((i, jq), {})
-                    col = cols[mask]
+                for mask, row in enumerate(rows):
                     if mask & ba:
-                        for tmask in (base[mask] | b1, base[mask] | b2):
-                            key = (rows[tmask], col)
-                            mat[key] = mat.get(key, 0) + sign
+                        row[base[mask] + b1] = sign
+                        row[base[mask] + b2] = sign
                     else:
-                        key = (rows[base[mask]], col)
-                        mat[key] = mat.get(key, 0) + sign
-    _check_d_squared_zero(mats)
+                        row[base[mask]] = sign
+    _check_d_squared_zero(out)
+    _cancel_units(out)
 
+    # the residual complex has no unit entries; number its generators
+    # within each bidegree and reduce each block d: (i, j) -> (i + 1, j)
+    dims: dict[tuple[int, int], int] = {}
+    pos: dict[int, int] = {}
+    for x, row in enumerate(out):
+        if row is not None:
+            pos[x] = dims.get(deg[x], 0)
+            dims[deg[x]] = pos[x] + 1
+    blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for x in pos:
+        for y, v in out[x].items():
+            blocks.setdefault(deg[x], {})[(pos[y], pos[x])] = v
+    factors = {
+        (i, jq): invariant_factors(mat, dims[(i + 1, jq)], dims[(i, jq)])
+        for (i, jq), mat in blocks.items()
+    }
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    factors: dict[tuple[int, int], list[int]] = {}
-    ranks: dict[tuple[int, int], int] = {}
-    for key, mat in mats.items():
-        i, jq = key
-        f = invariant_factors(mat, dims.get((i + 1, jq), 0), dims[key])
-        factors[key] = f
-        ranks[key] = len(f)
     for (i, jq), dim in dims.items():
-        rank_out = ranks.get((i, jq), 0)
-        rank_in = ranks.get((i - 1, jq), 0)
-        free = dim - rank_out - rank_in
-        torsion = tuple(sorted(t for t in factors.get((i - 1, jq), []) if t > 1))
-        assert free >= 0
-        if free or torsion:
-            groups[(i, jq)] = (free, torsion)
+        f_in = factors.get((i - 1, jq), ())
+        free = dim - len(factors.get((i, jq), ())) - len(f_in)
+        if free < 0:
+            raise ConventionError(f"negative free rank at (i, j) = ({i}, {jq})")
+        groups[(i, jq)] = (free, tuple(sorted(t for t in f_in if t > 1)))
     return BigradedTable(groups)
 
 
-def _check_d_squared_zero(mats) -> None:
-    """Raise ConventionError unless every composite d(i+1) d(i) of the
-    sparse differentials ``mats``, keyed by (i, j), is zero."""
-    by_col: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-    for key, mat in mats.items():
-        cols = by_col.setdefault(key, {})
-        for (r, c), val in mat.items():
-            cols.setdefault(c, []).append((r, val))
-    for (i, jq), mat in mats.items():
-        nxt = by_col.get((i + 1, jq))
-        if not nxt:
-            continue
-        acc: dict[tuple[int, int], int] = {}
-        for (r, c), val in mat.items():
-            for r2, val2 in nxt.get(r, ()):
-                key = (r2, c)
-                acc[key] = acc.get(key, 0) + val * val2
-        if any(acc.values()):
+def _check_d_squared_zero(out) -> None:
+    """Raise ConventionError unless every entry of the unreduced cube
+    differential is +-1 and every composite entry of d∘d is zero;
+    ``out[x]`` maps each generator y to the coefficient of y in dx."""
+    signed = []  # per generator: its +1 targets and its -1 targets
+    for y, row in enumerate(out):
+        pos = [z for z, b in row.items() if b == 1]
+        neg = [z for z, b in row.items() if b == -1]
+        if len(pos) + len(neg) != len(row):
+            raise ConventionError(f"cube differential entry not +-1 at {y}")
+        signed.append((pos, neg))
+    # the paths x -> y -> z of each sign must reach the same multiset of z
+    for x, row in enumerate(out):
+        plus: list[int] = []
+        minus: list[int] = []
+        for y, a in row.items():
+            pos, neg = signed[y]
+            plus += pos if a == 1 else neg
+            minus += neg if a == 1 else pos
+        if sorted(plus) != sorted(minus):
             raise ConventionError(
-                f"differential does not square to zero at (i, j) = ({i}, {jq})"
+                f"differential does not square to zero on generator {x}"
             )
 
 
+def _cancel_units(out) -> None:
+    """Gaussian elimination (Bar-Natan, arXiv:math/0606318): while some
+    entry u = d(x, y) is a unit, replace d(x', y') by d(x', y') - d(x', y)
+    u d(x, y') for every other x' into y and y' out of x, and delete x and
+    y, which leaves the complex homotopy equivalent.  Rows that change are
+    visited again; deleted generators get ``out[x] = None``."""
+    # inc[y] lists the x with y in out[x]; lists, not sets, since they
+    # stay short and a list costs less than half the memory
+    inc: list[Optional[list[int]]] = [[] for _ in out]
+    for x, row in enumerate(out):
+        for y in row:
+            inc[y].append(x)
+    work = deque(range(len(out) - 1, -1, -1))
+    while work:
+        x = work.popleft()
+        row = out[x]
+        if not row:
+            continue
+        units = [(len(inc[y]), y) for y, u in row.items() if u == 1 or u == -1]
+        if not units:
+            continue
+        y = min(units)[1]
+        u = row.pop(y)
+        inc[y].remove(x)
+        for xp in inc[y]:
+            rp = out[xp]
+            f = rp.pop(y) * u
+            for yp, b in row.items():
+                v = rp.get(yp)
+                if v is None:
+                    rp[yp] = -f * b
+                    inc[yp].append(xp)
+                elif v == f * b:
+                    del rp[yp]
+                    inc[yp].remove(xp)
+                else:
+                    rp[yp] = v - f * b
+            work.append(xp)
+        for yp in row:
+            inc[yp].remove(x)
+        for xp in inc[x]:
+            del out[xp][x]
+        for z in out[y]:
+            inc[z].remove(y)
+        out[x] = out[y] = inc[x] = inc[y] = None
+
+
 def kauffman_jones(
-    d: LinkDiagram, flips: Optional[Sequence[bool]] = None
+    d: LinkDiagram,
+    flips: Optional[Sequence[bool]] = None,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPoly:
     """Unreduced Jones polynomial in q via the Kauffman bracket state sum;
     the unknot maps to q + 1/q."""
+    if d.n > max_crossings:
+        raise TooLarge(
+            f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
+        )
     if d.n == 0:
         circle = LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
         return circle**d.free_loops
-    assert d.free_loops == 0
+    if d.free_loops:
+        raise ConventionError("crossing-free loops alongside crossings")
     w = d.writhe(flips)
     port_arc = _port_arc(d)
     delta = LaurentPoly.monomial(2, -1, var="A") + LaurentPoly.monomial(
         -2, -1, var="A"
     )
-    bracket = LaurentPoly.zero(var="A")
+    # states counted by (B-smoothings, loops): one term per class
+    states: dict[tuple[int, int], int] = {}
     for s in range(1 << d.n):
-        b = bin(s).count("1")
-        loops = _StateLoops(d, port_arc, s).count
-        term = LaurentPoly.monomial(d.n - 2 * b, 1, var="A") * delta ** (loops - 1)
-        bracket = bracket + term
+        key = (s.bit_count(), _StateLoops(d, port_arc, s).count)
+        states[key] = states.get(key, 0) + 1
+    bracket = LaurentPoly.zero(var="A")
+    for (b, loops), count in states.items():
+        term = LaurentPoly.monomial(d.n - 2 * b, count, var="A")
+        bracket = bracket + term * delta ** (loops - 1)
     writhe_fix = LaurentPoly.monomial(-3 * w, (-1) ** (w % 2), var="A")
     x_poly = writhe_fix * bracket
     # substitute A^2 = -1/q, then multiply by the unknot value q + 1/q
     in_q = LaurentPoly.zero()
     for e, c in x_poly.items():
-        assert e % 2 == 0, "normalized bracket must have even exponents"
+        if e % 2:
+            raise ConventionError("normalized bracket must have even exponents")
         k = e // 2
         in_q = in_q + LaurentPoly.monomial(-k, c * ((-1) ** (k % 2)))
     return in_q * (LaurentPoly.monomial(1) + LaurentPoly.monomial(-1))

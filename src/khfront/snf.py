@@ -1,14 +1,13 @@
-"""Exact integer linear algebra for chain-complex homology.
+"""Exact integer Smith normal form for chain-complex homology.
 
-Matrices are sparse dicts {(row, col): value}.  Invariant factors are
-computed by first eliminating with unit (+-1) pivots chosen to minimize
-fill, which empties typical Khovanov differentials almost completely, then
-running a textbook Smith reduction on the small dense core.
+Matrices are sparse dicts {(row, col): value}.  The Khovanov oracle
+cancels every unit (+-1) entry of its differential before it gets here
+(Gaussian elimination on the whole cube, see ``oracle``), so the blocks
+this module sees are small, and a textbook dense Smith reduction finishes
+them.
 """
 
 from __future__ import annotations
-
-import heapq
 
 
 def invariant_factors(
@@ -17,73 +16,13 @@ def invariant_factors(
     """Nonzero diagonal entries of the Smith normal form, each positive,
     each dividing the next."""
     del n_rows, n_cols  # zero rows/cols never contribute factors
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), val in entries.items():
-        if val:
-            rows.setdefault(r, {})[c] = val
-            cols.setdefault(c, set()).add(r)
-
-    unit_pivots = 0
-    progress = True
-    while progress:
-        progress = False
-        # sparsest rows first; heap entries are revalidated lazily
-        heap = [(len(rowd), r) for r, rowd in rows.items()]
-        heapq.heapify(heap)
-        while heap:
-            l, pr = heapq.heappop(heap)
-            rowd = rows.get(pr)
-            if rowd is None:
-                continue
-            if len(rowd) != l:
-                heapq.heappush(heap, (len(rowd), pr))
-                continue
-            units = [
-                (len(cols[c]), c) for c, val in rowd.items() if val in (1, -1)
-            ]
-            if not units:
-                continue  # revisited on the next outer pass
-            pc = min(units)[1]
-            pval = rowd[pc]
-            prow = dict(rowd)
-            # clear column pc using row pr
-            for r in list(cols[pc]):
-                if r == pr:
-                    continue
-                mult = rows[r][pc] * pval  # pval is +-1: the exact quotient
-                for c, val in prow.items():
-                    new = rows[r].get(c, 0) - mult * val
-                    if new:
-                        rows[r][c] = new
-                        cols[c].add(r)
-                    else:
-                        rows[r].pop(c, None)
-                        cols[c].discard(r)
-                if rows[r]:
-                    heapq.heappush(heap, (len(rows[r]), r))
-                else:
-                    del rows[r]
-            for c in prow:
-                cols[c].discard(pr)
-                if not cols[c]:
-                    del cols[c]
-            del rows[pr]
-            unit_pivots += 1
-            progress = True
-
-    factors = [1] * unit_pivots
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({c for rowd in rows.values() for c in rowd})
-        ri = {r: i for i, r in enumerate(live_rows)}
-        ci = {c: i for i, c in enumerate(live_cols)}
-        core = [[0] * len(live_cols) for _ in live_rows]
-        for r, rowd in rows.items():
-            for c, val in rowd.items():
-                core[ri[r]][ci[c]] = val
-        factors += _dense_smith(core)
-    return factors
+    live = {key: val for key, val in entries.items() if val}
+    ri = {r: i for i, r in enumerate(sorted({r for r, _ in live}))}
+    ci = {c: i for i, c in enumerate(sorted({c for _, c in live}))}
+    core = [[0] * len(ci) for _ in ri]
+    for (r, c), val in live.items():
+        core[ri[r]][ci[c]] = val
+    return _dense_smith(core)
 
 
 def _dense_smith(m: list[list[int]]) -> list[int]:

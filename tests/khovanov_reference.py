@@ -1,0 +1,169 @@
+"""Test-only reference for the Khovanov oracle: one sparse matrix per
+bidegree and a separate Smith normal form for each.
+
+It builds the differential of the cube of resolutions as one matrix per
+bidegree (i, j) -> (i + 1, j), keyed by generator positions within each
+bidegree, and reduces each matrix on its own: unit (+-1) pivots first,
+sparsest rows first, then a dense Smith reduction of what is left.  It
+shares only the loop labelling of each state (``oracle._StateLoops``) and
+the dense Smith reduction (``snf.invariant_factors``) with the oracle it
+checks, which instead cancels unit entries across the whole complex; the
+cube build and the elimination here are written independently.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+from khfront.oracle import BigradedTable, _port_arc, _StateLoops
+from khfront.snf import invariant_factors as dense_invariant_factors
+
+
+def reference_homology(d, flips=None) -> BigradedTable:
+    """Integer Khovanov homology of a diagram with at least one crossing."""
+    assert d.n and d.free_loops == 0
+    n = d.n
+    n_plus, n_minus = d.positive_negative(flips)
+    w = n_plus - n_minus
+    port_arc = _port_arc(d)
+    loops = [_StateLoops(d, port_arc, s) for s in range(1 << n)]
+
+    # a generator is (state, label mask), bit set = v+; idx_of[s][mask] is
+    # its position within its bidegree
+    dims: dict[tuple[int, int], int] = {}
+    idx_of: list[list[int]] = []
+    for s in range(1 << n):
+        i = s.bit_count() - n_minus
+        nl = loops[s].count
+        here = []
+        for mask in range(1 << nl):
+            key = (i, i + w + 2 * mask.bit_count() - nl)
+            k = dims.get(key, 0)
+            here.append(k)
+            dims[key] = k + 1
+        idx_of.append(here)
+
+    mats: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+    def add(i, mask, nl, row, col, sign):
+        mat = mats.setdefault((i, i + w + 2 * mask.bit_count() - nl), {})
+        mat[(row, col)] = mat.get((row, col), 0) + sign
+
+    for s in range(1 << n):
+        i = s.bit_count() - n_minus
+        ls = loops[s]
+        nl = ls.count
+        for c in range(n):
+            if (s >> c) & 1:
+                continue
+            t = s | (1 << c)
+            lt = loops[t]
+            sign = -1 if (s & ((1 << c) - 1)).bit_count() % 2 else 1
+            touch = sorted({ls.loop_of_arc[port_arc[(c, p)]] for p in range(4)})
+            t_pos = {r: k for k, r in enumerate(lt.roots)}
+
+            def image(mask):
+                """Label mask of the untouched loops, moved to state t."""
+                out = 0
+                for k in range(nl):
+                    if k not in touch and mask >> k & 1:
+                        out |= 1 << t_pos[ls.roots[k]]
+                return out
+
+            if len(touch) == 2:  # merge: m(+,+)=+, m(+,-)=m(-,+)=-, m(-,-)=0
+                la, lb = touch
+                tbit = 1 << lt.loop_of_arc[ls.roots[la]]
+                for mask in range(1 << nl):
+                    a, b = mask >> la & 1, mask >> lb & 1
+                    if a or b:
+                        tmask = image(mask) | (tbit if a and b else 0)
+                        add(i, mask, nl, idx_of[t][tmask], idx_of[s][mask], sign)
+            else:  # split: d(+) = +- + -+, d(-) = --
+                (la,) = touch
+                targets = sorted(
+                    {
+                        lt.loop_of_arc[arc]
+                        for arc, loop in enumerate(ls.loop_of_arc)
+                        if loop == la
+                    }
+                )
+                assert len(targets) == 2
+                for mask in range(1 << nl):
+                    col = idx_of[s][mask]
+                    if mask >> la & 1:
+                        for tb in targets:
+                            tmask = image(mask) | 1 << tb
+                            add(i, mask, nl, idx_of[t][tmask], col, sign)
+                    else:
+                        add(i, mask, nl, idx_of[t][image(mask)], col, sign)
+
+    factors = {key: reference_invariant_factors(mat) for key, mat in mats.items()}
+    groups = {}
+    for (i, jq), dim in dims.items():
+        free = (
+            dim
+            - len(factors.get((i, jq), ()))
+            - len(factors.get((i - 1, jq), ()))
+        )
+        assert free >= 0
+        torsion = tuple(sorted(t for t in factors.get((i - 1, jq), ()) if t > 1))
+        groups[(i, jq)] = (free, torsion)
+    return BigradedTable(groups)
+
+
+def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
+    """Invariant factors of a sparse matrix: eliminate unit pivots, sparsest
+    rows first, then reduce the dense core."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), val in entries.items():
+        if val:
+            rows.setdefault(r, {})[c] = val
+            cols.setdefault(c, set()).add(r)
+
+    unit_pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        heap = [(len(rowd), r) for r, rowd in rows.items()]
+        heapq.heapify(heap)
+        while heap:
+            length, pr = heapq.heappop(heap)
+            rowd = rows.get(pr)
+            if rowd is None:
+                continue
+            if len(rowd) != length:
+                heapq.heappush(heap, (len(rowd), pr))
+                continue
+            units = [(len(cols[c]), c) for c, val in rowd.items() if val in (1, -1)]
+            if not units:
+                continue
+            pc = min(units)[1]
+            pval = rowd[pc]
+            prow = dict(rowd)
+            for r in list(cols[pc]):
+                if r == pr:
+                    continue
+                mult = rows[r][pc] * pval
+                for c, val in prow.items():
+                    new = rows[r].get(c, 0) - mult * val
+                    if new:
+                        rows[r][c] = new
+                        cols[c].add(r)
+                    else:
+                        rows[r].pop(c, None)
+                        cols[c].discard(r)
+                if rows[r]:
+                    heapq.heappush(heap, (len(rows[r]), r))
+                else:
+                    del rows[r]
+            for c in prow:
+                cols[c].discard(pr)
+                if not cols[c]:
+                    del cols[c]
+            del rows[pr]
+            unit_pivots += 1
+            progress = True
+
+    core = {(r, c): val for r, rowd in rows.items() for c, val in rowd.items()}
+    return [1] * unit_pivots + dense_invariant_factors(core, len(rows), len(cols))

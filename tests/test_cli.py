@@ -1,6 +1,7 @@
 """CLI commands, output formats, exit codes, and the demo scripts."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,17 @@ class TestTrees:
         }
         assert labels == {"LLd", "LdD", "lDD"}
 
+    def test_text_builds_no_json(self, capsys, monkeypatch):
+        from khfront.trees import SpanningTreeRecord
+
+        def refuse(self):
+            raise AssertionError("JSON built for a text run")
+
+        monkeypatch.setattr(SpanningTreeRecord, "to_json_dict", refuse)
+        code, out, err = run(capsys, "trees", TREFOIL, "--coloring", "both")
+        assert code == EXIT_OK, err
+        assert out.count("[canonical]") == 3 and out.count("[reversed]") == 3
+
     def test_both_colorings(self, capsys):
         code, out, _ = run(capsys, "trees", TREFOIL, "--coloring", "both", "--json")
         payload = json.loads(out)
@@ -85,6 +97,20 @@ class TestOracleCommands:
         code, _, err = run(capsys, "homology", TREFOIL, "--max-crossings", "2")
         assert code == EXIT_INVALID
         assert "exceeds" in err
+
+    def test_jones_max_crossings(self, capsys):
+        code, _, err = run(capsys, "jones", TREFOIL, "--max-crossings", "2")
+        assert code == EXIT_INVALID
+        assert "exceeds" in err
+
+    def test_jones_refuses_oversized_front_at_once(self, capsys):
+        # 22 crossings would mean a state sum over 2^22 states
+        word = "L1 L2 " + "X1 " * 22 + "R2 R1"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "jones", word)
+        assert code == EXIT_INVALID
+        assert "exceeds" in err
+        assert time.perf_counter() - start < 5
 
 
 class TestCorpus:

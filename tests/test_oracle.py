@@ -1,7 +1,7 @@
 """Khovanov homology and Jones polynomial oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from khfront import (
     BigradedTable,
@@ -12,8 +12,10 @@ from khfront import (
     khovanov_homology,
     parse_front,
 )
+from khfront.snf import invariant_factors
 
 from conftest import front_words, run_optimized
+from khovanov_reference import reference_homology, reference_invariant_factors
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 FIG8 = "L1 L1 L1 X2 X2 X4 R3 X2 R1 R1"
@@ -71,6 +73,8 @@ class TestKhovanov:
         d = parse_front(TREFOIL).desingularize()
         with pytest.raises(TooLarge):
             khovanov_homology(d, max_crossings=2)
+        with pytest.raises(TooLarge):
+            kauffman_jones(d, max_crossings=2)
 
     def test_empty_table_min_delta(self):
         from khfront.oracle import BigradedTable
@@ -89,21 +93,63 @@ class TestBigradedTable:
 
 class TestTripwires:
     def test_d_squared_check_survives_optimize(self):
-        # d0 = (1, 1)^T followed by d1 = (1, -1) composes to zero;
-        # followed by d1 = (1, 1) it does not
+        # generators 0 -> {1, 2} -> 3: d0 = (1, 1)^T followed by
+        # d1 = (1, -1) composes to zero; followed by d1 = (1, 1) it does
+        # not; and a cube entry other than +-1 is refused
         code = (
             "from khfront import ConventionError\n"
             "from khfront.oracle import _check_d_squared_zero\n"
-            "d0 = {(0, 0): 1, (1, 0): 1}\n"
-            "_check_d_squared_zero({(0, 0): d0, (1, 0): {(0, 0): 1, (0, 1): -1}})\n"
-            "try:\n"
-            "    _check_d_squared_zero({(0, 0): d0, (1, 0): {(0, 0): 1, (0, 1): 1}})\n"
-            "except ConventionError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
+            "_check_d_squared_zero([{1: 1, 2: 1}, {3: 1}, {3: -1}, {}])\n"
+            "for bad in ([{1: 1, 2: 1}, {3: 1}, {3: 1}, {}], [{1: 2}, {}]):\n"
+            "    try:\n"
+            "        _check_d_squared_zero(bad)\n"
+            "    except ConventionError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
         )
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_free_loop_check_survives_optimize(self):
+        # crossings alongside crossing-free loops break both state sums
+        code = (
+            "from types import SimpleNamespace\n"
+            "from khfront import ConventionError, kauffman_jones, khovanov_homology\n"
+            "d = SimpleNamespace(n=1, free_loops=1)\n"
+            "for oracle in (khovanov_homology, kauffman_jones):\n"
+            "    try:\n"
+            "        oracle(d)\n"
+            "    except ConventionError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestReference:
+    """The oracle against a separate Smith normal form per bidegree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=8))
+    def test_cancellation_matches_per_bidegree_snf(self, front):
+        d = front.desingularize()
+        assume(d.n > 0)  # the reference builds no crossing-free table
+        for flips in (None, [True] * d.component_count()):
+            got = khovanov_homology(d, flips=flips).groups
+            assert got == reference_homology(d, flips=flips).groups
+
+    @pytest.mark.parametrize(
+        "entries, factors",
+        [
+            ({(0, 0): 2, (1, 1): 3}, [1, 6]),
+            ({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}, [2, 4]),
+            ({(0, 0): 0, (1, 1): 0}, []),
+        ],
+    )
+    def test_invariant_factors(self, entries, factors):
+        assert invariant_factors(entries, 2, 2) == factors
+        assert reference_invariant_factors(entries) == factors
 
 
 class TestJones:
