@@ -305,10 +305,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConventionError as exc:
         print(f"convention tripwire: {exc}", file=sys.stderr)
         return EXIT_CONVENTION
-    except KhfrontError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except (KhfrontError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import Disconnected
+from .errors import ConventionError, Disconnected
 
 PortEnd = tuple[int, int]  # (crossing id, port)
 
@@ -36,6 +36,14 @@ CORNER_AT = {0: "W", 3: "S", 2: "E", 1: "N"}
 #: counterclockwise from the over-strand) joins NW-NE and SW-SE
 A_PAIRS = ((0, 1), (3, 2))
 B_PAIRS = ((0, 3), (1, 2))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -144,18 +152,11 @@ class LinkDiagram:
             for c, p in steps:
                 owner[(c, p % 2)] = ci
         parent = list(range(len(comps)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for c in range(self.n):
-            a, b = find(owner[(c, 0)]), find(owner[(c, 1)])
+            a, b = _find(parent, owner[(c, 0)]), _find(parent, owner[(c, 1)])
             if a != b:
                 parent[a] = b
-        return len({find(i) for i in range(len(comps))}) == 1
+        return len({_find(parent, i) for i in range(len(comps))}) == 1
 
     # -- orientation and writhe -------------------------------------------
 
@@ -264,7 +265,8 @@ class LinkDiagram:
         visited: set[PortEnd] = set()
 
         def chase(end: PortEnd) -> Optional[PortEnd]:
-            # follow arcs through smoothed crossings until a kept port
+            # follow arcs through smoothed crossings to a kept port; None
+            # when the chain closes up first
             while True:
                 visited.add(end)
                 nxt = self.other_end(end)
@@ -281,21 +283,15 @@ class LinkDiagram:
                 if start in visited:
                     continue
                 finish = chase(start)
-                assert finish is not None
+                if finish is None:
+                    raise ConventionError(f"strand from port {start} reaches no port")
                 new_arcs.append(((newid[c], p), (newid[finish[0]], finish[1])))
         # closed chains entirely through smoothed crossings
         for c in resolution:
             for p in range(4):
-                end = (c, p)
-                if end in visited:
-                    continue
-                e = end
-                while e not in visited:
-                    visited.add(e)
-                    nxt = self.other_end(e)
-                    visited.add(nxt)
-                    e = partner[nxt]
-                loops += 1
+                if (c, p) not in visited:
+                    chase((c, p))
+                    loops += 1
         return LinkDiagram(n=len(keep), arcs=new_arcs, free_loops=loops)
 
     # -- PD codes ----------------------------------------------------------

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import A_PAIRS, B_PAIRS, LinkDiagram
+from .diagram import A_PAIRS, B_PAIRS, LinkDiagram, _find
 from .errors import ConventionError, EmptyTable, TooLarge
 from .laurent import LaurentPoly
 from .snf import invariant_factors
@@ -88,6 +88,20 @@ def _port_arc(d: LinkDiagram) -> dict[tuple[int, int], int]:
     return out
 
 
+def _circle() -> LaurentPoly:
+    """q + 1/q, the unknot's value."""
+    return LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
+
+
+def _check_oracle_input(d: LinkDiagram, max_crossings: int) -> None:
+    if d.n > max_crossings:
+        raise TooLarge(
+            f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
+        )
+    if d.n and d.free_loops:
+        raise ConventionError("crossing-free loops alongside crossings")
+
+
 class _StateLoops:
     """Loops of one full smoothing: arc index -> loop position, with loops
     canonically ordered by their minimum arc index."""
@@ -97,19 +111,13 @@ class _StateLoops:
     def __init__(self, d: LinkDiagram, port_arc, state: int):
         n_arcs = len(d.arcs)
         parent = list(range(n_arcs))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for c in range(d.n):
             for p, q in B_PAIRS if (state >> c) & 1 else A_PAIRS:
-                ra, rb = find(port_arc[(c, p)]), find(port_arc[(c, q)])
+                ra = _find(parent, port_arc[(c, p)])
+                rb = _find(parent, port_arc[(c, q)])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
-        root = [find(x) for x in range(n_arcs)]
+        root = [_find(parent, x) for x in range(n_arcs)]
         self.roots = sorted(set(root))
         pos = {r: k for k, r in enumerate(self.roots)}
         self.loop_of_arc = [pos[r] for r in root]
@@ -128,21 +136,14 @@ def khovanov_homology(
     unreduced complex; unit entries are then cancelled, and each residual
     bidegree block goes through Smith normal form.
     """
-    if d.n > max_crossings:
-        raise TooLarge(
-            f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
-        )
+    _check_oracle_input(d, max_crossings)
     if d.n == 0:
         # k disjoint unknotted circles: (q + 1/q)^k at i = 0
-        poly = LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
-        out = poly**d.free_loops if d.free_loops else LaurentPoly({0: 1})
         if d.free_loops == 0:
             return BigradedTable({})
         return BigradedTable(
-            {(0, j): (c, ()) for j, c in out.items()}
+            {(0, j): (c, ()) for j, c in (_circle() ** d.free_loops).items()}
         )
-    if d.free_loops:
-        raise ConventionError("crossing-free loops alongside crossings")
 
     n = d.n
     n_plus, n_minus = d.positive_negative(flips)
@@ -174,11 +175,10 @@ def khovanov_homology(
             )
             # unaffected loops keep their minimum arc, hence their identity;
             # base[mask] is the generator of t carrying their labels
-            t_pos_of_root = {r: k for k, r in enumerate(lt.roots)}
             bit_map = [0] * nl
             for k in range(nl):
                 if k not in touch:
-                    bit_map[k] = 1 << t_pos_of_root[ls.roots[k]]
+                    bit_map[k] = 1 << lt.loop_of_arc[ls.roots[k]]
             base = [offset[t]] * (1 << nl)
             for mask in range(1, 1 << nl):
                 lsb = mask & -mask
@@ -317,15 +317,9 @@ def kauffman_jones(
 ) -> LaurentPoly:
     """Unreduced Jones polynomial in q via the Kauffman bracket state sum;
     the unknot maps to q + 1/q."""
-    if d.n > max_crossings:
-        raise TooLarge(
-            f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
-        )
+    _check_oracle_input(d, max_crossings)
     if d.n == 0:
-        circle = LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
-        return circle**d.free_loops
-    if d.free_loops:
-        raise ConventionError("crossing-free loops alongside crossings")
+        return _circle() ** d.free_loops
     w = d.writhe(flips)
     port_arc = _port_arc(d)
     delta = LaurentPoly.monomial(2, -1, var="A") + LaurentPoly.monomial(
@@ -349,4 +343,4 @@ def kauffman_jones(
             raise ConventionError("normalized bracket must have even exponents")
         k = e // 2
         in_q = in_q + LaurentPoly.monomial(-k, c * ((-1) ** (k % 2)))
-    return in_q * (LaurentPoly.monomial(1) + LaurentPoly.monomial(-1))
+    return in_q * _circle()

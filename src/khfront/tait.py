@@ -4,6 +4,11 @@ The Tait graph has one vertex per black face and one signed edge per
 crossing, ordered by the x-rank of its crossing.  Planarity is carried by
 a rotation system (cyclic order of edge-ends around each vertex), which is
 all that duality needs.
+
+``matched_to`` (same darts) and ``isomorphic_to`` (same edge ids, either
+orientation) are one linear matching: edges keep their identity, so each
+vertex can only go to the vertex of the other graph whose rotation is the
+same cyclic sequence, looked up by a canonical key, with no search.
 """
 
 from __future__ import annotations
@@ -90,6 +95,15 @@ class TaitEdge:
     ends: tuple[str, str]
 
 
+def _cyclic_key(seq: list) -> tuple:
+    """The least rotation of ``seq`` that starts at its least element:
+    equal exactly for sequences that are equal up to cyclic shift."""
+    if not seq:
+        return ()
+    low = min(seq)
+    return min(tuple(seq[k:] + seq[:k]) for k, x in enumerate(seq) if x == low)
+
+
 class TaitGraph:
     """Signed, edge-ordered planar multigraph with rotation system.
 
@@ -110,11 +124,14 @@ class TaitGraph:
 
     def _check(self) -> None:
         darts = [d for cyc in self.rotation for d in cyc]
-        assert len(darts) == 2 * len(self.edges) == len(set(darts))
+        if not len(darts) == 2 * len(self.edges) == len(set(darts)):
+            raise ConventionError("rotation must list each dart exactly once")
+        where = self._dart_vertex
         for e_idx, e in enumerate(self.edges):
-            assert e.ends[0] != e.ends[1]
-            assert self.vertex_of_dart((e_idx, e.ends[0])) == e.u
-            assert self.vertex_of_dart((e_idx, e.ends[1])) == e.v
+            qa, qb = e.ends
+            at = (where.get((e_idx, qa)), where.get((e_idx, qb)))
+            if qa == qb or at != (e.u, e.v):
+                raise ConventionError(f"edge {e_idx}: ends disagree with rotation")
 
     @cached_property
     def _dart_vertex(self) -> dict[tuple[int, str], int]:
@@ -128,9 +145,14 @@ class TaitGraph:
         qa, qb = self.edges[e_idx].ends
         return (e_idx, qb if q == qa else qa)
 
+    @cached_property
+    def _next_dart(self) -> dict[tuple[int, str], tuple[int, str]]:
+        return {
+            d: nxt for cyc in self.rotation for d, nxt in zip(cyc, cyc[1:] + cyc[:1])
+        }
+
     def sigma(self, dart: tuple[int, str]) -> tuple[int, str]:
-        cyc = self.rotation[self.vertex_of_dart(dart)]
-        return cyc[(cyc.index(dart) + 1) % len(cyc)]
+        return self._next_dart[dart]
 
     def positive_count(self) -> int:
         return sum(1 for e in self.edges if e.sign > 0)
@@ -179,32 +201,42 @@ class TaitGraph:
             return self.n_vertices == 1
         return self.n_vertices - len(self.edges) + len(self.face_orbits()) == 2
 
+    def _match(self, other: "TaitGraph", item, mirror: bool) -> bool:
+        """True when some vertex bijection keeps every edge's endpoints and
+        takes each rotation, read as the ``item`` of each dart (or read
+        backwards too, when ``mirror``), to the same cyclic sequence; signs,
+        orders and crossing ids must agree edgewise.  Edges keep their
+        identity, so two vertices share a sequence only when they carry the
+        same edges (a 2-vertex component) or none.  Either image is then as
+        good as the other: each vertex takes a free one, without search."""
+        if self.n_vertices != other.n_vertices or [
+            (e.sign, e.order, e.crossing) for e in self.edges
+        ] != [(e.sign, e.order, e.crossing) for e in other.edges]:
+            return False
+        images: dict[tuple, list[int]] = {}
+        for w, cyc in enumerate(other.rotation):
+            images.setdefault(_cyclic_key([item(d) for d in cyc]), []).append(w)
+        mine = [[item(d) for d in cyc] for cyc in self.rotation]
+        for cycles in (mine, [cyc[::-1] for cyc in mine]) if mirror else (mine,):
+            free = {key: ws[:] for key, ws in images.items()}
+            vmap = []
+            for cyc in cycles:
+                ws = free.get(_cyclic_key(cyc))
+                if not ws:
+                    break
+                vmap.append(ws.pop())
+            if len(vmap) == len(cycles) and all(
+                {vmap[e.u], vmap[e.v]} == {oe.u, oe.v}
+                for e, oe in zip(self.edges, other.edges)
+            ):
+                return True
+        return False
+
     def matched_to(self, other: "TaitGraph") -> bool:
         """Structural equality under the dart-set correspondence: vertices
-        match when they carry the same darts; signs, orders, crossing ids
-        and cyclic rotation order must agree."""
-        if self.n_vertices != other.n_vertices or len(self.edges) != len(other.edges):
-            return False
-        match = {}
-        other_sets = {frozenset(cyc): v for v, cyc in enumerate(other.rotation)}
-        for v, cyc in enumerate(self.rotation):
-            w = other_sets.get(frozenset(cyc))
-            if w is None:
-                return False
-            match[v] = w
-            ocyc = other.rotation[w]
-            if len(cyc) != len(ocyc):
-                return False
-            if cyc:
-                k = ocyc.index(cyc[0])
-                if [ocyc[(k + i) % len(ocyc)] for i in range(len(ocyc))] != cyc:
-                    return False
-        for e, oe in zip(self.edges, other.edges):
-            if (e.sign, e.order, e.crossing) != (oe.sign, oe.order, oe.crossing):
-                return False
-            if {match[e.u], match[e.v]} != {oe.u, oe.v}:
-                return False
-        return True
+        match when they carry the same darts in the same cyclic order;
+        signs, orders, crossing ids and endpoints must agree edgewise."""
+        return self._match(other, lambda dart: dart, mirror=False)
 
     def isomorphic_to(self, other: "TaitGraph") -> bool:
         """Isomorphism respecting edge identity: a vertex bijection under
@@ -215,52 +247,7 @@ class TaitGraph:
         coloring's graph carries the other coloring's quadrants, and face
         boundaries are traced against the vertex orientation, so the
         mirror must be allowed.)"""
-        if self.n_vertices != other.n_vertices or len(self.edges) != len(other.edges):
-            return False
-        for e, oe in zip(self.edges, other.edges):
-            if (e.sign, e.order, e.crossing) != (oe.sign, oe.order, oe.crossing):
-                return False
-
-        mine = [[e_idx for e_idx, _ in cyc] for cyc in self.rotation]
-        theirs = [[e_idx for e_idx, _ in cyc] for cyc in other.rotation]
-
-        def same_cyclic(a, b):
-            if len(a) != len(b):
-                return False
-            if not a:
-                return True
-            return any(b[k:] + b[:k] == a for k in range(len(b)))
-
-        def try_orientation(mine_cycles):
-            candidates = [
-                [
-                    w
-                    for w in range(other.n_vertices)
-                    if same_cyclic(mine_cycles[v], theirs[w])
-                ]
-                for v in range(self.n_vertices)
-            ]
-
-            def extend(v, used, vmap):
-                if v == self.n_vertices:
-                    return all(
-                        {vmap[e.u], vmap[e.v]} == {oe.u, oe.v}
-                        for e, oe in zip(self.edges, other.edges)
-                    )
-                for w in candidates[v]:
-                    if w in used:
-                        continue
-                    vmap.append(w)
-                    if extend(v + 1, used | {w}, vmap):
-                        return True
-                    vmap.pop()
-                return False
-
-            return extend(0, set(), [])
-
-        return try_orientation(mine) or try_orientation(
-            [cyc[::-1] for cyc in mine]
-        )
+        return self._match(other, lambda dart: dart[0], mirror=True)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -21,10 +21,10 @@ given tree from its cut and cycle sets.  Labels combine activity and sign:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, _find
 from .errors import (
     ConventionError,
     Disconnected,
@@ -108,20 +108,15 @@ def _component_of(g: TaitGraph, edge_ids: set[int], start: int) -> set[int]:
     return seen
 
 
-#: labels by code in the byte strings of the labelling pass: tree labels
+#: labels by code in the byte strings that ``_record`` reads: tree labels
 #: take codes 0-3, non-tree labels 4-7, and a negative edge adds 1
 _LABEL_OF_CODE = ("L", "Lb", "D", "Db", "l", "lb", "d", "db")
 _L, _D, _LOOP, _DEL = 0, 2, 4, 6
 #: code -> 0 on the tree, 1 off it; ascending order of the translated
 #: strings is lexicographic order of the trees' sorted edge lists
 _MEMBERSHIP = bytes.maketrans(bytes(range(8)), bytes([0, 0, 0, 0, 1, 1, 1, 1]))
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+#: u + C -> class of a tree on a front with C cusp pairs
+_CLASS = {1: "good", 2: "bad"}
 
 
 def _bridges(
@@ -209,18 +204,20 @@ def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
 def _record(
     g: TaitGraph, codes: bytes, cusp_count: Optional[int]
 ) -> SpanningTreeRecord:
+    """The record of one tree from its label codes; with a front's cusp
+    count, classed good (u = 1 - C) or bad (u = 2 - C)."""
     tree = frozenset(i for i, c in enumerate(codes) if c < _LOOP)
     _validate_tree(g, tree)
     count = codes.count
-    rec = SpanningTreeRecord(
+    u = count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1)
+    cls = "neither" if cusp_count is None else _CLASS.get(u + cusp_count, "neither")
+    return SpanningTreeRecord(
         tree=tree,
         labels={i: _LABEL_OF_CODE[c] for i, c in enumerate(codes)},
-        u=count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1),
+        u=u,
         v=count(_L) + count(_D) + count(_LOOP + 1) + count(_DEL + 1),
+        class_=cls,
     )
-    if cusp_count is not None:
-        rec = attach_front_class(rec, cusp_count)
-    return rec
 
 
 def labelled_trees(
@@ -298,46 +295,23 @@ def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
 def classify_activities(
     g: TaitGraph, tree: frozenset[int], front: Optional[FrontDiagram] = None
 ) -> SpanningTreeRecord:
-    """Label every edge with its activity, and compute u(T) and v(T).
+    """Label every edge with its activity from its cut or cycle set, and
+    compute u(T) and v(T): the reference for the labelling pass.
 
     When a front is attached, the record is classed good (u = 1 - C) or
     bad (u = 2 - C) relative to the front's cusp number.
     """
     _validate_tree(g, tree)
-    labels: dict[int, str] = {}
+    codes = bytearray(len(g.edges))
     for i, e in enumerate(g.edges):
         if i in tree:
             active = min(cut_set(g, tree, i), key=lambda j: g.edges[j].order) == i
-            letter = "L" if active else "D"
+            code = _L if active else _D
         else:
             active = min(cycle_set(g, tree, i), key=lambda j: g.edges[j].order) == i
-            letter = "l" if active else "d"
-        labels[i] = letter + ("b" if e.sign < 0 else "")
-    rec = SpanningTreeRecord(
-        tree=tree,
-        labels=labels,
-        u=_count(labels, "L") - _count(labels, "l")
-        - _count(labels, "Lb") + _count(labels, "lb"),
-        v=_count(labels, "L") + _count(labels, "D")
-        + _count(labels, "lb") + _count(labels, "db"),
-    )
-    if front is not None:
-        rec = attach_front_class(rec, front.cusp_count)
-    return rec
-
-
-def attach_front_class(rec: SpanningTreeRecord, cusp_count: int) -> SpanningTreeRecord:
-    if rec.u == 1 - cusp_count:
-        cls = "good"
-    elif rec.u == 2 - cusp_count:
-        cls = "bad"
-    else:
-        cls = "neither"
-    return replace(rec, class_=cls)
-
-
-def _count(labels: dict[int, str], lab: str) -> int:
-    return sum(1 for x in labels.values() if x == lab)
+            code = _LOOP if active else _DEL
+        codes[i] = code + (e.sign < 0)
+    return _record(g, bytes(codes), front.cusp_count if front is not None else None)
 
 
 def dual_tree(

@@ -182,7 +182,10 @@ class TestExitCodes:
 
 
 class TestDemos:
-    @pytest.mark.parametrize("script", ["01_trefoil_walkthrough.py", "02_duality.py"])
+    @pytest.mark.parametrize(
+        "script",
+        ["01_trefoil_walkthrough.py", "02_duality.py", "03_corpus_survey.py"],
+    )
     def test_demo_runs_and_every_check_holds(self, script):
         proc = run_python(str(DEMOS / script), timeout=120)
         assert proc.returncode == 0, proc.stderr

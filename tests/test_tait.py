@@ -1,10 +1,21 @@
 """Checkerboard colorings, Tait graphs, rotation systems, duality."""
 
 import json
+import time
+from dataclasses import replace
+from itertools import permutations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khfront import LinkDiagram, checkerboard, dual_graph, parse_front, tait_graph
+from khfront import (
+    LinkDiagram,
+    TaitGraph,
+    checkerboard,
+    dual_graph,
+    parse_front,
+    tait_graph,
+)
 from khfront.tait import faces
 
 from conftest import front_words, run_optimized
@@ -16,6 +27,63 @@ def graphs_of(word):
     d = parse_front(word).desingularize()
     canonical, rev = checkerboard(d)
     return d, tait_graph(d, canonical), tait_graph(d, rev)
+
+
+def brute_force_match(g, h, item, mirror):
+    """Reference for ``matched_to`` (``item`` is the dart, no mirror) and
+    ``isomorphic_to`` (``item`` is the edge id, mirror allowed): try every
+    vertex bijection, in both orientations when ``mirror``."""
+    if g.n_vertices != h.n_vertices or [
+        (e.sign, e.order, e.crossing) for e in g.edges
+    ] != [(e.sign, e.order, e.crossing) for e in h.edges]:
+        return False
+
+    def same_cyclic(a, b):
+        return len(a) == len(b) and (
+            not a or any(b[k:] + b[:k] == a for k in range(len(b)))
+        )
+
+    mine = [[item(d) for d in cyc] for cyc in g.rotation]
+    theirs = [[item(d) for d in cyc] for cyc in h.rotation]
+    for cycles in (mine, [cyc[::-1] for cyc in mine]) if mirror else (mine,):
+        for perm in permutations(range(h.n_vertices)):
+            if all(
+                same_cyclic(cycles[v], theirs[perm[v]]) for v in range(g.n_vertices)
+            ) and all(
+                {perm[e.u], perm[e.v]} == {oe.u, oe.v}
+                for e, oe in zip(g.edges, h.edges)
+            ):
+                return True
+    return False
+
+
+def perturbed(g, v, i, j, e):
+    """Copies of g with the rotation at v reversed, darts i and j of that
+    rotation swapped, and the sign of edge e flipped."""
+    rot = [list(cyc) for cyc in g.rotation]
+    reversed_at_v = [cyc[::-1] if w == v else cyc for w, cyc in enumerate(rot)]
+    swapped = [list(cyc) for cyc in rot]
+    swapped[v][i], swapped[v][j] = swapped[v][j], swapped[v][i]
+    flipped = list(g.edges)
+    flipped[e] = replace(flipped[e], sign=-flipped[e].sign)
+    return [
+        TaitGraph(g.n_vertices, g.edges, reversed_at_v),
+        TaitGraph(g.n_vertices, g.edges, swapped),
+        TaitGraph(g.n_vertices, flipped, rot),
+    ]
+
+
+def matching_outcomes(pairs):
+    """(matched_to, isomorphic_to) on each pair, after checking both
+    against the brute-force reference."""
+    out = []
+    for a, b in pairs:
+        assert a.n_vertices <= 6
+        matched, iso = a.matched_to(b), a.isomorphic_to(b)
+        assert matched == brute_force_match(a, b, lambda dart: dart, False)
+        assert iso == brute_force_match(a, b, lambda dart: dart[0], True)
+        out.append((matched, iso))
+    return out
 
 
 class TestColoring:
@@ -154,6 +222,56 @@ class TestDuality:
         )
 
 
+    def test_isomorphism_of_1200_crossing_twist(self):
+        # the matching keeps no recursion depth per vertex
+        d = parse_front("L1 L2 " + "X1 " * 1200 + "R2 R1").desingularize()
+        canonical, rev = checkerboard(d)
+        start = time.monotonic()
+        assert dual_graph(tait_graph(d, rev)).isomorphic_to(tait_graph(d, canonical))
+        assert time.monotonic() - start < 5
+
+
+class TestMatchingReference:
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=4), st.data())
+    def test_matching_agrees_with_brute_force(self, front, data):
+        d = front.desingularize()
+        g, gr = (tait_graph(d, coloring) for coloring in checkerboard(d))
+        pairs = [
+            (dual_graph(dual_graph(g)), g),
+            (dual_graph(g), gr),
+            (dual_graph(gr), g),
+        ]
+        for h in (g, gr):
+            long = [v for v, cyc in enumerate(h.rotation) if len(cyc) >= 2]
+            if not long:
+                continue
+            v = data.draw(st.sampled_from(long))
+            i, j = data.draw(
+                st.lists(
+                    st.integers(0, len(h.rotation[v]) - 1),
+                    min_size=2,
+                    max_size=2,
+                    unique=True,
+                )
+            )
+            e = data.draw(st.integers(0, len(h.edges) - 1))
+            pairs += [(p, h) for p in perturbed(h, v, i, j, e)]
+        matching_outcomes(pairs)
+
+    def test_both_comparisons_can_fail(self):
+        pairs = []
+        for word in (TREFOIL, "L1 L2 X1 R2 R1", "L1 L2 X1 X1 R2 L2 X1 X1 R2 R1"):
+            _, g, gr = graphs_of(word)
+            pairs.append((dual_graph(g), gr))
+            for h in (g, gr):
+                v = max(range(h.n_vertices), key=lambda w: len(h.rotation[w]))
+                if len(h.rotation[v]) >= 2:
+                    pairs += [(p, h) for p in perturbed(h, v, 0, 1, 0)]
+        matched, iso = zip(*matching_outcomes(pairs))
+        assert set(matched) == set(iso) == {True, False}
+
+
 class TestTripwires:
     def test_sweep_and_quadrant_checks_survive_optimize(self):
         # a sweep that leaves strands open, and a coloring with no black
@@ -167,6 +285,27 @@ class TestTripwires:
             "checks = (\n"
             "    lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
             "    lambda: tait_graph(d, Coloring(d, frozenset(), True)),\n"
+            ")\n"
+            "for check in checks:\n"
+            "    try:\n"
+            "        check()\n"
+            "    except ConventionError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_rotation_checks_survive_optimize(self):
+        # a rotation missing a dart, and an edge end at the wrong vertex
+        code = (
+            "from khfront import ConventionError, TaitGraph\n"
+            "from khfront.tait import TaitEdge\n"
+            "loop = TaitEdge(0, 0, 1, 0, 0, ('N', 'S'))\n"
+            "edge = TaitEdge(0, 1, 1, 0, 0, ('N', 'S'))\n"
+            "checks = (\n"
+            "    lambda: TaitGraph(1, [loop], [[(0, 'N')]]),\n"
+            "    lambda: TaitGraph(2, [edge], [[(0, 'S')], [(0, 'N')]]),\n"
             ")\n"
             "for check in checks:\n"
             "    try:\n"
