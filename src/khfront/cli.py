@@ -294,8 +294,27 @@ _COMMANDS = {
 }
 
 
+def _join_orient(argv: list[str]) -> list[str]:
+    """Rewrite ``--orient VALUE`` as ``--orient=VALUE``: argparse reads a
+    separate value that starts with '-', such as '-,+', as an option and
+    would report the value missing."""
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            out.append(arg)
+            out.extend(rest)
+        elif arg == "--orient":
+            value = next(rest, None)
+            out.append(arg if value is None else f"--orient={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
+    argv = _join_orient(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,16 +1,35 @@
-"""Independent verification back-ends: integer Khovanov homology from the
-cube of resolutions, and the Jones polynomial from the Kauffman bracket.
+"""Independent verification back-ends: integer Khovanov homology by
+Bar-Natan's scanning algorithm, and the Jones polynomial from the
+Kauffman bracket.
 
 Both work directly on a LinkDiagram and share nothing with the spanning
 tree model beyond the diagram itself, so agreement between the two sides
 is meaningful evidence.
 
-Khovanov homology runs in four steps: build the differential of the whole
-cube once, as sparse rows over global generator ids; check d∘d = 0 on
-that full, unreduced complex; cancel unit entries by Gaussian elimination
-(Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318)
-until none is left; and read ranks and torsion off the Smith normal form
-of each residual (i, j) block.
+Khovanov homology is computed one crossing at a time (D. Bar-Natan, "Fast
+Khovanov homology computations", JKTR 16 (2007), arXiv:math/0606318), so
+the 2^n cube of resolutions is never built.  Crossings are added in index
+order, which is x-order for a front, and the scan keeps a chain complex
+for the tangle of the crossings added so far:
+
+- an object is a matching of the tangle's boundary arcs, with a
+  homological degree h and a quantum shift q; it never holds a closed
+  loop;
+- a morphism a -> b is an integer combination of dotted-disk cobordisms:
+  one disk per circle of a and the mirror of b, each disk with or without
+  a dot, which is the basis of Khovanov's arc algebra over A = Z[x]/x^2
+  (Khovanov, "A functor-valued invariant of tangles", AGT 2 (2002)).  It
+  is stored as {bitmask of dotted circles: coefficient}, the circles
+  numbered by their least boundary arc;
+- adding a crossing tensors the complex with [A-smoothing -> B-smoothing],
+  the saddle carrying the Koszul sign (-1)^h, and delooping replaces every
+  closed loop by two loopless summands with q shifted by +1 and -1;
+- d∘d = 0 is checked on every such partial complex, and then every entry
+  that is +-identity between equal objects is cancelled by Gaussian
+  elimination, which leaves the complex homotopy equivalent.
+
+After the last crossing the boundary is empty and every morphism is an
+integer; each residual (i, j) block goes through Smith normal form.
 
 Conventions: the unknot has homology Z at (0, -1) and (0, 1) (unreduced,
 graded Euler characteristic (q + 1/q) times the Jones polynomial); the
@@ -19,7 +38,6 @@ graded Euler characteristic (q + 1/q) times the Jones polynomial); the
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +47,22 @@ from .laurent import LaurentPoly
 from .snf import invariant_factors
 
 DEFAULT_MAX_CROSSINGS = 14
+
+Matching = tuple[tuple[int, int], ...]  # sorted pairs (u, v), u < v, of arc ids
+Morphism = dict[int, int]  # dotted-circle bitmask -> coefficient
+
+#: port -> partner port in the A- and B-smoothing
+_PARTNER = tuple(
+    tuple(sum(pair) - p for p in range(4) for pair in pairs if p in pair)
+    for pairs in (A_PAIRS, B_PAIRS)
+)
+#: port -> disk of the identity cobordism on the A- or B-smoothing
+_STRIP = tuple(
+    tuple(k for p in range(4) for k, pair in enumerate(pairs) if p in pair)
+    for pairs in (A_PAIRS, B_PAIRS)
+)
+#: port -> disk of the saddle A -> B, a single disk
+_SADDLE = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -102,26 +136,324 @@ def _check_oracle_input(d: LinkDiagram, max_crossings: int) -> None:
         raise ConventionError("crossing-free loops alongside crossings")
 
 
-class _StateLoops:
-    """Loops of one full smoothing: arc index -> loop position, with loops
-    canonically ordered by their minimum arc index."""
+def _surface(n_disks: int, seams, circle_disk) -> list[tuple[int, int, int]]:
+    """Components of ``n_disks`` disks glued along the intervals ``seams``
+    (pairs of disks), as (disk mask, genus, boundary-circle mask) triples;
+    ``circle_disk[k]`` is a disk that boundary circle k runs along."""
+    parent = list(range(n_disks))
+    for a, b in seams:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+    root = [_find(parent, x) for x in range(n_disks)]
+    chi = [0] * n_disks
+    disks = [0] * n_disks
+    circles = [0] * n_disks
+    for x, r in enumerate(root):
+        chi[r] += 1
+        disks[r] |= 1 << x
+    for a, _ in seams:
+        chi[root[a]] -= 1
+    for k, x in enumerate(circle_disk):
+        circles[root[x]] |= 1 << k
+    comps = []
+    for r in range(n_disks):
+        if disks[r]:
+            two_g = 2 - circles[r].bit_count() - chi[r]
+            if two_g < 0 or two_g % 2:
+                raise ConventionError(
+                    f"surface with chi={chi[r]} and "
+                    f"{circles[r].bit_count()} boundary circles"
+                )
+            comps.append((disks[r], two_g // 2, circles[r]))
+    return comps
 
-    __slots__ = ("loop_of_arc", "count", "roots")
 
-    def __init__(self, d: LinkDiagram, port_arc, state: int):
-        n_arcs = len(d.arcs)
-        parent = list(range(n_arcs))
-        for c in range(d.n):
-            for p, q in B_PAIRS if (state >> c) & 1 else A_PAIRS:
-                ra = _find(parent, port_arc[(c, p)])
-                rb = _find(parent, port_arc[(c, q)])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        root = [_find(parent, x) for x in range(n_arcs)]
-        self.roots = sorted(set(root))
-        pos = {r: k for k, r in enumerate(self.roots)}
-        self.loop_of_arc = [pos[r] for r in root]
-        self.count = len(self.roots)
+def _evaluate(comps, dots: int) -> Morphism:
+    """The surface ``comps`` with a dot on each disk in the mask ``dots``,
+    written in the dotted-disk basis of its boundary circles: a component
+    whose dots and genus sum to 2 or more is 0, to 1 gives 2^genus times
+    all its circles dotted, and to 0 (neck cutting) the sum over its
+    circles of all circles but that one dotted."""
+    terms = {0: 1}
+    for disks, genus, circles in comps:
+        e = genus + (dots & disks).bit_count()
+        if e >= 2:
+            return {}
+        if e == 1:
+            terms = {m | circles: v << genus for m, v in terms.items()}
+        else:
+            singles = []
+            rest = circles
+            while rest:
+                bit = rest & -rest
+                singles.append(circles ^ bit)
+                rest ^= bit
+            terms = {m | s: v for m, v in terms.items() for s in singles}
+    return terms
+
+
+def _add_into(row: dict, y: int, key: int, value: int) -> None:
+    """Add ``value`` to term ``key`` of the morphism ``row[y]``, dropping
+    terms and entries that cancel to zero."""
+    entry = row.setdefault(y, {})
+    total = entry.get(key, 0) + value
+    if total:
+        entry[key] = total
+    else:
+        del entry[key]
+        if not entry:
+            del row[y]
+
+
+class _Complex:
+    """A chain complex over the dotted cobordisms of one tangle.
+
+    ``objs[x]`` is (matching, h, q) and ``out[x]`` maps each y to the
+    morphism x -> y of the differential.  Circle numberings and the
+    surfaces of compositions are cached per matching pair and triple for
+    the whole scan, since arcs keep their ids from one crossing to the
+    next.
+    """
+
+    def __init__(self, objs: list[tuple[Matching, int, int]], out: list[dict]):
+        self.objs = objs
+        self.out = out
+        self._partners: dict[Matching, dict[int, int]] = {}
+        self._circles: dict[tuple[Matching, Matching], tuple[dict, int]] = {}
+        self._surfaces: dict[tuple[Matching, Matching, Matching], list] = {}
+
+    def partner(self, a: Matching) -> dict[int, int]:
+        got = self._partners.get(a)
+        if got is None:
+            got = self._partners[a] = {}
+            for u, v in a:
+                got[u] = v
+                got[v] = u
+        return got
+
+    def circles(self, a: Matching, b: Matching) -> tuple[dict[int, int], int]:
+        """Circles of a and the mirror of b: arc -> circle number, with
+        circles numbered in order of their least arc; and their count."""
+        key = (a, b)
+        got = self._circles.get(key)
+        if got is None:
+            pa, pb = self.partner(a), self.partner(b)
+            num: dict[int, int] = {}
+            k = 0
+            for u in sorted(pa):
+                if u in num:
+                    continue
+                while u not in num:
+                    num[u] = k
+                    v = pa[u]
+                    num[v] = k
+                    u = pb[v]
+                k += 1
+            got = self._circles[key] = (num, k)
+        return got
+
+    def compose(self, f: Morphism, g: Morphism, a, b, c) -> Morphism:
+        """g∘f for f: a -> b and g: b -> c: the disks of both glued along
+        the arcs of b."""
+        num_ab, n_ab = self.circles(a, b)
+        comps = self._surfaces.get((a, b, c))
+        if comps is None:
+            num_bc, n_bc = self.circles(b, c)
+            num_ac, n_ac = self.circles(a, c)
+            seams = [(num_ab[u], n_ab + num_bc[u]) for u, _ in b]
+            owner = [0] * n_ac
+            for u, k in num_ac.items():
+                owner[k] = num_ab[u]
+            comps = self._surfaces[(a, b, c)] = _surface(n_ab + n_bc, seams, owner)
+        got: Morphism = {}
+        for s, u in f.items():
+            for t, v in g.items():
+                for m, w in _evaluate(comps, s | t << n_ab).items():
+                    got[m] = got.get(m, 0) + u * v * w
+        return {m: v for m, v in got.items() if v}
+
+    # -- one crossing -------------------------------------------------------
+
+    def add_crossing(self, d: LinkDiagram, port_arc, c: int) -> None:
+        """Replace the complex by that of this tangle with crossing c
+        added, every closed loop delooped."""
+        arcs = [port_arc[(c, p)] for p in range(4)]
+        old: dict[int, int] = {}  # boundary arc at c -> its port
+        new: dict[int, int] = {}  # arc from c to a later crossing -> port
+        mate: list[Optional[int]] = [None] * 4  # other port of an arc c -> c
+        for p in range(4):
+            other_c, other_p = d.other_end((c, p))
+            if other_c < c:
+                old[arcs[p]] = p
+            elif other_c == c:
+                mate[p] = other_p
+            else:
+                new[arcs[p]] = p
+
+        def glue(a: Matching, s: int) -> tuple[Matching, list[int]]:
+            """Matching a with smoothing s at c: the new matching, and one
+            port on each closed loop."""
+            pa, ps = self.partner(a), _PARTNER[s]
+            seen = [False] * 4
+
+            def walk(p: int) -> Optional[int]:
+                # through the smoothing from port p until the strand leaves
+                # the tangle; None when it closes up first
+                while True:
+                    seen[p] = True
+                    q = ps[p]
+                    seen[q] = True
+                    if arcs[q] in new:
+                        return arcs[q]
+                    if mate[q] is not None:
+                        p = mate[q]
+                    else:
+                        u = pa[arcs[q]]
+                        if u not in old:
+                            return u
+                        p = old[u]
+                    if seen[p]:
+                        return None
+
+            pair: dict[int, int] = {}
+            for u, v in pa.items():
+                if u not in old and u not in pair:
+                    w = walk(old[v]) if v in old else v
+                    pair[u], pair[w] = w, u
+            for u, p in new.items():
+                if not seen[p]:
+                    w = walk(p)
+                    pair[u], pair[w] = w, u
+            loops = []
+            for p in range(4):
+                if not seen[p]:
+                    walk(p)
+                    loops.append(p)
+            return tuple(sorted((u, v) for u, v in pair.items() if u < v)), loops
+
+        objs: list[tuple[Matching, int, int]] = []
+        glued: dict[tuple[int, int], tuple[Matching, list[int], int]] = {}
+        for x, (a, h, q) in enumerate(self.objs):
+            for s in (0, 1):
+                a2, loops = glue(a, s)
+                glued[(x, s)] = (a2, loops, len(objs))
+                n_loops = len(loops)
+                # summand m: loop k labelled v+ (q + 1) iff bit k of m is set
+                objs += [
+                    (a2, h + s, q + s + 2 * m.bit_count() - n_loops)
+                    for m in range(1 << n_loops)
+                ]
+        out: list[dict] = [{} for _ in objs]
+
+        def tensor(x, y, s, t, f: Morphism) -> None:
+            """Add f ⊗ (the identity of s, or the saddle s -> t) from the
+            summands of (x, s) to those of (y, t)."""
+            a, b = self.objs[x][0], self.objs[y][0]
+            a2, src_loops, src = glued[(x, s)]
+            b2, tgt_loops, tgt = glued[(y, t)]
+            num_ab, n_ab = self.circles(a, b)
+            disk = [n_ab + k for k in (_STRIP[s] if s == t else _SADDLE)]
+            seams = []
+            for p in range(4):
+                if arcs[p] in old:
+                    seams.append((num_ab[arcs[p]], disk[p]))
+                elif mate[p] is not None and p < mate[p]:
+                    seams.append((disk[p], disk[mate[p]]))
+            num2, n2 = self.circles(a2, b2)
+            owner = [0] * n2
+            for u, k in num2.items():
+                owner[k] = disk[new[u]] if u in new else num_ab[u]
+            owner += [disk[p] for p in src_loops + tgt_loops]
+            comps = _surface(n_ab + (2 if s == t else 1), seams, owner)
+            # a source loop survives delooping on its v+ summand with a dot
+            # and on its v- summand without; a target loop the other way
+            keep = (1 << n2) - 1
+            n_src = len(src_loops)
+            flip = (1 << len(tgt_loops)) - 1
+            for dots, coef in f.items():
+                for m, v in _evaluate(comps, dots).items():
+                    i = src + ((m >> n2) & ((1 << n_src) - 1))
+                    j = tgt + (flip ^ (m >> (n2 + n_src)))
+                    _add_into(out[i], j, m & keep, coef * v)
+
+        for x, (_, h, _) in enumerate(self.objs):
+            for y, f in self.out[x].items():
+                tensor(x, y, 0, 0, f)
+                tensor(x, y, 1, 1, f)
+            tensor(x, x, 0, 1, {0: -1 if h % 2 else 1})
+        self.objs, self.out = objs, out
+
+    # -- checks and elimination ---------------------------------------------
+
+    def check_d_squared_zero(self) -> None:
+        """Raise ConventionError unless every composite x -> y -> z of the
+        differential sums to zero."""
+        objs, out = self.objs, self.out
+        for x, row in enumerate(out):
+            total: dict[int, Morphism] = {}
+            for y, f in row.items():
+                for z, g in out[y].items():
+                    fg = self.compose(f, g, objs[x][0], objs[y][0], objs[z][0])
+                    for m, v in fg.items():
+                        _add_into(total, z, m, v)
+            if total:
+                raise ConventionError(
+                    f"differential does not square to zero on object {x}"
+                )
+
+    def eliminate(self) -> None:
+        """Gaussian elimination: while some entry u = d(x, y) is +-identity
+        between equal objects, replace d(x', y') by d(x', y') - d(x, y')
+        u d(x', y) for every other x' into y and y' out of x, and delete x
+        and y, which leaves the complex homotopy equivalent."""
+        objs = self.objs
+        out: list[Optional[dict]] = self.out
+        inc: list[Optional[set[int]]] = [set() for _ in objs]
+        for x, row in enumerate(out):
+            for y in row:
+                inc[y].add(x)
+        work = list(range(len(objs)))
+        while work:
+            x = work.pop()
+            row = out[x]
+            if not row:
+                continue
+            a, _, q = objs[x]
+            units = [
+                (len(inc[y]), y)
+                for y, f in row.items()
+                if len(f) == 1 and f.get(0) in (1, -1) and objs[y][0] == a
+                and objs[y][2] == q
+            ]
+            if not units:
+                continue
+            y = min(units)[1]
+            u = row.pop(y)[0]
+            inc[y].discard(x)
+            for xp in inc[y]:
+                rp = out[xp]
+                delta = rp.pop(y)
+                for yp, gamma in row.items():
+                    prod = self.compose(delta, gamma, objs[xp][0], a, objs[yp][0])
+                    for m, v in prod.items():
+                        _add_into(rp, yp, m, -u * v)
+                    if yp in rp:
+                        inc[yp].add(xp)
+                    else:
+                        inc[yp].discard(xp)
+                work.append(xp)
+            for yp in row:
+                inc[yp].discard(x)
+            for xp in inc[x]:
+                del out[xp][x]
+            for z in out[y]:
+                inc[z].discard(y)
+            out[x] = out[y] = inc[x] = inc[y] = None
+        keep = [x for x, row in enumerate(out) if row is not None]
+        new_id = {x: k for k, x in enumerate(keep)}
+        self.objs = [objs[x] for x in keep]
+        self.out = [{new_id[y]: f for y, f in out[x].items()} for x in keep]
 
 
 def khovanov_homology(
@@ -129,11 +461,11 @@ def khovanov_homology(
     flips: Optional[Sequence[bool]] = None,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> BigradedTable:
-    """Integer Khovanov homology of an oriented diagram, computed from the
-    full cube of resolutions.
+    """Integer Khovanov homology of an oriented diagram, scanned one
+    crossing at a time.
 
-    The square of the differential is verified to vanish on the whole,
-    unreduced complex; unit entries are then cancelled, and each residual
+    The square of the differential is verified to vanish on every partial
+    complex, before its +-identity entries are cancelled; each residual
     bidegree block goes through Smith normal form.
     """
     _check_oracle_input(d, max_crossings)
@@ -145,85 +477,27 @@ def khovanov_homology(
             {(0, j): (c, ()) for j, c in (_circle() ** d.free_loops).items()}
         )
 
-    n = d.n
     n_plus, n_minus = d.positive_negative(flips)
-    w = n_plus - n_minus
     port_arc = _port_arc(d)
-    loops = [_StateLoops(d, port_arc, s) for s in range(1 << n)]
+    cx = _Complex([((), 0, 0)], [{}])
+    for c in range(d.n):
+        cx.add_crossing(d, port_arc, c)
+        cx.check_d_squared_zero()
+        cx.eliminate()
 
-    # generator x = offset[s] + mask is state s with loop labels mask (bit
-    # set = v+) in bidegree deg[x]; out[x] = {y: coefficient of y in dx}
-    offset: list[int] = []
-    deg: list[tuple[int, int]] = []
-    for s, ls in enumerate(loops):
-        offset.append(len(deg))
-        i = s.bit_count() - n_minus
-        nl = ls.count
-        deg += [(i, i + w + 2 * m.bit_count() - nl) for m in range(1 << nl)]
-    out: list[Optional[dict[int, int]]] = [{} for _ in deg]
-    for s, ls in enumerate(loops):
-        nl = ls.count
-        rows = out[offset[s] : offset[s] + (1 << nl)]
-        for c in range(n):
-            if (s >> c) & 1:
-                continue
-            t = s | (1 << c)
-            lt = loops[t]
-            sign = -1 if (s & ((1 << c) - 1)).bit_count() % 2 else 1
-            touch = sorted(
-                {ls.loop_of_arc[port_arc[(c, p)]] for p in range(4)}
-            )
-            # unaffected loops keep their minimum arc, hence their identity;
-            # base[mask] is the generator of t carrying their labels
-            bit_map = [0] * nl
-            for k in range(nl):
-                if k not in touch:
-                    bit_map[k] = 1 << lt.loop_of_arc[ls.roots[k]]
-            base = [offset[t]] * (1 << nl)
-            for mask in range(1, 1 << nl):
-                lsb = mask & -mask
-                base[mask] = base[mask ^ lsb] + bit_map[lsb.bit_length() - 1]
-            if len(touch) == 2:  # merge: m(v+,v+)=v+, m(v+,v-)=v-, m(v-,v-)=0
-                la, lb = touch
-                tbit = 1 << lt.loop_of_arc[ls.roots[la]]
-                ba, bb = 1 << la, 1 << lb
-                for mask, row in enumerate(rows):
-                    if mask & ba:
-                        row[base[mask] + tbit if mask & bb else base[mask]] = sign
-                    elif mask & bb:
-                        row[base[mask]] = sign
-            else:  # split: d(v+) = v+ v- + v- v+, d(v-) = v- v-
-                (la,) = touch
-                targets = {
-                    lt.loop_of_arc[a]
-                    for a in range(len(ls.loop_of_arc))
-                    if ls.loop_of_arc[a] == la
-                }
-                if len(targets) != 2:
-                    raise ConventionError("one loop must split in two")
-                b1, b2 = (1 << k for k in targets)
-                ba = 1 << la
-                for mask, row in enumerate(rows):
-                    if mask & ba:
-                        row[base[mask] + b1] = sign
-                        row[base[mask] + b2] = sign
-                    else:
-                        row[base[mask]] = sign
-    _check_d_squared_zero(out)
-    _cancel_units(out)
-
-    # the residual complex has no unit entries; number its generators
-    # within each bidegree and reduce each block d: (i, j) -> (i + 1, j)
+    # the boundary is empty, so every entry is an integer; number the
+    # generators within each bidegree and reduce each block
+    # d: (i, j) -> (i + 1, j)
+    deg = [(h - n_minus, q + n_plus - 2 * n_minus) for _, h, q in cx.objs]
     dims: dict[tuple[int, int], int] = {}
-    pos: dict[int, int] = {}
-    for x, row in enumerate(out):
-        if row is not None:
-            pos[x] = dims.get(deg[x], 0)
-            dims[deg[x]] = pos[x] + 1
+    pos: list[int] = []
+    for ij in deg:
+        pos.append(dims.get(ij, 0))
+        dims[ij] = pos[-1] + 1
     blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for x in pos:
-        for y, v in out[x].items():
-            blocks.setdefault(deg[x], {})[(pos[y], pos[x])] = v
+    for x, row in enumerate(cx.out):
+        for y, f in row.items():
+            blocks.setdefault(deg[x], {})[(pos[y], pos[x])] = f[0]
     factors = {
         (i, jq): invariant_factors(mat, dims[(i + 1, jq)], dims[(i, jq)])
         for (i, jq), mat in blocks.items()
@@ -236,78 +510,6 @@ def khovanov_homology(
             raise ConventionError(f"negative free rank at (i, j) = ({i}, {jq})")
         groups[(i, jq)] = (free, tuple(sorted(t for t in f_in if t > 1)))
     return BigradedTable(groups)
-
-
-def _check_d_squared_zero(out) -> None:
-    """Raise ConventionError unless every entry of the unreduced cube
-    differential is +-1 and every composite entry of d∘d is zero;
-    ``out[x]`` maps each generator y to the coefficient of y in dx."""
-    signed = []  # per generator: its +1 targets and its -1 targets
-    for y, row in enumerate(out):
-        pos = [z for z, b in row.items() if b == 1]
-        neg = [z for z, b in row.items() if b == -1]
-        if len(pos) + len(neg) != len(row):
-            raise ConventionError(f"cube differential entry not +-1 at {y}")
-        signed.append((pos, neg))
-    # the paths x -> y -> z of each sign must reach the same multiset of z
-    for x, row in enumerate(out):
-        plus: list[int] = []
-        minus: list[int] = []
-        for y, a in row.items():
-            pos, neg = signed[y]
-            plus += pos if a == 1 else neg
-            minus += neg if a == 1 else pos
-        if sorted(plus) != sorted(minus):
-            raise ConventionError(
-                f"differential does not square to zero on generator {x}"
-            )
-
-
-def _cancel_units(out) -> None:
-    """Gaussian elimination (Bar-Natan, arXiv:math/0606318): while some
-    entry u = d(x, y) is a unit, replace d(x', y') by d(x', y') - d(x', y)
-    u d(x, y') for every other x' into y and y' out of x, and delete x and
-    y, which leaves the complex homotopy equivalent.  Rows that change are
-    visited again; deleted generators get ``out[x] = None``."""
-    # inc[y] lists the x with y in out[x]; lists, not sets, since they
-    # stay short and a list costs less than half the memory
-    inc: list[Optional[list[int]]] = [[] for _ in out]
-    for x, row in enumerate(out):
-        for y in row:
-            inc[y].append(x)
-    work = deque(range(len(out) - 1, -1, -1))
-    while work:
-        x = work.popleft()
-        row = out[x]
-        if not row:
-            continue
-        units = [(len(inc[y]), y) for y, u in row.items() if u == 1 or u == -1]
-        if not units:
-            continue
-        y = min(units)[1]
-        u = row.pop(y)
-        inc[y].remove(x)
-        for xp in inc[y]:
-            rp = out[xp]
-            f = rp.pop(y) * u
-            for yp, b in row.items():
-                v = rp.get(yp)
-                if v is None:
-                    rp[yp] = -f * b
-                    inc[yp].append(xp)
-                elif v == f * b:
-                    del rp[yp]
-                    inc[yp].remove(xp)
-                else:
-                    rp[yp] = v - f * b
-            work.append(xp)
-        for yp in row:
-            inc[yp].remove(x)
-        for xp in inc[x]:
-            del out[xp][x]
-        for z in out[y]:
-            inc[z].remove(y)
-        out[x] = out[y] = inc[x] = inc[y] = None
 
 
 def kauffman_jones(
@@ -325,11 +527,26 @@ def kauffman_jones(
     delta = LaurentPoly.monomial(2, -1, var="A") + LaurentPoly.monomial(
         -2, -1, var="A"
     )
-    # states counted by (B-smoothings, loops): one term per class
+    # states counted by (B-smoothings, loops): one term per class.  The
+    # states are enumerated depth-first over the crossings; each level
+    # copies the arc union-find once and keeps a running loop count
     states: dict[tuple[int, int], int] = {}
-    for s in range(1 << d.n):
-        key = (s.bit_count(), _StateLoops(d, port_arc, s).count)
-        states[key] = states.get(key, 0) + 1
+    stack = [(0, list(range(len(d.arcs))), 0, len(d.arcs))]
+    while stack:
+        c, parent, b, loops = stack.pop()
+        if c == d.n:
+            states[(b, loops)] = states.get((b, loops), 0) + 1
+            continue
+        for smoothing, pairs in ((1, B_PAIRS), (0, A_PAIRS)):
+            here = parent[:] if smoothing else parent
+            k = loops
+            for p, q in pairs:
+                ra = _find(here, port_arc[(c, p)])
+                rb = _find(here, port_arc[(c, q)])
+                if ra != rb:
+                    here[ra] = rb
+                    k -= 1
+            stack.append((c + 1, here, b + smoothing, k))
     bracket = LaurentPoly.zero(var="A")
     for (b, loops), count in states.items():
         term = LaurentPoly.monomial(d.n - 2 * b, count, var="A")

@@ -1,10 +1,10 @@
 """Exact integer Smith normal form for chain-complex homology.
 
 Matrices are sparse dicts {(row, col): value}.  The Khovanov oracle
-cancels every unit (+-1) entry of its differential before it gets here
-(Gaussian elimination on the whole cube, see ``oracle``), so the blocks
-this module sees are small, and a textbook dense Smith reduction finishes
-them.
+cancels every +-identity entry of its complex while it scans the diagram
+crossing by crossing (see ``oracle``), so only the small integer blocks
+left after the last crossing get here, and a textbook dense Smith
+reduction finishes them.
 """
 
 from __future__ import annotations

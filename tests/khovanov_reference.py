@@ -5,18 +5,41 @@ It builds the differential of the cube of resolutions as one matrix per
 bidegree (i, j) -> (i + 1, j), keyed by generator positions within each
 bidegree, and reduces each matrix on its own: unit (+-1) pivots first,
 sparsest rows first, then a dense Smith reduction of what is left.  It
-shares only the loop labelling of each state (``oracle._StateLoops``) and
-the dense Smith reduction (``snf.invariant_factors``) with the oracle it
-checks, which instead cancels unit entries across the whole complex; the
-cube build and the elimination here are written independently.
+shares only the dense Smith reduction (``snf.invariant_factors``) with the
+oracle it checks, which never builds the cube: it scans the diagram one
+crossing at a time over dotted cobordisms and cancels +-identity entries
+as it goes.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from khfront.oracle import BigradedTable, _port_arc, _StateLoops
+from khfront.diagram import A_PAIRS, B_PAIRS, _find
+from khfront.oracle import BigradedTable, _port_arc
 from khfront.snf import invariant_factors as dense_invariant_factors
+
+
+class _StateLoops:
+    """Loops of one full smoothing: arc index -> loop position, with loops
+    canonically ordered by their minimum arc index."""
+
+    __slots__ = ("loop_of_arc", "count", "roots")
+
+    def __init__(self, d, port_arc, state: int):
+        n_arcs = len(d.arcs)
+        parent = list(range(n_arcs))
+        for c in range(d.n):
+            for p, q in B_PAIRS if (state >> c) & 1 else A_PAIRS:
+                ra = _find(parent, port_arc[(c, p)])
+                rb = _find(parent, port_arc[(c, q)])
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        root = [_find(parent, x) for x in range(n_arcs)]
+        self.roots = sorted(set(root))
+        pos = {r: k for k, r in enumerate(self.roots)}
+        self.loop_of_arc = [pos[r] for r in root]
+        self.count = len(self.roots)
 
 
 def reference_homology(d, flips=None) -> BigradedTable:

@@ -93,6 +93,15 @@ class TestOracleCommands:
         code, out, _ = run(capsys, "jones", TREFOIL)
         assert out.strip() == "q + q^3 + q^5 - q^9"
 
+    @pytest.mark.parametrize("command", ["homology", "jones"])
+    def test_orient_value_may_start_with_a_dash(self, capsys, command):
+        hopf = "L1 L2 X1 X1 R2 R1"
+        code, spaced, err = run(capsys, command, hopf, "--orient", "-,+", "--json")
+        assert code == EXIT_OK, err
+        code, joined, err = run(capsys, command, hopf, "--orient=-,+", "--json")
+        assert code == EXIT_OK, err
+        assert spaced == joined
+
     def test_max_crossings(self, capsys):
         code, _, err = run(capsys, "homology", TREFOIL, "--max-crossings", "2")
         assert code == EXIT_INVALID
@@ -190,3 +199,20 @@ class TestDemos:
         proc = run_python(str(DEMOS / script), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "False" not in proc.stdout
+
+    def test_corpus_survey_checks_survive_optimize(self):
+        proc = run_python("-O", str(DEMOS / "03_corpus_survey.py"), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "10 fronts verified" in proc.stdout
+
+
+class TestAcceptanceUnderOptimize:
+    def test_acceptance_suite_passes_under_optimize(self):
+        # -O strips asserts inside the package, so every check the
+        # acceptance criteria rely on must raise on its own
+        suite = Path(__file__).resolve().parent / "test_acceptance.py"
+        proc = run_optimized(
+            "-m", "pytest", "-q", "-p", "no:cacheprovider", str(suite), timeout=600
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "8 passed" in proc.stdout

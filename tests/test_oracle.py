@@ -1,12 +1,16 @@
 """Khovanov homology and Jones polynomial oracles."""
 
+import time
+
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from khfront import (
     BigradedTable,
     EmptyTable,
     LaurentPoly,
+    LinkDiagram,
     TooLarge,
     kauffman_jones,
     khovanov_homology,
@@ -69,6 +73,19 @@ class TestKhovanov:
             (2, 6): (1, ()),
         }
 
+    def test_reach_fifteen_crossings(self):
+        # five right trefoils: Euler characteristic (q + 1/q) V^5, with V
+        # the trefoil's normalized Jones polynomial
+        trefoil = "L2 X1 X1 X1 R2"
+        d = parse_front(f"L1 {' '.join([trefoil] * 5)} R1").desingularize()
+        assert d.n == 15
+        start = time.monotonic()
+        table = khovanov_homology(d, max_crossings=15)
+        elapsed = time.monotonic() - start
+        v = LaurentPoly({2: 1, 6: 1, 8: -1})
+        assert table.graded_euler() == UNKNOT_POLY * v**5
+        assert elapsed < 10, f"{elapsed:.1f}s"
+
     def test_too_large(self):
         d = parse_front(TREFOIL).desingularize()
         with pytest.raises(TooLarge):
@@ -93,19 +110,24 @@ class TestBigradedTable:
 
 class TestTripwires:
     def test_d_squared_check_survives_optimize(self):
-        # generators 0 -> {1, 2} -> 3: d0 = (1, 1)^T followed by
-        # d1 = (1, -1) composes to zero; followed by d1 = (1, 1) it does
-        # not; and a cube entry other than +-1 is refused
+        # over the empty boundary, Z -> Z^2 -> Z with d0 = (1, 1)^T and
+        # d1 = (1, -1) composes to zero.  On the boundary arcs 0..3 the
+        # saddle ((0,1),(2,3)) -> ((0,3),(1,2)) followed by the saddle back
+        # is a tube, which neck cutting writes as two nonzero terms
         code = (
             "from khfront import ConventionError\n"
-            "from khfront.oracle import _check_d_squared_zero\n"
-            "_check_d_squared_zero([{1: 1, 2: 1}, {3: 1}, {3: -1}, {}])\n"
-            "for bad in ([{1: 1, 2: 1}, {3: 1}, {3: 1}, {}], [{1: 2}, {}]):\n"
-            "    try:\n"
-            "        _check_d_squared_zero(bad)\n"
-            "    except ConventionError:\n"
-            "        continue\n"
-            "    raise SystemExit(1)\n"
+            "from khfront.oracle import _Complex\n"
+            "z = ((), 0, 0), ((), 1, 0), ((), 1, 0), ((), 2, 0)\n"
+            "out = [{1: {0: 1}, 2: {0: 1}}, {3: {0: 1}}, {3: {0: -1}}, {}]\n"
+            "_Complex(list(z), out).check_d_squared_zero()\n"
+            "a, b = ((0, 1), (2, 3)), ((0, 3), (1, 2))\n"
+            "objs = [(a, 0, 0), (b, 1, 0), (a, 2, 0)]\n"
+            "tube = _Complex(objs, [{1: {0: 1}}, {2: {0: 1}}, {}])\n"
+            "try:\n"
+            "    tube.check_d_squared_zero()\n"
+            "except ConventionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
         )
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -138,6 +160,19 @@ class TestReference:
         for flips in (None, [True] * d.component_count()):
             got = khovanov_homology(d, flips=flips).groups
             assert got == reference_homology(d, flips=flips).groups
+
+    @settings(max_examples=50, deadline=None)
+    @given(front_words(max_crossings=8), st.data())
+    def test_any_crossing_order_and_orientation(self, front, data):
+        # a PD re-import numbers the crossings in a shuffled order, so the
+        # scan adds them in an order unrelated to the front's x-order
+        d = front.desingularize()
+        assume(d.n > 0)
+        e = LinkDiagram.from_pd(data.draw(st.permutations(d.to_pd())))
+        n_comp = e.component_count()
+        for flips in ([True] * n_comp, [k == 0 for k in range(n_comp)]):
+            got = khovanov_homology(e, flips=flips).groups
+            assert got == reference_homology(e, flips=flips).groups
 
     @pytest.mark.parametrize(
         "entries, factors",
