@@ -20,16 +20,18 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
+from functools import cache
 from pathlib import Path
 from typing import Callable, Optional
 
-from .bounds import _tree_records, sharpness_report
+from .bounds import sharpness_report
 from .corpus import read_front_file, recorded_tb, write_corpus_dir
 from .errors import ConventionError, KhfrontError
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
-from .tait import checkerboard
-from .trees import PRETTY, to_khovanov_bigrading
+from .tait import checkerboard, tait_graph
+from .trees import PRETTY, labelled_trees, to_khovanov_bigrading
 
 EXIT_OK = 0
 EXIT_CONVENTION = 2
@@ -44,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused by every call
+    of ``main`` in the process."""
     p = _Parser(prog="khfront", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -117,23 +122,6 @@ def _flips(front: FrontDiagram, orient: Optional[str]) -> Optional[list[bool]]:
     return [s == "-" for s in signs]
 
 
-def _emit(
-    payload: Callable[[], object],
-    as_json: bool,
-    out: Optional[Path],
-    text: Callable[[], str],
-) -> None:
-    """Write the JSON payload, or else the text report; both are
-    functions, so each run builds only the one it prints."""
-    body = json.dumps(payload(), indent=2, sort_keys=True) if as_json else text()
-    if out:
-        tmp = out.with_suffix(out.suffix + ".tmp")
-        tmp.write_text(body + "\n")
-        tmp.replace(out)
-    else:
-        print(body)
-
-
 def _report_text(r) -> str:
     lines = [
         f"tb           = {r.tb}",
@@ -150,44 +138,39 @@ def _report_text(r) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args) -> int:
+#: what a command returns: functions building its JSON payload and its
+#: text report, so each run builds only the one it prints
+_Output = tuple[Callable[[], object], Callable[[], str]]
+
+
+def _cmd_analyze(args) -> _Output:
+    """``analyze`` and ``certify``: one report, printed in full or as its
+    verdict."""
     front = _load_front(args.front)
     r = sharpness_report(
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
-    _emit(r.to_json_dict, args.json, args.out, lambda: _report_text(r))
-    return EXIT_OK
-
-
-def _cmd_certify(args) -> int:
-    front = _load_front(args.front)
-    r = sharpness_report(
-        front, with_oracle=args.oracle, max_crossings=args.max_crossings
-    )
+    if args.command == "analyze":
+        return r.to_json_dict, lambda: _report_text(r)
     payload = {"schema": 1, "verdict": r.verdict, "tb": r.tb, "min_delta": r.min_delta}
-    _emit(lambda: payload, args.json, args.out, lambda: f"verdict = {r.verdict}")
-    return EXIT_OK
+    return lambda: payload, lambda: f"verdict = {r.verdict}"
 
 
-def _tree_rows(front: FrontDiagram, which: str):
+def _cmd_trees(args) -> _Output:
+    front = _load_front(args.front)
     d = front.desingularize()
     w = d.writhe()
     canonical, rev = checkerboard(d)
     colorings = {"canonical": [canonical], "reversed": [rev], "both": [canonical, rev]}
-    return [
+    rows = [
         (
             "canonical" if coloring.canonical else "reversed",
             rec,
             to_khovanov_bigrading(rec, d.n, w),
         )
-        for coloring in colorings[which]
-        for rec in _tree_records(front, coloring)
+        for coloring in colorings[args.coloring]
+        for rec in labelled_trees(tait_graph(d, coloring), front)
     ]
-
-
-def _cmd_trees(args) -> int:
-    front = _load_front(args.front)
-    rows = _tree_rows(front, args.coloring)
 
     def payload() -> dict:
         return {
@@ -206,22 +189,20 @@ def _cmd_trees(args) -> int:
             for col, rec, pair in rows
         )
 
-    _emit(payload, args.json, args.out, text)
-    return EXIT_OK
+    return payload, text
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> _Output:
     front = _load_front(args.front)
     flips = _flips(front, args.orient)
     table = khovanov_homology(
         front.desingularize(), flips=flips, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, **table.to_json_dict(), "min_delta": table.min_delta()}
-    _emit(lambda: payload, args.json, args.out, table.pretty)
-    return EXIT_OK
+    return lambda: payload, table.pretty
 
 
-def _cmd_jones(args) -> int:
+def _cmd_jones(args) -> _Output:
     front = _load_front(args.front)
     flips = _flips(front, args.orient)
     poly = kauffman_jones(
@@ -232,25 +213,12 @@ def _cmd_jones(args) -> int:
         "variable": poly.var,
         "terms": [[e, c] for e, c in poly.items()],
     }
-    _emit(lambda: payload, args.json, args.out, lambda: repr(poly))
-    return EXIT_OK
+    return lambda: payload, lambda: repr(poly)
 
 
-def _cmd_corpus(args) -> int:
-    if args.directory is not None:
-        return _run_corpus(args, args.directory)
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="khfront-corpus-") as tmp:
-        write_corpus_dir(Path(tmp))
-        return _run_corpus(args, Path(tmp))
-
-
-def _run_corpus(args, directory: Path) -> int:
-    files = sorted(directory.glob("*.front"))
-    if not files:
-        print(f"error: no .front files in {directory}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_corpus(args) -> _Output:
+    """Every .front file of the directory, or of the bundled corpus
+    written to a temporary directory that is removed before returning."""
 
     def run_one(path: Path):
         front = read_front_file(path)
@@ -259,8 +227,20 @@ def _run_corpus(args, directory: Path) -> int:
         )
         return path.stem, r, recorded_tb(path)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(run_one, files))
+    with ExitStack() as stack:
+        directory = args.directory
+        if directory is None:
+            import tempfile
+
+            tmp = tempfile.TemporaryDirectory(prefix="khfront-corpus-")
+            directory = Path(stack.enter_context(tmp))
+            write_corpus_dir(directory)
+        files = sorted(directory.glob("*.front"))
+        if not files:
+            print(f"error: no .front files in {directory}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            results = list(pool.map(run_one, files))
 
     violations = sum(tb is not None and r.tb != tb for _, r, tb in results)
     payload = {
@@ -280,13 +260,12 @@ def _run_corpus(args, directory: Path) -> int:
         lines.append(f"{len(results)} fronts, {violations} violations")
         return "\n".join(lines)
 
-    _emit(lambda: payload, args.json, args.out, text)
-    return EXIT_OK
+    return lambda: payload, text
 
 
 _COMMANDS = {
     "analyze": _cmd_analyze,
-    "certify": _cmd_certify,
+    "certify": _cmd_analyze,
     "trees": _cmd_trees,
     "homology": _cmd_homology,
     "jones": _cmd_jones,
@@ -313,20 +292,26 @@ def _join_orient(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     argv = _join_orient(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        payload, text = _COMMANDS[args.command](args)
+        body = json.dumps(payload(), indent=2, sort_keys=True) if args.json else text()
+        if args.out:
+            tmp = args.out.with_suffix(args.out.suffix + ".tmp")
+            tmp.write_text(body + "\n")
+            tmp.replace(args.out)
+        else:
+            print(body)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except ConventionError as exc:
         print(f"convention tripwire: {exc}", file=sys.stderr)
         return EXIT_CONVENTION
     except (KhfrontError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -77,15 +77,6 @@ class BigradedTable:
         nonzero = {key: g for key, g in self.groups.items() if g[0] or g[1]}
         object.__setattr__(self, "groups", nonzero)
 
-    def rank(self, i: int, j: int) -> int:
-        return self.groups.get((i, j), (0, ()))[0]
-
-    def torsion(self, i: int, j: int) -> tuple[int, ...]:
-        return self.groups.get((i, j), (0, ()))[1]
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.groups)
-
     def min_delta(self) -> int:
         """min of j - i over the support; the diagram-side bound datum."""
         if not self.groups:
@@ -498,10 +489,7 @@ def khovanov_homology(
     for x, row in enumerate(cx.out):
         for y, f in row.items():
             blocks.setdefault(deg[x], {})[(pos[y], pos[x])] = f[0]
-    factors = {
-        (i, jq): invariant_factors(mat, dims[(i + 1, jq)], dims[(i, jq)])
-        for (i, jq), mat in blocks.items()
-    }
+    factors = {ij: invariant_factors(mat) for ij, mat in blocks.items()}
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, jq), dim in dims.items():
         f_in = factors.get((i - 1, jq), ())

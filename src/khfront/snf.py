@@ -10,12 +10,10 @@ reduction finishes them.
 from __future__ import annotations
 
 
-def invariant_factors(
-    entries: dict[tuple[int, int], int], n_rows: int, n_cols: int
-) -> list[int]:
+def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, each positive,
-    each dividing the next."""
-    del n_rows, n_cols  # zero rows/cols never contribute factors
+    each dividing the next; zero rows and columns contribute none, so the
+    matrix's size is not needed."""
     live = {key: val for key, val in entries.items() if val}
     ri = {r: i for i, r in enumerate(sorted({r for r, _ in live}))}
     ci = {c: i for i, c in enumerate(sorted({c for _, c in live}))}

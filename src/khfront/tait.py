@@ -1,9 +1,11 @@
 """Checkerboard colorings, signed Tait graphs and planar duality.
 
 The Tait graph has one vertex per black face and one signed edge per
-crossing, ordered by the x-rank of its crossing.  Planarity is carried by
-a rotation system (cyclic order of edge-ends around each vertex), which is
-all that duality needs.
+crossing.  Edge i is the edge of crossing i: its index is its crossing id
+and, on a front-built diagram (whose crossing ids follow x), the x-rank of
+its crossing, the edge order of the spanning-tree model.  Planarity is
+carried by a rotation system (cyclic order of edge-ends around each
+vertex), which is all that duality needs.
 
 ``matched_to`` (same darts) and ``isomorphic_to`` (same edge ids, either
 orientation) are one linear matching: edges keep their identity, so each
@@ -85,13 +87,12 @@ def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
 @dataclass(frozen=True)
 class TaitEdge:
     """One signed edge; ``ends`` are the quadrants of its crossing carrying
-    the two edge-ends (equal endpoints give a loop)."""
+    the two edge-ends (equal endpoints give a loop).  The edge's crossing
+    and its order are its index in ``TaitGraph.edges``."""
 
     u: int
     v: int
     sign: int
-    order: int
-    crossing: int
     ends: tuple[str, str]
 
 
@@ -136,9 +137,6 @@ class TaitGraph:
     @cached_property
     def _dart_vertex(self) -> dict[tuple[int, str], int]:
         return {d: v for v, cyc in enumerate(self.rotation) for d in cyc}
-
-    def vertex_of_dart(self, dart: tuple[int, str]) -> int:
-        return self._dart_vertex[dart]
 
     def alpha(self, dart: tuple[int, str]) -> tuple[int, str]:
         e_idx, q = dart
@@ -204,14 +202,14 @@ class TaitGraph:
     def _match(self, other: "TaitGraph", item, mirror: bool) -> bool:
         """True when some vertex bijection keeps every edge's endpoints and
         takes each rotation, read as the ``item`` of each dart (or read
-        backwards too, when ``mirror``), to the same cyclic sequence; signs,
-        orders and crossing ids must agree edgewise.  Edges keep their
-        identity, so two vertices share a sequence only when they carry the
-        same edges (a 2-vertex component) or none.  Either image is then as
-        good as the other: each vertex takes a free one, without search."""
-        if self.n_vertices != other.n_vertices or [
-            (e.sign, e.order, e.crossing) for e in self.edges
-        ] != [(e.sign, e.order, e.crossing) for e in other.edges]:
+        backwards too, when ``mirror``), to the same cyclic sequence; signs
+        must agree edgewise.  Edges keep their identity, so two vertices
+        share a sequence only when they carry the same edges (a 2-vertex
+        component) or none.  Either image is then as good as the other:
+        each vertex takes a free one, without search."""
+        if self.n_vertices != other.n_vertices or [e.sign for e in self.edges] != [
+            e.sign for e in other.edges
+        ]:
             return False
         images: dict[tuple, list[int]] = {}
         for w, cyc in enumerate(other.rotation):
@@ -235,18 +233,17 @@ class TaitGraph:
     def matched_to(self, other: "TaitGraph") -> bool:
         """Structural equality under the dart-set correspondence: vertices
         match when they carry the same darts in the same cyclic order;
-        signs, orders, crossing ids and endpoints must agree edgewise."""
+        signs and endpoints must agree edgewise."""
         return self._match(other, lambda dart: dart, mirror=False)
 
     def isomorphic_to(self, other: "TaitGraph") -> bool:
         """Isomorphism respecting edge identity: a vertex bijection under
         which every edge keeps its endpoints and every rotation keeps its
         cyclic order of edge indices, in either global orientation.
-        Signs, orders and crossing ids must agree edgewise.  (Unlike
-        ``matched_to``, dart quadrants may differ: the dual of one
-        coloring's graph carries the other coloring's quadrants, and face
-        boundaries are traced against the vertex orientation, so the
-        mirror must be allowed.)"""
+        Signs must agree edgewise.  (Unlike ``matched_to``, dart quadrants
+        may differ: the dual of one coloring's graph carries the other
+        coloring's quadrants, and face boundaries are traced against the
+        vertex orientation, so the mirror must be allowed.)"""
         return self._match(other, lambda dart: dart[0], mirror=True)
 
     def to_json(self) -> str:
@@ -255,13 +252,7 @@ class TaitGraph:
                 "schema": 1,
                 "vertices": self.n_vertices,
                 "edges": [
-                    {
-                        "endpoints": [e.u, e.v],
-                        "sign": e.sign,
-                        "order": e.order,
-                        "crossing": e.crossing,
-                    }
-                    for e in self.edges
+                    {"endpoints": [e.u, e.v], "sign": e.sign} for e in self.edges
                 ],
                 "rotation": [
                     [[e_idx, q] for e_idx, q in cyc] for cyc in self.rotation
@@ -277,7 +268,7 @@ class TaitGraph:
 def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
     """Build the signed Tait graph of a colored diagram.
 
-    Each crossing contributes one edge between the black faces at its two
+    Crossing c contributes edge c, between the black faces at its two
     black quadrants; the edge is positive exactly when the black quadrants
     are the pair swept counterclockwise from the over-strand.
     """
@@ -301,8 +292,6 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
                 u=vid[quad_face[quads[0]]],
                 v=vid[quad_face[quads[1]]],
                 sign=sign,
-                order=c,
-                crossing=c,
                 ends=quads,
             )
         )
@@ -312,17 +301,16 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
             continue
         cyc = []
         for c, q in f.corners:
-            e_idx = c  # one edge per crossing, same index
-            if q not in edges[e_idx].ends:
+            if q not in edges[c].ends:
                 raise ConventionError(f"crossing {c}: black corner {q} is no edge end")
-            cyc.append((e_idx, q))
+            cyc.append((c, q))
         rotation[vid[f.index]] = cyc
     return TaitGraph(len(black_faces), edges, rotation)
 
 
 def dual_graph(g: TaitGraph) -> TaitGraph:
     """Geometric dual through the rotation system: same darts, vertices
-    become the faces, every sign flips, orders and crossing ids persist."""
+    become the faces, every sign flips, edge indices persist."""
     if not g.euler_ok():
         raise NonplanarRotation(
             "rotation system does not satisfy Euler's formula"
@@ -333,17 +321,13 @@ def dual_graph(g: TaitGraph) -> TaitGraph:
     orbits = g.face_orbits()
     orbits.sort(key=lambda orb: min(orb))
     dart_orbit = {d: i for i, orb in enumerate(orbits) for d in orb}
-    edges = []
-    for e_idx, e in enumerate(g.edges):
-        qa, qb = e.ends
-        edges.append(
-            TaitEdge(
-                u=dart_orbit[(e_idx, qa)],
-                v=dart_orbit[(e_idx, qb)],
-                sign=-e.sign,
-                order=e.order,
-                crossing=e.crossing,
-                ends=e.ends,
-            )
+    edges = [
+        TaitEdge(
+            u=dart_orbit[(e_idx, e.ends[0])],
+            v=dart_orbit[(e_idx, e.ends[1])],
+            sign=-e.sign,
+            ends=e.ends,
         )
+        for e_idx, e in enumerate(g.edges)
+    ]
     return TaitGraph(len(orbits), edges, [list(orb) for orb in orbits])

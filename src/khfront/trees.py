@@ -1,10 +1,11 @@
 """Spanning trees, Tutte activities, and the tree-model bigradings.
 
-An edge in the tree is internally active when its order is lowest in its
-cut set; an edge outside is externally active when its order is lowest in
-its cycle set.  ``labelled_trees`` finds every tree and its labels in one
-pass of Tutte's recursion on the highest-order edge: deleting and
-contracting edges from the highest order down, a loop of the current
+Edges are ordered by index, which is their crossing's x-rank on a front
+(see ``tait``).  An edge in the tree is internally active when its index
+is lowest in its cut set; an edge outside is externally active when its
+index is lowest in its cycle set.  ``labelled_trees`` finds every tree and
+its labels in one pass of Tutte's recursion on the highest edge: deleting
+and contracting edges from the highest index down, a loop of the current
 minor is externally active, a bridge is internally active and gets
 contracted, and any other edge branches into an inactive tree edge
 (contracted) and an inactive non-tree edge (deleted).  Signs follow
@@ -120,7 +121,7 @@ _CLASS = {1: "good", 2: "bad"}
 
 
 def _bridges(
-    parent: list[int], ends: list[tuple[int, int]], edge_ids: list[int]
+    parent: list[int], ends: list[tuple[int, int]], edge_ids: range
 ) -> set[int]:
     """Bridges of the minor whose vertices are the union-find classes of
     ``parent`` and whose edges are ``edge_ids`` (iterative Tarjan)."""
@@ -160,7 +161,7 @@ def _bridges(
 
 
 def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
-    """Tutte's activity recursion on the highest-order edge, depth first.
+    """Tutte's activity recursion on the highest edge, depth first.
 
     Each yielded string holds one spanning tree's label codes, indexed by
     edge id.  In the current minor a loop is externally active and a
@@ -171,7 +172,7 @@ def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
     """
     if not g.is_connected():
         raise Disconnected("graph is not connected")
-    order = sorted(range(len(g.edges)), key=lambda i: g.edges[i].order, reverse=True)
+    order = range(len(g.edges) - 1, -1, -1)
     ends = [(e.u, e.v) for e in g.edges]
     neg = [1 if e.sign < 0 else 0 for e in g.edges]
     codes = bytearray(len(g.edges))
@@ -201,13 +202,10 @@ def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
         yield bytes(codes)
 
 
-def _record(
-    g: TaitGraph, codes: bytes, cusp_count: Optional[int]
-) -> SpanningTreeRecord:
+def _record(codes: bytes, cusp_count: Optional[int]) -> SpanningTreeRecord:
     """The record of one tree from its label codes; with a front's cusp
     count, classed good (u = 1 - C) or bad (u = 2 - C)."""
     tree = frozenset(i for i, c in enumerate(codes) if c < _LOOP)
-    _validate_tree(g, tree)
     count = codes.count
     u = count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1)
     cls = "neither" if cusp_count is None else _CLASS.get(u + cusp_count, "neither")
@@ -227,13 +225,15 @@ def labelled_trees(
     good/bad class when a front is attached), each exactly once, in
     lexicographic order of the sorted edge-id lists.
 
-    One deletion-contraction pass on the highest-order edge labels every
-    tree as it is found; the records equal ``classify_activities`` on each
-    tree without its cut and cycle searches.
+    One deletion-contraction pass on the highest edge labels every tree
+    as it is found; the records equal ``classify_activities`` on each tree
+    without its cut and cycle searches.  Each tree is checked to span.
     """
     cusp_count = front.cusp_count if front is not None else None
     for codes in sorted(_labelling_pass(g), key=lambda c: c.translate(_MEMBERSHIP)):
-        yield _record(g, codes, cusp_count)
+        rec = _record(codes, cusp_count)
+        _validate_tree(g, rec.tree)
+        yield rec
 
 
 def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
@@ -305,13 +305,13 @@ def classify_activities(
     codes = bytearray(len(g.edges))
     for i, e in enumerate(g.edges):
         if i in tree:
-            active = min(cut_set(g, tree, i), key=lambda j: g.edges[j].order) == i
+            active = min(cut_set(g, tree, i)) == i
             code = _L if active else _D
         else:
-            active = min(cycle_set(g, tree, i), key=lambda j: g.edges[j].order) == i
+            active = min(cycle_set(g, tree, i)) == i
             code = _LOOP if active else _DEL
         codes[i] = code + (e.sign < 0)
-    return _record(g, bytes(codes), front.cusp_count if front is not None else None)
+    return _record(bytes(codes), front.cusp_count if front is not None else None)
 
 
 def dual_tree(
@@ -320,14 +320,13 @@ def dual_tree(
     """The complementary spanning tree of the dual graph.
 
     Returns (dual graph, dual tree, per-edge label pair (label, dual
-    label)); checks that the complementary set is a tree and raises
-    ConventionError unless every label swaps L<->lb, D<->db, l<->Lb, d<->Db.
+    label)); ``classify_activities`` checks that the tree and its
+    complement in the dual span, and ConventionError is raised unless every
+    label swaps L<->lb, D<->db, l<->Lb, d<->Db.
     """
-    _validate_tree(g, tree)
+    rec = classify_activities(g, tree)
     gd = dual_graph(g)
     dual = frozenset(range(len(g.edges))) - tree
-    _validate_tree(gd, dual)
-    rec = classify_activities(g, tree)
     rec_d = classify_activities(gd, dual)
     pairs = {}
     for i in range(len(g.edges)):
@@ -344,14 +343,13 @@ def dual_tree(
 def min_x_spanning_tree(
     g: TaitGraph, front: Optional[FrontDiagram] = None
 ) -> SpanningTreeRecord:
-    """Kruskal tree minimizing the sum of edge orders (x-ranks); orders are
-    distinct, so the minimizer is unique."""
+    """Kruskal tree minimizing the sum of edge indices (x-ranks); indices
+    are distinct, so the minimizer is unique."""
     if not g.is_connected():
         raise Disconnected("graph is not connected")
     parent = list(range(g.n_vertices))
     chosen = set()
-    for i in sorted(range(len(g.edges)), key=lambda i: g.edges[i].order):
-        e = g.edges[i]
+    for i, e in enumerate(g.edges):
         ru, rv = _find(parent, e.u), _find(parent, e.v)
         if ru != rv:
             parent[ru] = rv
@@ -398,7 +396,7 @@ def splice_unknot(
     resolution = {}
     for i, lab in rec.labels.items():
         if lab in INACTIVE_SPLICE:
-            resolution[g.edges[i].crossing] = INACTIVE_SPLICE[lab]
+            resolution[i] = INACTIVE_SPLICE[lab]
     u_t = d.smooth(resolution)
     if u_t.component_count() != 1:
         raise NotUnknot(
@@ -417,19 +415,18 @@ def splice_front(
     Returns (F_T, tb(F_T), C(F_T)).
     """
     splice_of_crossing = {
-        g.edges[i].crossing: INACTIVE_SPLICE[lab]
+        i: INACTIVE_SPLICE[lab]
         for i, lab in rec.labels.items()
         if lab in INACTIVE_SPLICE
     }
     events = []
-    k = 0
+    c = 0
     for kind, pos in front.events:
         if kind != "X":
             events.append((kind, pos))
             continue
-        c = k
-        k += 1
         kind_here = splice_of_crossing.get(c)
+        c += 1
         if kind_here is None:
             events.append(("X", pos))
         elif kind_here == "B":

@@ -189,4 +189,4 @@ def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int
             progress = True
 
     core = {(r, c): val for r, rowd in rows.items() for c, val in rowd.items()}
-    return [1] * unit_pivots + dense_invariant_factors(core, len(rows), len(cols))
+    return [1] * unit_pivots + dense_invariant_factors(core)

@@ -6,11 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from khfront.cli import EXIT_CONVENTION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from khfront.cli import (
+    EXIT_CONVENTION,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    _parser,
+    main,
+)
 
 from conftest import run_optimized, run_python
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
+HOPF = "L1 L2 X1 X1 R2 R1"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -95,10 +103,9 @@ class TestOracleCommands:
 
     @pytest.mark.parametrize("command", ["homology", "jones"])
     def test_orient_value_may_start_with_a_dash(self, capsys, command):
-        hopf = "L1 L2 X1 X1 R2 R1"
-        code, spaced, err = run(capsys, command, hopf, "--orient", "-,+", "--json")
+        code, spaced, err = run(capsys, command, HOPF, "--orient", "-,+", "--json")
         assert code == EXIT_OK, err
-        code, joined, err = run(capsys, command, hopf, "--orient=-,+", "--json")
+        code, joined, err = run(capsys, command, HOPF, "--orient=-,+", "--json")
         assert code == EXIT_OK, err
         assert spaced == joined
 
@@ -157,6 +164,12 @@ class TestCorpus:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["violations"] == 0
 
+    def test_empty_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"no .front files in {tmp_path}" in err
+
     def test_out_file_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -188,6 +201,46 @@ class TestExitCodes:
 
     def test_convention_exit_code_value(self):
         assert EXIT_CONVENTION == 2
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["analyze", "W"], {"front": "W", "oracle": False, "max_crossings": 14}),
+            (["certify", "W"], {"front": "W", "oracle": False, "max_crossings": 14}),
+            (["trees", "W"], {"front": "W", "coloring": "canonical"}),
+            (["homology", "W"], {"front": "W", "orient": None, "max_crossings": 14}),
+            (["jones", "W"], {"front": "W", "orient": None, "max_crossings": 14}),
+            (
+                ["corpus"],
+                {"directory": None, "oracle": False, "max_crossings": 14, "jobs": 4},
+            ),
+        ],
+    )
+    def test_option_names_and_defaults(self, argv, options):
+        args = _parser().parse_args(argv)
+        assert vars(args) == {
+            "command": argv[0], "json": False, "out": None, **options
+        }
+
+    def test_one_run_leaves_nothing_for_the_next(self, capsys):
+        # the parser is built once per process; a run's options, or a
+        # usage error, must not carry over to a later run
+        code, out, _ = run(capsys, "analyze", TREFOIL, "--oracle", "--json")
+        assert code == EXIT_OK and json.loads(out)["min_delta"] == 1
+        assert run(capsys, "bogus")[0] == EXIT_USAGE
+        code, out, _ = run(capsys, "analyze", TREFOIL, "--json")
+        assert code == EXIT_OK and json.loads(out)["min_delta"] is None
+
+    def test_orientation_does_not_carry_over(self, capsys):
+        code, flipped, _ = run(capsys, "homology", HOPF, "--orient", "-,+")
+        assert code == EXIT_OK
+        code, plain, _ = run(capsys, "homology", HOPF)
+        assert code == EXIT_OK
+        fresh = run_python("-m", "khfront.cli", "homology", HOPF)
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        assert plain == fresh.stdout != flipped
 
 
 class TestDemos:

@@ -183,7 +183,7 @@ class TestReference:
         ],
     )
     def test_invariant_factors(self, entries, factors):
-        assert invariant_factors(entries, 2, 2) == factors
+        assert invariant_factors(entries) == factors
         assert reference_invariant_factors(entries) == factors
 
 

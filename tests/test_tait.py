@@ -33,9 +33,9 @@ def brute_force_match(g, h, item, mirror):
     """Reference for ``matched_to`` (``item`` is the dart, no mirror) and
     ``isomorphic_to`` (``item`` is the edge id, mirror allowed): try every
     vertex bijection, in both orientations when ``mirror``."""
-    if g.n_vertices != h.n_vertices or [
-        (e.sign, e.order, e.crossing) for e in g.edges
-    ] != [(e.sign, e.order, e.crossing) for e in h.edges]:
+    if g.n_vertices != h.n_vertices or [e.sign for e in g.edges] != [
+        e.sign for e in h.edges
+    ]:
         return False
 
     def same_cyclic(a, b):
@@ -141,9 +141,18 @@ class TestTaitGraph:
         assert [e.sign for e in g.edges] == [-1, -1, -1]
 
     def test_edge_order_is_crossing_order(self):
-        _, g, _ = graphs_of(TREFOIL)
-        assert [e.order for e in g.edges] == [0, 1, 2]
-        assert [e.crossing for e in g.edges] == [0, 1, 2]
+        # edge i joins the black faces at crossing i's two ``ends`` corners
+        d = parse_front(TREFOIL).desingularize()
+        for coloring in checkerboard(d):
+            g = tait_graph(d, coloring)
+            vertex = {f: v for v, f in enumerate(sorted(coloring.black))}
+            assert len(g.edges) == d.n
+            for i, e in enumerate(g.edges):
+                qa, qb = e.ends
+                assert (e.u, e.v) == (
+                    vertex[d.face_of_corner[(i, qa)]],
+                    vertex[d.face_of_corner[(i, qb)]],
+                )
 
     def test_sign_counts_swap_under_reversal(self):
         _, g, gr = graphs_of(TREFOIL)
@@ -198,10 +207,10 @@ class TestDuality:
     def test_dual_flips_signs_keeps_order(self):
         _, g, _ = graphs_of(TREFOIL)
         gd = dual_graph(g)
+        assert len(gd.edges) == len(g.edges)
         for e, ed in zip(g.edges, gd.edges):
             assert ed.sign == -e.sign
-            assert ed.order == e.order
-            assert ed.crossing == e.crossing
+            assert ed.ends == e.ends
 
     def test_dual_of_canonical_matches_reversed_coloring(self):
         _, g, gr = graphs_of(TREFOIL)
@@ -301,8 +310,8 @@ class TestTripwires:
         code = (
             "from khfront import ConventionError, TaitGraph\n"
             "from khfront.tait import TaitEdge\n"
-            "loop = TaitEdge(0, 0, 1, 0, 0, ('N', 'S'))\n"
-            "edge = TaitEdge(0, 1, 1, 0, 0, ('N', 'S'))\n"
+            "loop = TaitEdge(0, 0, 1, ('N', 'S'))\n"
+            "edge = TaitEdge(0, 1, 1, ('N', 'S'))\n"
             "checks = (\n"
             "    lambda: TaitGraph(1, [loop], [[(0, 'N')]]),\n"
             "    lambda: TaitGraph(2, [edge], [[(0, 'S')], [(0, 'N')]]),\n"
