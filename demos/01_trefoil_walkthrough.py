@@ -42,7 +42,7 @@ for tree in spanning_trees(graph):
     rec = classify_activities(graph, tree, front)
     pair = to_khovanov_bigrading(rec, diagram.n, diagram.writhe())
     labels = "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
-    spliced, tb_t, c_t = splice_front(front, rec, graph)
+    spliced, tb_t, c_t = splice_front(front, rec)
     print(f"  edges {sorted(tree)}  labels {labels}  u={rec.u:>2} v={rec.v}"
           f"  class={rec.class_:<7}  generators {pair.ij}")
     print(f"    spliced unknot front: {spliced.word()}  (tb={tb_t}, C={c_t})")

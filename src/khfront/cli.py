@@ -295,12 +295,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = _join_orient(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
+        if args.out and (not args.out.name or args.out.is_dir()):
+            raise KhfrontError(f"--out {args.out} names no file")
         payload, text = _COMMANDS[args.command](args)
         body = json.dumps(payload(), indent=2, sort_keys=True) if args.json else text()
         if args.out:
             tmp = args.out.with_suffix(args.out.suffix + ".tmp")
-            tmp.write_text(body + "\n")
-            tmp.replace(args.out)
+            try:
+                tmp.write_text(body + "\n")
+                tmp.replace(args.out)
+            finally:
+                tmp.unlink(missing_ok=True)
         else:
             print(body)
     except SystemExit as exc:
@@ -308,7 +313,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConventionError as exc:
         print(f"convention tripwire: {exc}", file=sys.stderr)
         return EXIT_CONVENTION
-    except (KhfrontError, FileNotFoundError) as exc:
+    except (KhfrontError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

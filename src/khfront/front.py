@@ -20,12 +20,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import LinkDiagram, PortEnd
-from .errors import (
-    ConventionError,
-    MalformedToken,
-    NonzeroEndState,
-    StrandUnderflow,
-)
+from .errors import MalformedToken, NonzeroEndState, StrandUnderflow
 
 Event = tuple[str, int]  # ("L" | "R" | "X", 1-based position)
 
@@ -36,14 +31,14 @@ _TOKEN = re.compile(r"([LRX])([0-9]+)\Z")
 class FrontDiagram:
     """A validated front word.
 
-    Construction checks strand-count legality and connectivity; use
+    Construction runs the sweep, which checks every event's strand-count
+    legality as it applies it, and then checks connectivity; use
     ``parse_front`` for text input.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self):
-        _simulate(self.events)
         self.desingularize().require_connected()
 
     @cached_property
@@ -73,32 +68,6 @@ class FrontDiagram:
 
     def __repr__(self) -> str:
         return f"FrontDiagram({self.word()!r})"
-
-
-def _simulate(events: Sequence[Event]) -> None:
-    """Replay the word, checking strand-count legality of every event."""
-    k = 0
-    for i, (kind, pos) in enumerate(events):
-        if pos < 1:
-            raise MalformedToken(f"event {i}: position must be >= 1")
-        if kind == "L":
-            if pos > k + 1:
-                raise StrandUnderflow(
-                    f"event {i}: left cusp at position {pos} with {k} strands"
-                )
-            k += 2
-        elif kind in ("R", "X"):
-            if pos + 1 > k:
-                raise StrandUnderflow(
-                    f"event {i}: {kind}{pos} needs strands {pos},{pos + 1} "
-                    f"but only {k} exist"
-                )
-            if kind == "R":
-                k -= 2
-        else:
-            raise MalformedToken(f"event {i}: unknown kind {kind!r}")
-    if k != 0:
-        raise NonzeroEndState(f"{k} strands remain after the last event")
 
 
 def parse_front(text: str) -> FrontDiagram:
@@ -136,6 +105,11 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
     corner: the gap below the k-th strand is white exactly when k is even,
     so the first crossing ``X p`` has its N corner white when p is odd and
     its W corner white when p is even.
+
+    The sweep validates the word as it applies it: each event is checked
+    before it is applied (MalformedToken for a position below 1 or an
+    unknown kind, StrandUnderflow for too few strands), and strands left
+    open at the end raise NonzeroEndState.
     """
     strands: list[_Strand] = []
     arcs: list[tuple[PortEnd, PortEnd]] = []
@@ -152,12 +126,27 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
         else:
             arcs.append((f, end))
 
-    for kind, pos in front.events:
+    for i, (kind, pos) in enumerate(front.events):
+        if pos < 1:
+            raise MalformedToken(f"event {i}: position must be >= 1")
         if kind == "L":
+            if pos > len(strands) + 1:
+                raise StrandUnderflow(
+                    f"event {i}: left cusp at position {pos} "
+                    f"with {len(strands)} strands"
+                )
             a, b = _Strand(), _Strand()
             a.far, b.far = b, a
             strands[pos - 1 : pos - 1] = [a, b]
-        elif kind == "R":
+            continue
+        if kind not in ("R", "X"):
+            raise MalformedToken(f"event {i}: unknown kind {kind!r}")
+        if pos + 1 > len(strands):
+            raise StrandUnderflow(
+                f"event {i}: {kind}{pos} needs strands {pos},{pos + 1} "
+                f"but only {len(strands)} exist"
+            )
+        if kind == "R":
             s, t = strands[pos - 1], strands[pos]
             fs, ft = s.far, t.far
             if isinstance(fs, _Strand) and isinstance(ft, _Strand):
@@ -185,7 +174,7 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             strands[pos - 1], strands[pos] = ne, se
 
     if strands:
-        raise ConventionError(f"{len(strands)} strands open after the sweep")
+        raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
     return LinkDiagram(
         n=n,
         arcs=arcs,

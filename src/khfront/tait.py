@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import Face, LinkDiagram
+from .diagram import Face, LinkDiagram, _find
 from .errors import ConventionError, NonplanarRotation
 
 #: quadrant pair merged by the A-smoothing (the NW-SE strand is over)
@@ -159,21 +159,16 @@ class TaitGraph:
         return sum(1 for e in self.edges if e.sign < 0)
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
+        """True when uniting the edge ends takes V - 1 successful unions
+        (never for a graph with no vertex)."""
+        parent = list(range(self.n_vertices))
+        unions = 0
         for e in self.edges:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+            a, b = _find(parent, e.u), _find(parent, e.v)
+            if a != b:
+                parent[a] = b
+                unions += 1
+        return unions == self.n_vertices - 1
 
     def face_orbits(self) -> list[list[tuple[int, str]]]:
         """Orbits of sigma∘alpha; the faces of the embedded graph."""

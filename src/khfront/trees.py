@@ -10,7 +10,8 @@ minor is externally active, a bridge is internally active and gets
 contracted, and any other edge branches into an inactive tree edge
 (contracted) and an inactive non-tree edge (deleted).  Signs follow
 Kauffman's labels for signed graphs.  ``classify_activities`` labels one
-given tree from its cut and cycle sets.  Labels combine activity and sign:
+given tree straight from the definition, with one union-find per edge.
+Labels combine activity and sign:
 
     tree:      L (active +)   Lb (active -)   D (inactive +)   Db (inactive -)
     non-tree:  l (active +)   lb (active -)   d (inactive +)   db (inactive -)
@@ -85,28 +86,6 @@ class GeneratorPair:
     u: int
     v: int
     ij: tuple[tuple[int, int], tuple[int, int]]
-
-
-def _adjacency(g: TaitGraph, edge_ids: set[int]) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
-    for e_idx in edge_ids:
-        e = g.edges[e_idx]
-        adj[e.u].append((e.v, e_idx))
-        adj[e.v].append((e.u, e_idx))
-    return adj
-
-
-def _component_of(g: TaitGraph, edge_ids: set[int], start: int) -> set[int]:
-    adj = _adjacency(g, edge_ids)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _ in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 #: labels by code in the byte strings that ``_record`` reads: tree labels
@@ -227,7 +206,7 @@ def labelled_trees(
 
     One deletion-contraction pass on the highest edge labels every tree
     as it is found; the records equal ``classify_activities`` on each tree
-    without its cut and cycle searches.  Each tree is checked to span.
+    without its per-edge union-finds.  Each tree is checked to span.
     """
     cusp_count = front.cusp_count if front is not None else None
     for codes in sorted(_labelling_pass(g), key=lambda c: c.translate(_MEMBERSHIP)):
@@ -242,42 +221,6 @@ def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
     """
     for rec in labelled_trees(g):
         yield rec.tree
-
-
-def cut_set(g: TaitGraph, tree: frozenset[int], e_idx: int) -> frozenset[int]:
-    """Edges of g reconnecting the two components of T minus e."""
-    e = g.edges[e_idx]
-    side = _component_of(g, set(tree) - {e_idx}, e.u)
-    out = set()
-    for i, f in enumerate(g.edges):
-        if (f.u in side) != (f.v in side):
-            out.add(i)
-    return frozenset(out)
-
-
-def cycle_set(g: TaitGraph, tree: frozenset[int], f_idx: int) -> frozenset[int]:
-    """Edges of the unique simple cycle in T plus f."""
-    f = g.edges[f_idx]
-    if f.u == f.v:
-        return frozenset({f_idx})
-    adj = _adjacency(g, set(tree))
-    # unique path from f.u to f.v in the tree
-    prev: dict[int, tuple[int, int]] = {f.u: (-1, -1)}
-    stack = [f.u]
-    while stack:
-        x = stack.pop()
-        if x == f.v:
-            break
-        for y, ei in adj[x]:
-            if y not in prev:
-                prev[y] = (x, ei)
-                stack.append(y)
-    path = set()
-    x = f.v
-    while x != f.u:
-        x, ei = prev[x]
-        path.add(ei)
-    return frozenset(path | {f_idx})
 
 
 def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
@@ -295,21 +238,31 @@ def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
 def classify_activities(
     g: TaitGraph, tree: frozenset[int], front: Optional[FrontDiagram] = None
 ) -> SpanningTreeRecord:
-    """Label every edge with its activity from its cut or cycle set, and
+    """Label every edge with its activity read off the definition, and
     compute u(T) and v(T): the reference for the labelling pass.
 
-    When a front is attached, the record is classed good (u = 1 - C) or
-    bad (u = 2 - C) relative to the front's cusp number.
+    Each edge gets a fresh union-find forest.  A tree edge is lowest in
+    its cut exactly when T minus it, together with every lower edge,
+    leaves its ends apart.  A non-tree edge is lowest in its cycle exactly
+    when the higher tree edges join its ends (a loop's ends are joined at
+    once).  When a front is attached, the record is classed good
+    (u = 1 - C) or bad (u = 2 - C) relative to the front's cusp number.
     """
     _validate_tree(g, tree)
     codes = bytearray(len(g.edges))
     for i, e in enumerate(g.edges):
         if i in tree:
-            active = min(cut_set(g, tree, i)) == i
-            code = _L if active else _D
+            joining = [f for f in tree if f != i] + list(range(i))
         else:
-            active = min(cycle_set(g, tree, i)) == i
-            code = _LOOP if active else _DEL
+            joining = [f for f in tree if f > i]
+        parent = list(range(g.n_vertices))
+        for f in joining:
+            parent[_find(parent, g.edges[f].u)] = _find(parent, g.edges[f].v)
+        joined = _find(parent, e.u) == _find(parent, e.v)
+        if i in tree:
+            code = _D if joined else _L
+        else:
+            code = _LOOP if joined else _DEL
         codes[i] = code + (e.sign < 0)
     return _record(bytes(codes), front.cusp_count if front is not None else None)
 
@@ -387,9 +340,7 @@ def tree_euler_characteristic(g: TaitGraph, n: int, w: int) -> LaurentPoly:
     return total
 
 
-def splice_unknot(
-    d: LinkDiagram, g: TaitGraph, rec: SpanningTreeRecord
-) -> tuple[LinkDiagram, int]:
+def splice_unknot(d: LinkDiagram, rec: SpanningTreeRecord) -> tuple[LinkDiagram, int]:
     """Splice every inactive crossing (D, db -> A; d, Db -> B), keeping the
     active ones.  The result must be a one-component twisted unknot; its
     writhe is returned (and equals -u by the activity count)."""
@@ -407,7 +358,7 @@ def splice_unknot(
 
 
 def splice_front(
-    front: FrontDiagram, rec: SpanningTreeRecord, g: TaitGraph
+    front: FrontDiagram, rec: SpanningTreeRecord
 ) -> tuple[FrontDiagram, int, int]:
     """Event-word surgery: Legendrian A-splices drop the crossing event,
     B-splices replace it by a right cusp followed by a left cusp.

@@ -67,7 +67,7 @@ def test_2_tree_grading_lower_bound_and_splice():
         for t in spanning_trees(g):
             rec = classify_activities(g, t, front)
             assert rec.u >= 1 - c, entry.name
-            _, tb_t, _ = splice_front(front, rec, g)
+            _, tb_t, _ = splice_front(front, rec)
             assert tb_t <= -1 - (rec.count("d") + rec.count("Db")), entry.name
     _report("2 tree grading bound u >= 1-C and splice inequality")
 

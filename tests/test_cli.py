@@ -203,6 +203,44 @@ class TestExitCodes:
         assert EXIT_CONVENTION == 2
 
 
+class TestFileErrors:
+    """A file that cannot be read or written ends in one ``error:`` line
+    and exit 65, with nothing on stdout and no temporary file left."""
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_front_file_is_a_directory(self, capsys, tmp_path):
+        self.refused(capsys, "analyze", f"@{tmp_path}")
+
+    def test_front_file_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.front"
+        path.write_bytes(b"L1 \xff R1\n")
+        self.refused(capsys, "analyze", f"@{path}")
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        self.refused(capsys, "analyze", TREFOIL, "--out", str(tmp_path))
+        assert not tmp_path.with_suffix(".tmp").exists()
+
+    def test_out_has_no_file_name(self, capsys):
+        self.refused(capsys, "analyze", TREFOIL, "--out", "/")
+
+    def test_failed_write_removes_its_tmp_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(self, target):
+            raise PermissionError(f"cannot replace {target}")
+
+        monkeypatch.setattr(Path, "replace", refuse)
+        target = tmp_path / "report.txt"
+        self.refused(capsys, "certify", TREFOIL, "--out", str(target))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corpus_entry_is_a_directory(self, capsys, tmp_path):
+        (tmp_path / "x.front").mkdir()
+        self.refused(capsys, "corpus", str(tmp_path))
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "argv, options",

@@ -283,22 +283,25 @@ class TestMatchingReference:
 
 class TestTripwires:
     def test_sweep_and_quadrant_checks_survive_optimize(self):
-        # a sweep that leaves strands open, and a coloring with no black
-        # face, must raise ConventionError under python -O as well
+        # a sweep that leaves strands open must raise NonzeroEndState (bad
+        # input), and a coloring with no black face ConventionError, under
+        # python -O as well
         code = (
             "from types import SimpleNamespace\n"
-            "from khfront import ConventionError, parse_front\n"
+            "from khfront import ConventionError, NonzeroEndState, parse_front\n"
             "from khfront.front import desingularize\n"
             "from khfront.tait import Coloring, tait_graph\n"
             "d = parse_front('L1 L2 X1 X1 X1 R2 R1').desingularize()\n"
             "checks = (\n"
-            "    lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
-            "    lambda: tait_graph(d, Coloring(d, frozenset(), True)),\n"
+            "    (lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
+            "     NonzeroEndState),\n"
+            "    (lambda: tait_graph(d, Coloring(d, frozenset(), True)),\n"
+            "     ConventionError),\n"
             ")\n"
-            "for check in checks:\n"
+            "for check, expected in checks:\n"
             "    try:\n"
             "        check()\n"
-            "    except ConventionError:\n"
+            "    except expected:\n"
             "        continue\n"
             "    raise SystemExit(1)\n"
         )

@@ -23,7 +23,7 @@ from khfront import (
     tree_euler_characteristic,
 )
 import khfront.trees
-from khfront.trees import DUAL_LABEL
+from khfront.trees import DUAL_LABEL, _validate_tree
 
 from conftest import front_words
 
@@ -115,7 +115,7 @@ class TestActivities:
     @settings(max_examples=100, deadline=None)
     @given(front_words(max_crossings=8))
     def test_pass_matches_classify_activities(self, front):
-        # the labelling pass against per-tree cut/cycle classification,
+        # the labelling pass against the per-edge union-find reference,
         # on both colorings
         d = front.desingularize()
         for coloring in checkerboard(d):
@@ -126,6 +126,37 @@ class TestActivities:
             assert len(set(map(tuple, keys))) == len(recs) == matrix_tree_count(g)
             for rec in recs:
                 assert rec == classify_activities(g, rec.tree, front)
+
+    @settings(max_examples=60, deadline=None)
+    @given(front_words(max_crossings=6))
+    def test_classify_activities_matches_basis_exchange(self, front):
+        # a third characterization, on both colorings: f is in the cut of
+        # tree edge e, and e in the cycle of f outside T, exactly when
+        # T - e + f is a spanning tree; an edge is active when it is the
+        # lowest of its set
+        d = front.desingularize()
+        for coloring in checkerboard(d):
+            g = tait_graph(d, coloring)
+            edges = range(len(g.edges))
+            for tree in spanning_trees(g):
+
+                def exchanges(e, f):
+                    try:
+                        _validate_tree(g, tree - {e} | {f})
+                    except NotASpanningTree:
+                        return False
+                    return True
+
+                expected = {}
+                for i in edges:
+                    if i in tree:
+                        active = min(f for f in edges if exchanges(i, f)) == i
+                        label = "L" if active else "D"
+                    else:
+                        active = all(e > i for e in tree if exchanges(e, i))
+                        label = "l" if active else "d"
+                    expected[i] = label + ("b" if g.edges[i].sign < 0 else "")
+                assert classify_activities(g, tree).labels == expected
 
     def test_good_bad_mutually_exclusive(self):
         front, _, g = setup(TREFOIL)
@@ -210,7 +241,7 @@ class TestSplicing:
         g = tait_graph(d, canonical)
         for t in spanning_trees(g):
             rec = classify_activities(g, t, front)
-            u_t, w_u = splice_unknot(d, g, rec)
+            u_t, w_u = splice_unknot(d, rec)
             assert u_t.component_count() == 1
             assert w_u == -rec.u
 
@@ -222,7 +253,7 @@ class TestSplicing:
         g = tait_graph(d, canonical)
         for t in spanning_trees(g):
             rec = classify_activities(g, t, front)
-            f_t, tb_t, c_t = splice_front(front, rec, g)
+            f_t, tb_t, c_t = splice_front(front, rec)
             assert c_t == front.cusp_count + rec.count("d") + rec.count("Db")
             assert tb_t == -rec.u - c_t
 
