@@ -20,14 +20,13 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from functools import cache
 from pathlib import Path
 from typing import Callable, Optional
 
 from .bounds import sharpness_report
-from .corpus import read_front_file, recorded_tb, write_corpus_dir
-from .errors import ConventionError, KhfrontError
+from .corpus import BUNDLED, read_corpus_file, read_front_file
+from .errors import ConventionError, KhfrontError, MalformedToken
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
 from .tait import checkerboard, tait_graph
@@ -210,37 +209,42 @@ def _cmd_jones(args) -> _Output:
     )
     payload = {
         "schema": 1,
-        "variable": poly.var,
+        "variable": "q",
         "terms": [[e, c] for e, c in poly.items()],
     }
     return lambda: payload, lambda: repr(poly)
 
 
 def _cmd_corpus(args) -> _Output:
-    """Every .front file of the directory, or of the bundled corpus
-    written to a temporary directory that is removed before returning."""
+    """Every .front file of the directory, in file-name order, or every
+    bundled entry in the order of its file name ``{name}.front``."""
 
-    def run_one(path: Path):
-        front = read_front_file(path)
-        r = sharpness_report(
+    def report(front: FrontDiagram):
+        return sharpness_report(
             front, with_oracle=args.oracle, max_crossings=args.max_crossings
         )
-        return path.stem, r, recorded_tb(path)
 
-    with ExitStack() as stack:
-        directory = args.directory
-        if directory is None:
-            import tempfile
+    def run_entry(e):
+        return e.name, report(e.front()), e.tb
 
-            tmp = tempfile.TemporaryDirectory(prefix="khfront-corpus-")
-            directory = Path(stack.enter_context(tmp))
-            write_corpus_dir(directory)
-        files = sorted(directory.glob("*.front"))
-        if not files:
-            print(f"error: no .front files in {directory}", file=sys.stderr)
+    def run_file(path: Path):
+        front, header = read_corpus_file(path)
+        r = report(front)
+        try:
+            tb = None if header is None else int(header.partition("=")[2])
+        except ValueError:
+            raise MalformedToken(f"{path}: bad header {header!r}") from None
+        return path.stem, r, tb
+
+    if args.directory is None:
+        run_one, items = run_entry, sorted(BUNDLED, key=lambda e: f"{e.name}.front")
+    else:
+        run_one, items = run_file, sorted(args.directory.glob("*.front"))
+        if not items:
+            print(f"error: no .front files in {args.directory}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            results = list(pool.map(run_one, files))
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = list(pool.map(run_one, items))
 
     violations = sum(tb is not None and r.tb != tb for _, r, tb in results)
     payload = {
@@ -313,7 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConventionError as exc:
         print(f"convention tripwire: {exc}", file=sys.stderr)
         return EXIT_CONVENTION
-    except (KhfrontError, OSError, UnicodeDecodeError) as exc:
+    except (KhfrontError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import MalformedToken
+from .errors import KhfrontError
 from .front import FrontDiagram, parse_front
 
 _TB_HEADER = "# tb="
@@ -149,23 +149,25 @@ def write_corpus_dir(path: Path) -> list[Path]:
     return out
 
 
-def recorded_tb(path: Path) -> Optional[int]:
-    """The tb of a .front file's ``# tb=N`` header line, or None."""
-    for line in path.read_text().splitlines():
-        if line.startswith(_TB_HEADER):
-            try:
-                return int(line[len(_TB_HEADER):])
-            except ValueError:
-                raise MalformedToken(f"{path}: bad header {line!r}") from None
-    return None
+def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
+    """Read a .front file once: its front, whose event word is the
+    non-empty lines that are not comments (a comment starts with '#')
+    joined, and its first ``# tb=N`` header line, or None."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise KhfrontError(f"{path}: {exc}") from None
+    words = []
+    header = None
+    for line in text.splitlines():
+        if header is None and line.startswith(_TB_HEADER):
+            header = line
+        word = line.strip()
+        if word and not word.startswith("#"):
+            words.append(word)
+    return parse_front(" ".join(words)), header
 
 
 def read_front_file(path: Path) -> FrontDiagram:
-    """Read a .front file: comment lines start with '#', the remaining
-    non-empty lines are joined into one event word."""
-    words = [
-        line.strip()
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    return parse_front(" ".join(words))
+    """The front of a .front file; its ``# tb=`` header goes unchecked."""
+    return read_corpus_file(path)[0]

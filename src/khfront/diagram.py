@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConventionError, Disconnected
+from .errors import ConventionError
 
 PortEnd = tuple[int, int]  # (crossing id, port)
 
@@ -146,17 +146,12 @@ class LinkDiagram:
             return self.component_count() == 1
         if self.free_loops:
             return False
-        comps = self.components
-        owner: dict[tuple[int, int], int] = {}
-        for ci, steps in enumerate(comps):
-            for c, p in steps:
-                owner[(c, p % 2)] = ci
-        parent = list(range(len(comps)))
-        for c in range(self.n):
-            a, b = _find(parent, owner[(c, 0)]), _find(parent, owner[(c, 1)])
-            if a != b:
-                parent[a] = b
-        return len({_find(parent, i) for i in range(len(comps))}) == 1
+        parent = list(range(self.n))
+        for (a, _), (b, _) in self.arcs:
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
+        return len({_find(parent, c) for c in range(self.n)}) == 1
 
     # -- orientation and writhe -------------------------------------------
 
@@ -342,10 +337,6 @@ class LinkDiagram:
         return out_code
 
     # -- misc --------------------------------------------------------------
-
-    def require_connected(self) -> None:
-        if not self.is_connected():
-            raise Disconnected("diagram is not connected as a plane subset")
 
     def __repr__(self) -> str:
         return (

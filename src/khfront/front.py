@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import LinkDiagram, PortEnd
-from .errors import MalformedToken, NonzeroEndState, StrandUnderflow
+from .errors import Disconnected, MalformedToken, NonzeroEndState, StrandUnderflow
 
 Event = tuple[str, int]  # ("L" | "R" | "X", 1-based position)
 
@@ -39,7 +39,8 @@ class FrontDiagram:
     events: tuple[Event, ...]
 
     def __post_init__(self):
-        self.desingularize().require_connected()
+        if not self.desingularize().is_connected():
+            raise Disconnected("diagram is not connected as a plane subset")
 
     @cached_property
     def _diagram(self) -> LinkDiagram:

@@ -1,6 +1,6 @@
-"""Integer Laurent polynomials in one variable.
+"""Integer Laurent polynomials in q.
 
-Only the arithmetic needed by the bracket state sum and the graded Euler
+Only the arithmetic needed by the Jones state sum and the graded Euler
 characteristics lives here; coefficients are Python ints, so everything is
 exact at any size.
 """
@@ -11,24 +11,23 @@ from typing import Iterable, Mapping
 
 
 class LaurentPoly:
-    """A Laurent polynomial with integer coefficients.
+    """A Laurent polynomial in q with integer coefficients.
 
     Stored as exponent -> coefficient; zero coefficients are never kept.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None, var: str = "q"):
-        self.var = var
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls, var: str = "q") -> "LaurentPoly":
-        return cls({}, var)
+    def zero(cls) -> "LaurentPoly":
+        return cls({})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1, var: str = "q") -> "LaurentPoly":
-        return cls({exponent: coeff}, var)
+    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
+        return cls({exponent: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -45,33 +44,33 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out, self.var)
+        return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) - c
-        return LaurentPoly(out, self.var)
+        return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()}, self.var)
+        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()}, self.var)
+            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out, self.var)
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        out = LaurentPoly({0: 1}, self.var)
+        out = LaurentPoly({0: 1})
         base = self
         while k:
             if k & 1:
@@ -91,7 +90,7 @@ class LaurentPoly:
             if e == 0:
                 term = str(c)
             else:
-                mono = self.var if e == 1 else f"{self.var}^{e}"
+                mono = "q" if e == 1 else f"q^{e}"
                 if c == 1:
                     term = mono
                 elif c == -1:

@@ -1,6 +1,6 @@
 """Independent verification back-ends: integer Khovanov homology by
-Bar-Natan's scanning algorithm, and the Jones polynomial from the
-Kauffman bracket.
+Bar-Natan's scanning algorithm, and the Jones polynomial as a state sum
+in q.
 
 Both work directly on a LinkDiagram and share nothing with the spanning
 tree model beyond the diagram itself, so agreement between the two sides
@@ -30,6 +30,12 @@ for the tangle of the crossings added so far:
 
 After the last crossing the boundary is empty and every morphism is an
 integer; each residual (i, j) block goes through Smith normal form.
+
+The Jones polynomial is summed over the 2^n states in Khovanov's
+normalisation (D. Bar-Natan, "On Khovanov's categorification of the Jones
+polynomial", AGT 2 (2002), arXiv:math/0201043): a state with r
+1-smoothings and k loops weighs (-q)^r (q + 1/q)^k, and the sum is
+multiplied by (-1)^{n-} q^{n+ - 2 n-}, so the unknot maps to q + 1/q.
 
 Conventions: the unknot has homology Z at (0, -1) and (0, 1) (unreduced,
 graded Euler characteristic (q + 1/q) times the Jones polynomial); the
@@ -476,19 +482,16 @@ def khovanov_homology(
         cx.check_d_squared_zero()
         cx.eliminate()
 
-    # the boundary is empty, so every entry is an integer; number the
-    # generators within each bidegree and reduce each block
-    # d: (i, j) -> (i + 1, j)
+    # the boundary is empty, so every entry is an integer; reduce each
+    # block d: (i, j) -> (i + 1, j), its entries keyed by object
     deg = [(h - n_minus, q + n_plus - 2 * n_minus) for _, h, q in cx.objs]
     dims: dict[tuple[int, int], int] = {}
-    pos: list[int] = []
     for ij in deg:
-        pos.append(dims.get(ij, 0))
-        dims[ij] = pos[-1] + 1
+        dims[ij] = dims.get(ij, 0) + 1
     blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for x, row in enumerate(cx.out):
         for y, f in row.items():
-            blocks.setdefault(deg[x], {})[(pos[y], pos[x])] = f[0]
+            blocks.setdefault(deg[x], {})[(y, x)] = f[0]
     factors = {ij: invariant_factors(mat) for ij, mat in blocks.items()}
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, jq), dim in dims.items():
@@ -505,21 +508,21 @@ def kauffman_jones(
     flips: Optional[Sequence[bool]] = None,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPoly:
-    """Unreduced Jones polynomial in q via the Kauffman bracket state sum;
-    the unknot maps to q + 1/q."""
+    """Unreduced Jones polynomial in q, in Khovanov's normalisation
+    (Bar-Natan, AGT 2 (2002), arXiv:math/0201043):
+
+        (-1)^{n-} q^{n+ - 2 n-} * sum over states of (-q)^b (q + 1/q)^k
+
+    where a state has b B-smoothings (1-smoothings) and k loops; the
+    unknot maps to q + 1/q."""
     _check_oracle_input(d, max_crossings)
-    if d.n == 0:
-        return _circle() ** d.free_loops
-    w = d.writhe(flips)
+    n_plus, n_minus = d.positive_negative(flips)
     port_arc = _port_arc(d)
-    delta = LaurentPoly.monomial(2, -1, var="A") + LaurentPoly.monomial(
-        -2, -1, var="A"
-    )
     # states counted by (B-smoothings, loops): one term per class.  The
     # states are enumerated depth-first over the crossings; each level
     # copies the arc union-find once and keeps a running loop count
     states: dict[tuple[int, int], int] = {}
-    stack = [(0, list(range(len(d.arcs))), 0, len(d.arcs))]
+    stack = [(0, list(range(len(d.arcs))), 0, len(d.arcs) + d.free_loops)]
     while stack:
         c, parent, b, loops = stack.pop()
         if c == d.n:
@@ -535,17 +538,7 @@ def kauffman_jones(
                     here[ra] = rb
                     k -= 1
             stack.append((c + 1, here, b + smoothing, k))
-    bracket = LaurentPoly.zero(var="A")
+    total = LaurentPoly.zero()
     for (b, loops), count in states.items():
-        term = LaurentPoly.monomial(d.n - 2 * b, count, var="A")
-        bracket = bracket + term * delta ** (loops - 1)
-    writhe_fix = LaurentPoly.monomial(-3 * w, (-1) ** (w % 2), var="A")
-    x_poly = writhe_fix * bracket
-    # substitute A^2 = -1/q, then multiply by the unknot value q + 1/q
-    in_q = LaurentPoly.zero()
-    for e, c in x_poly.items():
-        if e % 2:
-            raise ConventionError("normalized bracket must have even exponents")
-        k = e // 2
-        in_q = in_q + LaurentPoly.monomial(-k, c * ((-1) ** (k % 2)))
-    return in_q * _circle()
+        total = total + LaurentPoly.monomial(b, count * (-1) ** b) * _circle() ** loops
+    return LaurentPoly.monomial(n_plus - 2 * n_minus, (-1) ** n_minus) * total

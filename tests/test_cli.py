@@ -159,6 +159,45 @@ class TestCorpus:
         assert "10 fronts, 0 violations" in out
         assert not list(tmp_path.glob("khfront-corpus-*"))
 
+    @pytest.mark.parametrize(
+        "flags", [(), ("--json",), ("--oracle",), ("--oracle", "--json")]
+    )
+    def test_bundled_corpus_matches_its_files(self, capsys, tmp_path, flags):
+        from khfront.corpus import write_corpus_dir
+
+        write_corpus_dir(tmp_path)
+        in_memory = run(capsys, "corpus", *flags)
+        from_files = run(capsys, "corpus", str(tmp_path), *flags)
+        assert in_memory[0] == EXIT_OK
+        assert in_memory == from_files
+
+    def test_each_file_read_once(self, capsys, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from khfront.corpus import write_corpus_dir
+
+        files = write_corpus_dir(tmp_path)
+        reads = Counter()
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads[self] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        code, _, _ = run(capsys, "corpus", str(tmp_path), "--jobs", "1")
+        assert code == EXIT_OK
+        assert reads == Counter(files)
+
+    def test_analyze_ignores_a_malformed_header(self, capsys, tmp_path):
+        path = tmp_path / "f.front"
+        path.write_text(f"# tb=x\n{TREFOIL}\n")
+        code, out, _ = run(capsys, "certify", f"@{path}")
+        assert (code, out) == (EXIT_OK, "verdict = sharp_certified\n")
+        code, _, err = run(capsys, "corpus", str(tmp_path))
+        assert code == EXIT_INVALID
+        assert err == f"error: {path}: bad header '# tb=x'\n"
+
     def test_bundled_corpus_oracle_under_optimize(self):
         proc = run_optimized("-m", "khfront.cli", "corpus", "--oracle", "--json")
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -211,6 +250,7 @@ class TestFileErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INVALID, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_front_file_is_a_directory(self, capsys, tmp_path):
         self.refused(capsys, "analyze", f"@{tmp_path}")
@@ -218,7 +258,15 @@ class TestFileErrors:
     def test_front_file_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.front"
         path.write_bytes(b"L1 \xff R1\n")
-        self.refused(capsys, "analyze", f"@{path}")
+        err = self.refused(capsys, "analyze", f"@{path}")
+        assert str(path) in err
+
+    def test_corpus_file_is_not_utf8(self, capsys, tmp_path):
+        (tmp_path / "a.front").write_text(f"{TREFOIL}\n")
+        path = tmp_path / "b.front"
+        path.write_bytes(b"L1 \xff R1\n")
+        err = self.refused(capsys, "corpus", str(tmp_path))
+        assert str(path) in err
 
     def test_out_is_a_directory(self, capsys, tmp_path):
         self.refused(capsys, "analyze", TREFOIL, "--out", str(tmp_path))

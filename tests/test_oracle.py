@@ -1,6 +1,7 @@
 """Khovanov homology and Jones polynomial oracles."""
 
 import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,14 @@ from khovanov_reference import reference_homology, reference_invariant_factors
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 FIG8 = "L1 L1 L1 X2 X2 X4 R3 X2 R1 R1"
+#: two-component fronts: the bundled Hopf link, the (2, 4) torus link,
+#: and a Hopf clasp summed with a trefoil, whose crossings take both
+#: signs when one component is reversed
+TWO_COMPONENTS = (
+    "L1 L2 X1 X1 R2 R1",
+    "L1 L2 X1 X1 X1 X1 R2 R1",
+    "L1 L2 X1 X1 R2 L2 X1 X1 X1 R2 R1",
+)
 
 UNKNOT_POLY = LaurentPoly({1: 1, -1: 1})
 
@@ -215,6 +224,14 @@ class TestConsistency:
         d = front.desingularize()
         table = khovanov_homology(d)  # also checks d^2 = 0 internally
         assert table.graded_euler() == kauffman_jones(d)
+
+    @pytest.mark.parametrize("flips", product((False, True), repeat=2))
+    @pytest.mark.parametrize("word", TWO_COMPONENTS)
+    def test_euler_characteristic_is_jones_in_every_orientation(self, word, flips):
+        d = parse_front(word).desingularize()
+        assert d.component_count() == 2
+        table = khovanov_homology(d, flips)
+        assert table.graded_euler() == kauffman_jones(d, flips)
 
     @settings(max_examples=25, deadline=None)
     @given(front_words(max_crossings=3, max_cusp_pairs=2))
