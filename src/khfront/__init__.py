@@ -26,6 +26,7 @@ from .tait import Coloring, TaitGraph, checkerboard, dual_graph, tait_graph
 from .trees import (
     GeneratorPair,
     SpanningTreeRecord,
+    bigrading_counts,
     classify_activities,
     dual_tree,
     labelled_trees,
@@ -63,6 +64,7 @@ __all__ = [
     "StrandUnderflow",
     "TaitGraph",
     "TooLarge",
+    "bigrading_counts",
     "checkerboard",
     "classify_activities",
     "desingularize",

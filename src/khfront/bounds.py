@@ -23,7 +23,7 @@ from .errors import ConventionError
 from .front import FrontDiagram
 from .oracle import DEFAULT_MAX_CROSSINGS, khovanov_homology
 from .tait import Coloring, checkerboard, tait_graph
-from .trees import SpanningTreeRecord, labelled_trees, to_khovanov_bigrading
+from .trees import _generator_ij, bigrading_counts
 
 VERDICTS = ("bound_holds", "sharp_certified", "not_sharp_certified", "inconclusive")
 
@@ -73,37 +73,27 @@ class BoundReport:
         }
 
 
-def _tree_records(
-    front: FrontDiagram, coloring: Optional[Coloring] = None
-) -> list[SpanningTreeRecord]:
-    """Every spanning tree of the front's Tait graph, labelled and classed
-    good/bad; the canonical coloring unless one is given."""
-    d = front.desingularize()
-    if coloring is None:
-        coloring, _ = checkerboard(d)
-    g = tait_graph(d, coloring)
-    return list(labelled_trees(g, front))
-
-
-def _census(records: list[SpanningTreeRecord]) -> dict[int, tuple[int, int]]:
-    census: dict[int, tuple[int, int]] = {}
-    for rec in records:
-        g, b = census.get(rec.v, (0, 0))
-        if rec.class_ == "good":
-            census[rec.v] = (g + 1, b)
-        elif rec.class_ == "bad":
-            census[rec.v] = (g, b + 1)
-        elif rec.v not in census:
-            census[rec.v] = (g, b)
-    return census
+def _good_bad(
+    counts: dict[tuple[int, int], int], cusp_count: int
+) -> dict[int, tuple[int, int]]:
+    """Good (u = 1 - C) and bad (u = 2 - C) tree counts by v, with an
+    entry for every v that some tree takes."""
+    return {
+        v: (counts.get((1 - cusp_count, v), 0), counts.get((2 - cusp_count, v), 0))
+        for v in sorted({v for _, v in counts})
+    }
 
 
 def good_bad_census(
     front: FrontDiagram, coloring: Optional[Coloring] = None
 ) -> dict[int, tuple[int, int]]:
     """For every spanning tree of the Tait graph, classify good/bad by
-    u(T) against C(F) and bucket the counts by v(T)."""
-    return _census(_tree_records(front, coloring))
+    u(T) against C(F) and bucket the counts by v(T); the canonical
+    coloring unless one is given."""
+    d = front.desingularize()
+    if coloring is None:
+        coloring, _ = checkerboard(d)
+    return _good_bad(bigrading_counts(tait_graph(d, coloring)), front.cusp_count)
 
 
 def _certificate_verdict(census: dict[int, tuple[int, int]]) -> str:
@@ -135,8 +125,9 @@ def sharpness_report(
     """The bound and its certificate-based sharpness verdict, cross-checked
     against the oracle when requested.
 
-    Always computes tb and the spanning-tree minimum of u, checking
-    u >= 1 - C and the grading identity
+    Always computes tb and, from the tree counts at each (u, v) of
+    ``bigrading_counts``, the minimum of u, checking u >= 1 - C and,
+    once per (u, v), the grading identity
     min over tree generators of (j - i) = min u + w - 1.  With the oracle,
     also the true minimum delta of the homology, checking
     tb <= min_delta.
@@ -149,23 +140,21 @@ def sharpness_report(
     d = front.desingularize()
     w = d.writhe()
     c = front.cusp_count
-    records = _tree_records(front)
-    min_u = min(rec.u for rec in records)
+    counts = bigrading_counts(tait_graph(d, checkerboard(d)[0]))
+    min_u = min(u for u, _ in counts)
     if min_u < 1 - c:
         raise ConventionError(
             f"tree with u={min_u} violates u >= 1 - C = {1 - c}"
         )
     tree_min_delta = min(
-        j - i
-        for rec in records
-        for i, j in to_khovanov_bigrading(rec, d.n, w).ij
+        j - i for u, v in counts for i, j in _generator_ij(u, v, d.n, w)
     )
     if tree_min_delta != min_u + w - 1:
         raise ConventionError(
             f"tree generators reach delta {tree_min_delta}, "
             f"not min u + w - 1 = {min_u + w - 1}"
         )
-    census = _census(records)
+    census = _good_bad(counts, c)
     min_delta = None
     if with_oracle:
         min_delta = khovanov_homology(d, max_crossings=max_crossings).min_delta()
@@ -176,7 +165,7 @@ def sharpness_report(
         census=census,
         verdict=_certificate_verdict(census),
         min_delta=min_delta,
-        tree_count=len(records),
+        tree_count=sum(counts.values()),
     )
     if min_delta is not None:
         equal = report.tb == min_delta

@@ -152,7 +152,7 @@ def write_corpus_dir(path: Path) -> list[Path]:
 def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     """Read a .front file once: its front, whose event word is the
     non-empty lines that are not comments (a comment starts with '#')
-    joined, and its first ``# tb=N`` header line, or None."""
+    joined, and its first ``# tb=N`` header line, stripped, or None."""
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
@@ -160,10 +160,10 @@ def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     words = []
     header = None
     for line in text.splitlines():
-        if header is None and line.startswith(_TB_HEADER):
-            header = line
         word = line.strip()
-        if word and not word.startswith("#"):
+        if header is None and word.startswith(_TB_HEADER):
+            header = word
+        elif word and not word.startswith("#"):
             words.append(word)
     return parse_front(" ".join(words)), header
 

@@ -3,15 +3,13 @@
 Edges are ordered by index, which is their crossing's x-rank on a front
 (see ``tait``).  An edge in the tree is internally active when its index
 is lowest in its cut set; an edge outside is externally active when its
-index is lowest in its cycle set.  ``labelled_trees`` finds every tree and
-its labels in one pass of Tutte's recursion on the highest edge: deleting
-and contracting edges from the highest index down, a loop of the current
-minor is externally active, a bridge is internally active and gets
-contracted, and any other edge branches into an inactive tree edge
-(contracted) and an inactive non-tree edge (deleted).  Signs follow
-Kauffman's labels for signed graphs.  ``classify_activities`` labels one
-given tree straight from the definition, with one union-find per edge.
-Labels combine activity and sign:
+index is lowest in its cycle set.  Tutte's recursion on the highest edge
+finds them: deleting and contracting edges from the highest index down, a
+loop of the current minor is externally active, a bridge is internally
+active and gets contracted, and any other edge branches into an inactive
+tree edge (contracted) and an inactive non-tree edge (deleted).  Signs
+follow Kauffman's labels for signed graphs.  Labels combine activity and
+sign:
 
     tree:      L (active +)   Lb (active -)   D (inactive +)   Db (inactive -)
     non-tree:  l (active +)   lb (active -)   d (inactive +)   db (inactive -)
@@ -19,6 +17,29 @@ Labels combine activity and sign:
 ('b' marks the bar of a negative edge.)  The bigrading is
 
     u(T) = #L - #l - #Lb + #lb        v(T) = #L + #D + #lb + #db
+
+Two functions walk that recursion.  ``labelled_trees`` follows every
+branch and yields each tree with its labels; the ``trees`` listing and
+the tests use it.  ``bigrading_counts`` only counts the trees at each
+(u, v), by frontier dynamic programming over the edges (Sekine, Imai and
+Tani, *Computing the Tutte polynomial of a graph of moderate size*,
+1995):
+
+* Reduce first.  A bridge of G stays a bridge, and a loop stays a loop,
+  in every minor of the recursion, so each is labelled alike in every
+  tree and leaves the other labels alone.  One bridge search contracts
+  the bridges and drops the loops, keeping their constant (u, v) shift.
+* The state before edge e is the contraction partition of the frontier:
+  the vertices with edges both above e and at or below it.  On a front
+  the frontier is the set of black faces cut by the sweep line.  Each
+  state carries its ``{(u, v): count}`` relative to an offset, so a step
+  that does not branch shifts it in O(1).
+* Edge e is a loop when its ends share a class, and a bridge when its
+  ends stay apart in the union of the classes and the components of the
+  edges below e; otherwise both branches are kept.
+
+``classify_activities`` labels one given tree straight from the
+definition, with one union-find per edge: the reference for both.
 """
 
 from __future__ import annotations
@@ -92,6 +113,8 @@ class GeneratorPair:
 #: take codes 0-3, non-tree labels 4-7, and a negative edge adds 1
 _LABEL_OF_CODE = ("L", "Lb", "D", "Db", "l", "lb", "d", "db")
 _L, _D, _LOOP, _DEL = 0, 2, 4, 6
+#: code -> the (u, v) it adds to its tree's bigrading
+_SHIFT = ((1, 1), (-1, 0), (0, 1), (0, 0), (-1, 0), (1, 1), (0, 0), (0, 1))
 #: code -> 0 on the tree, 1 off it; ascending order of the translated
 #: strings is lexicographic order of the trees' sorted edge lists
 _MEMBERSHIP = bytes.maketrans(bytes(range(8)), bytes([0, 0, 0, 0, 1, 1, 1, 1]))
@@ -223,6 +246,147 @@ def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
         yield rec.tree
 
 
+def bigrading_counts(g: TaitGraph) -> dict[tuple[int, int], int]:
+    """The number of spanning trees at each bigrading (u, v), in ascending
+    order of (u, v), without listing any tree: the (u, v) counts of
+    ``labelled_trees``, from the bridge and loop reduction and the
+    frontier sweep of the module docstring."""
+    if not g.is_connected():
+        raise Disconnected("graph is not connected")
+    ends = [(e.u, e.v) for e in g.edges]
+    parent = list(range(g.n_vertices))
+    bridges = _bridges(parent, ends, range(len(ends)))
+    u0 = v0 = 0
+    kept = []
+    for i, e in enumerate(g.edges):
+        if e.u == e.v:
+            code = _LOOP
+        elif i in bridges:
+            code = _L
+            parent[_find(parent, e.u)] = _find(parent, e.v)
+        else:
+            kept.append(i)
+            continue
+        du, dv = _SHIFT[code + (e.sign < 0)]
+        u0, v0 = u0 + du, v0 + dv
+    counts = _sweep(
+        [(_find(parent, ends[i][0]), _find(parent, ends[i][1])) for i in kept],
+        [g.edges[i].sign < 0 for i in kept],
+    )
+    return {(u + u0, v + v0): c for (u, v), c in counts.items()}
+
+
+def _canon(labels) -> tuple[int, ...]:
+    """Class labels renumbered in order of first appearance."""
+    first: dict[int, int] = {}
+    return tuple([first.setdefault(x, len(first)) for x in labels])
+
+
+def _joined(labels: list[int], comps: tuple[int, ...], pa: int, pb: int) -> bool:
+    """Whether positions pa and pb are linked by chains of positions that
+    share a class label or a component; both number from 0 below
+    ``len(labels)``."""
+    m = len(labels)
+    parent = list(range(2 * m))
+    for x, c in zip(labels, comps):
+        parent[_find(parent, x)] = _find(parent, m + c)
+    return _find(parent, labels[pa]) == _find(parent, labels[pb])
+
+
+def _pour(states: dict, key: tuple[int, ...], bucket: list) -> None:
+    """Add ``bucket`` ([offset, counts, owned]) to the state ``key``.  The
+    smaller counts are rebased onto the larger's offset; counts shared by
+    two branches are copied before they change."""
+    there = states.setdefault(key, bucket)
+    if there is bucket:
+        return
+    if len(bucket[1]) > len(there[1]):
+        states[key] = bucket
+        bucket, there = there, bucket
+    if not there[2]:
+        there[1], there[2] = dict(there[1]), True
+    counts = there[1]
+    shift = bucket[0] - there[0]
+    for k, c in bucket[1].items():
+        counts[k + shift] = counts.get(k + shift, 0) + c
+
+
+def _sweep(
+    ends: list[tuple[int, int]], neg: list[bool]
+) -> dict[tuple[int, int], int]:
+    """Tutte's recursion on the highest edge, memoized on the frontier.
+
+    ``ends`` lists each edge's vertex pair (small integers) and ``neg``
+    whether it is negative.  A step keeps one state per contraction
+    partition of the working vertices: the frontier and the ends of the
+    edge that are new to it.  Each state holds its counts keyed by
+    u * (n + 1) + v for n edges, relative to an offset in the same
+    encoding, which stays exact since 0 <= v <= n.  A class whose last
+    frontier vertex leaves while edges remain (a deleted bridge), or a
+    sweep that ends in anything but one state, raises ConventionError.
+    """
+    n = len(ends)
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for e, pair in enumerate(ends):
+        for x in pair:
+            lo.setdefault(x, e)
+            hi[x] = e
+    # per edge: its working vertices, the positions that stay on the
+    # next frontier and those that leave it
+    plan: list = [None] * n
+    frontier: list[int] = []
+    for e in range(n - 1, -1, -1):
+        work = frontier + [x for x in dict.fromkeys(ends[e]) if hi[x] == e]
+        keep = [i for i, x in enumerate(work) if lo[x] < e]
+        leave = [i for i, x in enumerate(work) if lo[x] == e]
+        plan[e] = (work, keep, leave)
+        frontier = [work[i] for i in keep]
+    # the components of the edges below e, on the working vertices
+    comps = [()] * n
+    parent = list(range(max(lo, default=-1) + 1))
+    for e, (a, b) in enumerate(ends):
+        comps[e] = _canon([_find(parent, x) for x in plan[e][0]])
+        parent[_find(parent, a)] = _find(parent, b)
+
+    stride = n + 1
+    shifts = [du * stride + dv for du, dv in _SHIFT]
+    states = {(): [0, {0: 1}, True]}
+    for e in range(n - 1, -1, -1):
+        work, keep, leave = plan[e]
+        pa, pb = work.index(ends[e][0]), work.index(ends[e][1])
+        sign = neg[e]
+        step: dict = {}
+        for state, bucket in states.items():
+            labels = [*state, *range(len(state), len(work))]
+            la, lb = labels[pa], labels[pb]
+            if la == lb:
+                children = ((_LOOP + sign, labels),)
+            else:
+                merged = [la if x == lb else x for x in labels]
+                if _joined(labels, comps[e], pa, pb):
+                    children = ((_D + sign, merged), (_DEL + sign, labels))
+                else:
+                    children = ((_L + sign, merged),)
+            for code, labs in children:
+                kept = [labs[i] for i in keep]
+                if e and any(labs[i] not in kept for i in leave):
+                    raise ConventionError(
+                        f"edge {e}: a class leaves the frontier while edges remain"
+                    )
+                if len(children) == 1:
+                    bucket[0] += shifts[code]
+                    child = bucket
+                else:
+                    child = [bucket[0] + shifts[code], bucket[1], False]
+                _pour(step, _canon(kept), child)
+        states = step
+    if list(states) != [()]:
+        raise ConventionError(f"the sweep ends in {len(states)} states, not one")
+    offset, counts, _ = states[()]
+    return {divmod(k + offset, stride): c for k, c in sorted(counts.items())}
+
+
 def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
     if len(tree) != g.n_vertices - 1:
         raise NotASpanningTree(f"{len(tree)} edges for {g.n_vertices} vertices")
@@ -310,34 +474,32 @@ def min_x_spanning_tree(
     return classify_activities(g, frozenset(chosen), front)
 
 
+def _generator_ij(
+    u: int, v: int, n: int, w: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Khovanov (i, j) of the generators at (u, v) and (u + 2, v + 2):
+    i = u - v + w + (n - w)/2 and j = i + u + w - 1."""
+    if (n - w) % 2 != 0:
+        raise ParityViolation(f"crossing count {n} and writhe {w} differ mod 2")
+    i = u - v + w + (n - w) // 2
+    return ((i, i + u + w - 1), (i, i + u + w + 1))
+
+
 def to_khovanov_bigrading(
     rec: SpanningTreeRecord, n: int, w: int
 ) -> GeneratorPair:
     """Convert (u, v) to the Khovanov gradings of the tree's two
     generators: i = u - v + w + (n - w)/2 and j = i + u + w - 1."""
-    if (n - w) % 2 != 0:
-        raise ParityViolation(f"crossing count {n} and writhe {w} differ mod 2")
-    half = (n - w) // 2
-
-    def ij(u: int, v: int) -> tuple[int, int]:
-        i = u - v + w + half
-        return (i, i + u + w - 1)
-
-    return GeneratorPair(
-        u=rec.u,
-        v=rec.v,
-        ij=(ij(rec.u, rec.v), ij(rec.u + 2, rec.v + 2)),
-    )
+    return GeneratorPair(u=rec.u, v=rec.v, ij=_generator_ij(rec.u, rec.v, n, w))
 
 
 def tree_euler_characteristic(g: TaitGraph, n: int, w: int) -> LaurentPoly:
     """Sum of (-1)^i q^j over both generators of every spanning tree."""
-    total = LaurentPoly.zero()
-    for rec in labelled_trees(g):
-        pair = to_khovanov_bigrading(rec, n, w)
-        for i, j in pair.ij:
-            total = total + LaurentPoly.monomial(j, (-1) ** (i % 2))
-    return total
+    coeffs: dict[int, int] = {}
+    for (u, v), count in bigrading_counts(g).items():
+        for i, j in _generator_ij(u, v, n, w):
+            coeffs[j] = coeffs.get(j, 0) + (-1) ** (i % 2) * count
+    return LaurentPoly(coeffs)
 
 
 def splice_unknot(d: LinkDiagram, rec: SpanningTreeRecord) -> tuple[LinkDiagram, int]:

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -38,6 +39,22 @@ def run_optimized(*args: str, timeout: float = 120) -> subprocess.CompletedProce
     """Run ``python -O *args`` with this khfront importable.  ``-O`` strips
     asserts, so a check that must survive it has to raise explicitly."""
     return run_python("-O", *args, timeout=timeout)
+
+
+def matrix_tree_count(g) -> int:
+    """Kirchhoff determinant of the multigraph Laplacian."""
+    if g.n_vertices == 1:
+        return 1
+    lap = sympy.zeros(g.n_vertices, g.n_vertices)
+    for e in g.edges:
+        if e.u == e.v:
+            continue
+        lap[e.u, e.u] += 1
+        lap[e.v, e.v] += 1
+        lap[e.u, e.v] -= 1
+        lap[e.v, e.u] -= 1
+    minor = lap[1:, 1:]
+    return int(minor.det())
 
 
 @st.composite

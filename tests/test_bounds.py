@@ -1,5 +1,8 @@
 """Bound reports, censuses, sharpness certificates, tripwire."""
 
+import time
+
+import pytest
 from hypothesis import given, settings
 
 from khfront import (
@@ -9,9 +12,10 @@ from khfront import (
     ng_bound,
     parse_front,
     sharpness_report,
+    tait_graph,
 )
 
-from conftest import front_words, run_optimized
+from conftest import front_words, matrix_tree_count, run_optimized
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -90,6 +94,29 @@ class TestSharpness:
         r = sharpness_report(front)
         if front.tb() == table.min_delta():
             assert r.good_total() >= 1
+
+
+class TestKnownMaximalTb:
+    """Known answers at scale, with no oracle: the closure of (X1 X2)^m
+    is T(3, m), whose maximal tb is 2m - 3 (Etnyre-Honda), and the
+    twist X1^n is T(2, n), whose Tait graph is the n-cycle."""
+
+    @pytest.mark.parametrize("m", [13, 50, 100])
+    def test_torus_3_m_certifies_sharp(self, m):
+        front = parse_front("L1 L2 L3 " + "X1 X2 " * m + "R3 R2 R1")
+        r = sharpness_report(front)
+        assert (r.tb, r.verdict, r.min_u) == (2 * m - 3, "sharp_certified", 1 - r.C)
+        if m == 13:
+            d = front.desingularize()
+            g = tait_graph(d, checkerboard(d)[0])
+            assert r.tree_count == matrix_tree_count(g)
+
+    def test_twist_2001_within_a_second(self):
+        start = time.perf_counter()
+        r = sharpness_report(parse_front("L1 L2 " + "X1 " * 2001 + "R2 R1"))
+        elapsed = time.perf_counter() - start
+        assert (r.tb, r.tree_count, r.verdict) == (1999, 2001, "sharp_certified")
+        assert elapsed < 1
 
 
 class TestReportShape:

@@ -150,6 +150,14 @@ class TestCorpus:
         assert code == EXIT_OK
         assert json.loads(out)["violations"] == 1
 
+    def test_indented_header_is_read(self, capsys, tmp_path):
+        # a line whose first non-blank is '#' is a comment, so an indented
+        # header is one too, and it still records the tb
+        (tmp_path / "trefoil.front").write_text("  # tb=5\nL1 L2 X1 X1 X1 R2 R1\n")
+        code, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert code == EXIT_OK
+        assert out.rstrip().endswith("1 violations")
+
     def test_bundled_corpus_temp_dir_removed(self, capsys, tmp_path, monkeypatch):
         import tempfile
 

@@ -308,6 +308,21 @@ class TestTripwires:
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_census_sweep_check_survives_optimize(self):
+        # the counting sweep on edges that no connected graph reduces to:
+        # a class leaves the frontier while an edge remains
+        code = (
+            "from khfront import ConventionError\n"
+            "from khfront.trees import _sweep\n"
+            "try:\n"
+            "    _sweep([(0, 1), (2, 3)], [False, False])\n"
+            "except ConventionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_rotation_checks_survive_optimize(self):
         # a rotation missing a dart, and an edge end at the wrong vertex
         code = (

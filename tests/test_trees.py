@@ -1,7 +1,8 @@
 """Spanning trees, activities, bigradings, splicing, duality labels."""
 
+from collections import Counter
+
 import pytest
-import sympy
 from hypothesis import given, settings
 
 from khfront import (
@@ -9,6 +10,7 @@ from khfront import (
     Disconnected,
     NotASpanningTree,
     TaitGraph,
+    bigrading_counts,
     checkerboard,
     classify_activities,
     dual_tree,
@@ -25,7 +27,7 @@ from khfront import (
 import khfront.trees
 from khfront.trees import DUAL_LABEL, _validate_tree
 
-from conftest import front_words
+from conftest import front_words, matrix_tree_count
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -36,22 +38,6 @@ def setup(word):
     canonical, _ = checkerboard(d)
     g = tait_graph(d, canonical)
     return front, d, g
-
-
-def matrix_tree_count(g) -> int:
-    """Kirchhoff determinant of the multigraph Laplacian."""
-    if g.n_vertices == 1:
-        return 1
-    lap = sympy.zeros(g.n_vertices, g.n_vertices)
-    for e in g.edges:
-        if e.u == e.v:
-            continue
-        lap[e.u, e.u] += 1
-        lap[e.v, e.v] += 1
-        lap[e.u, e.v] -= 1
-        lap[e.v, e.u] -= 1
-    minor = lap[1:, 1:]
-    return int(minor.det())
 
 
 class TestEnumeration:
@@ -96,6 +82,34 @@ class TestEnumeration:
         assert g.n_vertices == 3
         with pytest.raises(NotASpanningTree):
             classify_activities(g, frozenset({0, 1}))
+
+
+class TestBigradingCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=8))
+    def test_counts_match_enumeration(self, front):
+        # the frontier sweep counts what the labelling pass lists, on
+        # both colorings
+        d = front.desingularize()
+        for coloring in checkerboard(d):
+            g = tait_graph(d, coloring)
+            enumerated = Counter((rec.u, rec.v) for rec in labelled_trees(g))
+            assert bigrading_counts(g) == dict(enumerated)
+
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=10))
+    def test_colorings_give_one_distribution(self, front):
+        # the dual swap L<->lb, D<->db, l<->Lb, d<->Db keeps u and v, and
+        # the reversed coloring's graph is the dual: no enumeration needed
+        d = front.desingularize()
+        canonical, rev = checkerboard(d)
+        assert bigrading_counts(tait_graph(d, canonical)) == bigrading_counts(
+            tait_graph(d, rev)
+        )
+
+    def test_disconnected_graph(self):
+        with pytest.raises(Disconnected):
+            bigrading_counts(TaitGraph(2, [], [[], []]))
 
 
 class TestActivities:
