@@ -137,9 +137,15 @@ def _report_text(r) -> str:
     return "\n".join(lines)
 
 
-#: what a command returns: functions building its JSON payload and its
-#: text report, so each run builds only the one it prints
-_Output = tuple[Callable[[], object], Callable[[], str]]
+#: what a command returns: functions building its JSON text and its text
+#: report, so each run builds only the one it prints
+_Output = tuple[Callable[[], str], Callable[[], str]]
+
+
+def _dumps(payload) -> str:
+    """The JSON text of a payload, as every command but ``trees`` writes
+    it."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_analyze(args) -> _Output:
@@ -150,9 +156,61 @@ def _cmd_analyze(args) -> _Output:
         front, with_oracle=args.oracle, max_crossings=args.max_crossings
     )
     if args.command == "analyze":
-        return r.to_json_dict, lambda: _report_text(r)
+        return lambda: _dumps(r.to_json_dict()), lambda: _report_text(r)
     payload = {"schema": 1, "verdict": r.verdict, "tb": r.tb, "min_delta": r.min_delta}
-    return lambda: payload, lambda: f"verdict = {r.verdict}"
+    return lambda: _dumps(payload), lambda: f"verdict = {r.verdict}"
+
+
+#: one ``trees --json`` record as ``_dumps`` writes it inside the listing:
+#: sorted keys, with fields for class, coloring, edges, the generators'
+#: (i, j) pairs, labels, u and v
+_TREE_RECORD = """\
+    {{
+      "class": "{}",
+      "coloring": "{}",
+      "edges": {},
+      "generators": [
+        [
+          {},
+          {}
+        ],
+        [
+          {},
+          {}
+        ]
+      ],
+      "labels": {},
+      "u": {},
+      "v": {}
+    }}"""
+
+#: label -> its JSON string, with a \u escape for the bar
+_LABEL_JSON = {lab: json.dumps(pretty) for lab, pretty in PRETTY.items()}
+
+
+def _trees_json(rows: list, n: int) -> str:
+    """The ``trees --json`` text of ``rows`` on a diagram with n crossings:
+    byte for byte ``_dumps({"schema": 1, "trees": [...]})`` of the records,
+    written from ``_TREE_RECORD`` without building them as dicts."""
+    # the labels object with field k for edge k, in JSON's key order, which
+    # compares keys as strings: "10" comes before "2"
+    labels = "{{}}" if n == 0 else "{{\n" + ",\n".join(
+        f'        "{k}": {{{k}}}' for k in sorted(range(n), key=str)
+    ) + "\n      }}"
+    records = []
+    for col, rec, pair in rows:
+        (i0, j0), (i1, j1) = pair.ij
+        edges = ",\n        ".join(map(str, sorted(rec.tree)))
+        records.append(_TREE_RECORD.format(
+            rec.class_,
+            col,
+            f"[\n        {edges}\n      ]" if edges else "[]",
+            i0, j0, i1, j1,
+            labels.format(*[_LABEL_JSON[rec.labels[k]] for k in range(n)]),
+            rec.u,
+            rec.v,
+        ))
+    return '{\n  "schema": 1,\n  "trees": [\n' + ",\n".join(records) + "\n  ]\n}"
 
 
 def _cmd_trees(args) -> _Output:
@@ -171,15 +229,6 @@ def _cmd_trees(args) -> _Output:
         for rec in labelled_trees(tait_graph(d, coloring), front)
     ]
 
-    def payload() -> dict:
-        return {
-            "schema": 1,
-            "trees": [
-                {"coloring": col, **rec.to_json_dict(), "generators": list(pair.ij)}
-                for col, rec, pair in rows
-            ],
-        }
-
     def text() -> str:
         return "\n".join(
             f"[{col}] edges={sorted(rec.tree)} labels="
@@ -188,7 +237,7 @@ def _cmd_trees(args) -> _Output:
             for col, rec, pair in rows
         )
 
-    return payload, text
+    return lambda: _trees_json(rows, d.n), text
 
 
 def _cmd_homology(args) -> _Output:
@@ -198,7 +247,7 @@ def _cmd_homology(args) -> _Output:
         front.desingularize(), flips=flips, max_crossings=args.max_crossings
     )
     payload = {"schema": 1, **table.to_json_dict(), "min_delta": table.min_delta()}
-    return lambda: payload, table.pretty
+    return lambda: _dumps(payload), table.pretty
 
 
 def _cmd_jones(args) -> _Output:
@@ -212,7 +261,7 @@ def _cmd_jones(args) -> _Output:
         "variable": "q",
         "terms": [[e, c] for e, c in poly.items()],
     }
-    return lambda: payload, lambda: repr(poly)
+    return lambda: _dumps(payload), lambda: repr(poly)
 
 
 def _cmd_corpus(args) -> _Output:
@@ -264,7 +313,7 @@ def _cmd_corpus(args) -> _Output:
         lines.append(f"{len(results)} fronts, {violations} violations")
         return "\n".join(lines)
 
-    return lambda: payload, text
+    return lambda: _dumps(payload), text
 
 
 _COMMANDS = {
@@ -301,8 +350,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.out and (not args.out.name or args.out.is_dir()):
             raise KhfrontError(f"--out {args.out} names no file")
-        payload, text = _COMMANDS[args.command](args)
-        body = json.dumps(payload(), indent=2, sort_keys=True) if args.json else text()
+        json_text, text = _COMMANDS[args.command](args)
+        body = json_text() if args.json else text()
         if args.out:
             tmp = args.out.with_suffix(args.out.suffix + ".tmp")
             try:

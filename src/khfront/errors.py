@@ -43,7 +43,8 @@ class ParityViolation(KhfrontError, ValueError):
 
 
 class TooLarge(KhfrontError, ValueError):
-    """The diagram exceeds the configured crossing bound for the oracle."""
+    """The diagram exceeds the configured crossing bound for the oracle, or
+    has more spanning trees than a listing holds."""
 
 
 class EmptyTable(KhfrontError, ValueError):

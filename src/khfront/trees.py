@@ -45,6 +45,7 @@ definition, with one union-find per edge: the reference for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .diagram import LinkDiagram, _find
@@ -54,6 +55,7 @@ from .errors import (
     NotASpanningTree,
     NotUnknot,
     ParityViolation,
+    TooLarge,
 )
 from .front import FrontDiagram
 from .laurent import LaurentPoly
@@ -89,15 +91,6 @@ class SpanningTreeRecord:
     def count(self, label: str) -> int:
         return sum(1 for lab in self.labels.values() if lab == label)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "edges": sorted(self.tree),
-            "labels": {str(e): PRETTY[lab] for e, lab in sorted(self.labels.items())},
-            "u": self.u,
-            "v": self.v,
-            "class": self.class_,
-        }
-
 
 @dataclass(frozen=True)
 class GeneratorPair:
@@ -120,6 +113,9 @@ _SHIFT = ((1, 1), (-1, 0), (0, 1), (0, 0), (-1, 0), (1, 1), (0, 0), (0, 1))
 _MEMBERSHIP = bytes.maketrans(bytes(range(8)), bytes([0, 0, 0, 0, 1, 1, 1, 1]))
 #: u + C -> class of a tree on a front with C cusp pairs
 _CLASS = {1: "good", 2: "bad"}
+#: most spanning trees ``labelled_trees`` lists; the listing is sorted, so
+#: every tree is held in memory before the first is yielded
+LISTING_LIMIT = 100_000
 
 
 def _bridges(
@@ -229,10 +225,19 @@ def labelled_trees(
 
     One deletion-contraction pass on the highest edge labels every tree
     as it is found; the records equal ``classify_activities`` on each tree
-    without its per-edge union-finds.  Each tree is checked to span.
+    without its per-edge union-finds.  Each tree is checked to span.  A
+    graph with more than ``LISTING_LIMIT`` trees raises TooLarge as soon as
+    the pass finds one tree more than that.
     """
     cusp_count = front.cusp_count if front is not None else None
-    for codes in sorted(_labelling_pass(g), key=lambda c: c.translate(_MEMBERSHIP)):
+    found = list(islice(_labelling_pass(g), LISTING_LIMIT + 1))
+    if len(found) > LISTING_LIMIT:
+        raise TooLarge(
+            f"more than {LISTING_LIMIT} spanning trees to list; "
+            "analyze counts them without listing"
+        )
+    found.sort(key=lambda c: c.translate(_MEMBERSHIP))
+    for codes in found:
         rec = _record(codes, cusp_count)
         _validate_tree(g, rec.tree)
         yield rec

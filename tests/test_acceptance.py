@@ -6,8 +6,6 @@ after all of its assertions held.
 
 import time
 
-import sympy
-
 from khfront import (
     BUNDLED,
     checkerboard,
@@ -27,6 +25,8 @@ from khfront import (
 )
 from khfront.cli import EXIT_OK, main
 from khfront.corpus import entry_by_name
+
+from conftest import matrix_tree_count
 
 
 def _report(name: str):
@@ -144,26 +144,14 @@ def test_6_duality_suite():
 
 
 def test_7_oracle_self_checks():
-    """d^2 = 0 on every corpus complex (asserted inside the oracle);
-    tree count equals the matrix-tree determinant; unknot homology is
-    Z at (0, +-1) only."""
+    """d^2 = 0 on every corpus complex (the oracle raises ConventionError
+    on any d^2 != 0); tree count equals the matrix-tree determinant;
+    unknot homology is Z at (0, +-1) only."""
     for entry in quick_entries():
         front = entry.front()
         d, g = _graph(front)
-        khovanov_homology(d)  # d^2 = 0 asserted on every differential
-        if g.n_vertices == 1:
-            det = 1
-        else:
-            lap = sympy.zeros(g.n_vertices, g.n_vertices)
-            for e in g.edges:
-                if e.u == e.v:
-                    continue
-                lap[e.u, e.u] += 1
-                lap[e.v, e.v] += 1
-                lap[e.u, e.v] -= 1
-                lap[e.v, e.u] -= 1
-            det = int(lap[1:, 1:].det())
-        assert len(list(spanning_trees(g))) == det, entry.name
+        khovanov_homology(d)  # raises ConventionError unless d^2 = 0
+        assert len(list(spanning_trees(g))) == matrix_tree_count(g), entry.name
     table = khovanov_homology(parse_front("L1 R1").desingularize())
     assert table.groups == {(0, -1): (1, ()), (0, 1): (1, ())}
     _report("7 oracle self-checks: d^2=0, matrix-tree count, unknot table")

@@ -1,11 +1,21 @@
 """CLI commands, output formats, exit codes, and the demo scripts."""
 
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
+from khfront import (
+    checkerboard,
+    labelled_trees,
+    parse_front,
+    tait_graph,
+    to_khovanov_bigrading,
+)
 from khfront.cli import (
     EXIT_CONVENTION,
     EXIT_INVALID,
@@ -14,8 +24,9 @@ from khfront.cli import (
     _parser,
     main,
 )
+from khfront.trees import LISTING_LIMIT, PRETTY
 
-from conftest import run_optimized, run_python
+from conftest import front_words, run_optimized, run_python
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 HOPF = "L1 L2 X1 X1 R2 R1"
@@ -26,6 +37,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_json_dict(rec) -> dict:
+    """A spanning-tree record as a JSON object without its coloring and
+    generators: the reference that the ``trees --json`` writer is checked
+    against."""
+    return {
+        "edges": sorted(rec.tree),
+        "labels": {str(e): PRETTY[lab] for e, lab in sorted(rec.labels.items())},
+        "u": rec.u,
+        "v": rec.v,
+        "class": rec.class_,
+    }
 
 
 class TestAnalyze:
@@ -70,15 +94,51 @@ class TestTrees:
         assert labels == {"LLd", "LdD", "lDD"}
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
-        from khfront.trees import SpanningTreeRecord
+        import khfront.cli
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("JSON built for a text run")
 
-        monkeypatch.setattr(SpanningTreeRecord, "to_json_dict", refuse)
+        monkeypatch.setattr(khfront.cli, "_trees_json", refuse)
         code, out, err = run(capsys, "trees", TREFOIL, "--coloring", "both")
         assert code == EXIT_OK, err
         assert out.count("[canonical]") == 3 and out.count("[reversed]") == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(front_words(max_crossings=12))
+    @example(parse_front("L1 " + "L2 X1 X1 X1 R2 " * 4 + "R1"))
+    def test_json_equals_json_dumps_of_the_records(self, front):
+        # the writer must match json.dumps on every front; the 12-crossing
+        # example has the key order of 11 or more labels ("10" < "2") and
+        # barred labels
+        d = front.desingularize()
+        w = d.writhe()
+        payload = {"schema": 1, "trees": [
+            {
+                "coloring": "canonical" if coloring.canonical else "reversed",
+                **record_json_dict(rec),
+                "generators": list(to_khovanov_bigrading(rec, d.n, w).ij),
+            }
+            for coloring in checkerboard(d)
+            for rec in labelled_trees(tait_graph(d, coloring), front)
+        ]}
+        argv = ["trees", "--json", "--coloring", "both", front.word()]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == EXIT_OK
+        assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_oversized_listing_is_refused(self, capsys):
+        # 3^11 trees: the labelling pass stops one tree past the limit
+        # instead of sorting all of them
+        word = "L1 " + "L2 X1 X1 X1 R2 " * 11 + "R1"
+        assert 3**11 > LISTING_LIMIT
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trees", word, "--json")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(LISTING_LIMIT) in err
+        assert time.perf_counter() - start < 20
 
     def test_both_colorings(self, capsys):
         code, out, _ = run(capsys, "trees", TREFOIL, "--coloring", "both", "--json")

@@ -1,8 +1,9 @@
 """CLI outputs that must stay byte-identical across refactors.
 
 ``golden_outputs.json`` maps each command line to its exact stdout: the
-bundled corpus under ``corpus --oracle --json``, and ``homology --json``
-and ``jones --json`` for every bundled front word.  A change that means
+bundled corpus under ``corpus --oracle --json``, and ``homology --json``,
+``jones --json`` and the ``trees --coloring both`` listing, as JSON and
+as text, for every bundled front word.  A change that means
 to alter one of these outputs regenerates the file and says why::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +29,8 @@ def golden_commands() -> list[list[str]]:
     for e in BUNDLED:
         commands.append(["homology", "--json", e.word])
         commands.append(["jones", "--json", e.word])
+        commands.append(["trees", "--json", "--coloring", "both", e.word])
+        commands.append(["trees", "--coloring", "both", e.word])
     return commands
 
 
