@@ -43,8 +43,9 @@ class ParityViolation(KhfrontError, ValueError):
 
 
 class TooLarge(KhfrontError, ValueError):
-    """The diagram exceeds the configured crossing bound for the oracle, or
-    has more spanning trees than a listing holds."""
+    """A front word has more than ``front.EVENT_LIMIT`` = 50,000 events,
+    the diagram exceeds the configured crossing bound for the oracle, or
+    it has more spanning trees than a listing holds."""
 
 
 class EmptyTable(KhfrontError, ValueError):

@@ -20,9 +20,21 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import LinkDiagram, PortEnd
-from .errors import Disconnected, MalformedToken, NonzeroEndState, StrandUnderflow
+from .errors import (
+    Disconnected,
+    MalformedToken,
+    NonzeroEndState,
+    StrandUnderflow,
+    TooLarge,
+)
 
 Event = tuple[str, int]  # ("L" | "R" | "X", 1-based position)
+
+#: most events a front word may have.  The sweep and the census are linear
+#: in it, but a word ten times this long takes gigabytes; the largest
+#: fronts in use (a 2001-crossing twist, a 1500-crossing kink chain of
+#: about 4,500 events) stay far below it.
+EVENT_LIMIT = 50_000
 
 _TOKEN = re.compile(r"([LRX])([0-9]+)\Z")
 
@@ -31,14 +43,20 @@ _TOKEN = re.compile(r"([LRX])([0-9]+)\Z")
 class FrontDiagram:
     """A validated front word.
 
-    Construction runs the sweep, which checks every event's strand-count
-    legality as it applies it, and then checks connectivity; use
-    ``parse_front`` for text input.
+    Construction refuses more than ``EVENT_LIMIT`` events with TooLarge,
+    then runs the sweep, which checks every event's strand-count legality
+    as it applies it, and then checks connectivity; use ``parse_front``
+    for text input.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self):
+        if len(self.events) > EVENT_LIMIT:
+            raise TooLarge(
+                f"{len(self.events)} events exceeds the front limit of "
+                f"{EVENT_LIMIT}"
+            )
         if not self.desingularize().is_connected():
             raise Disconnected("diagram is not connected as a plane subset")
 
@@ -74,8 +92,9 @@ class FrontDiagram:
 def parse_front(text: str) -> FrontDiagram:
     """Parse a whitespace-separated front word such as ``"L1 L3 X2 R2 R1"``.
 
-    Raises MalformedToken, StrandUnderflow, NonzeroEndState, or Disconnected
-    from the connectivity check of the desingularized diagram.
+    Raises TooLarge for more than ``EVENT_LIMIT`` events, MalformedToken,
+    StrandUnderflow, NonzeroEndState, or Disconnected from the connectivity
+    check of the desingularized diagram.
     """
     events: list[Event] = []
     for token in text.split():

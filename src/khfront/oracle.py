@@ -28,6 +28,16 @@ for the tangle of the crossings added so far:
   that is +-identity between equal objects is cancelled by Gaussian
   elimination, which leaves the complex homotopy equivalent.
 
+Every object with the same matching meets the crossing the same way, so
+the scan works per matching, not per object: each crossing glues each
+matching to each smoothing once, and builds the surface of each tensor
+entry a -> b once per (a, b, smoothings), with its evaluation per dot
+mask already split into summand offsets and terms; these live for one
+crossing.  Composites, which serve the d∘d check and the elimination,
+keep their surface and their evaluation per dot mask per matching
+triple for the whole scan, as arcs keep their ids from one crossing to
+the next.
+
 After the last crossing the boundary is empty and every morphism is an
 integer; each residual (i, j) block goes through Smith normal form.
 
@@ -207,10 +217,13 @@ class _Complex:
     """A chain complex over the dotted cobordisms of one tangle.
 
     ``objs[x]`` is (matching, h, q) and ``out[x]`` maps each y to the
-    morphism x -> y of the differential.  Circle numberings and the
-    surfaces of compositions are cached per matching pair and triple for
-    the whole scan, since arcs keep their ids from one crossing to the
-    next.
+    morphism x -> y of the differential.  Circle numberings are cached
+    per matching pair, and the surface of a composite a -> b -> c with its
+    evaluation per dot mask per matching triple, for the life of the
+    complex, which is the whole scan since arcs keep their ids from one
+    crossing to the next.  ``add_crossing`` caches its gluings per
+    (matching, smoothing) and its tensor surfaces and their split
+    evaluations per (a, b, smoothings) for that crossing only.
     """
 
     def __init__(self, objs: list[tuple[Matching, int, int]], out: list[dict]):
@@ -218,7 +231,9 @@ class _Complex:
         self.out = out
         self._partners: dict[Matching, dict[int, int]] = {}
         self._circles: dict[tuple[Matching, Matching], tuple[dict, int]] = {}
-        self._surfaces: dict[tuple[Matching, Matching, Matching], list] = {}
+        #: (a, b, c) -> (circle count of a and b, surface of the composite,
+        #: {dotted-disk mask: its evaluation})
+        self._composites: dict[tuple[Matching, Matching, Matching], tuple] = {}
 
     def partner(self, a: Matching) -> dict[int, int]:
         got = self._partners.get(a)
@@ -253,22 +268,28 @@ class _Complex:
     def compose(self, f: Morphism, g: Morphism, a, b, c) -> Morphism:
         """g∘f for f: a -> b and g: b -> c: the disks of both glued along
         the arcs of b."""
-        num_ab, n_ab = self.circles(a, b)
-        comps = self._surfaces.get((a, b, c))
-        if comps is None:
+        got = self._composites.get((a, b, c))
+        if got is None:
+            num_ab, n_ab = self.circles(a, b)
             num_bc, n_bc = self.circles(b, c)
             num_ac, n_ac = self.circles(a, c)
             seams = [(num_ab[u], n_ab + num_bc[u]) for u, _ in b]
             owner = [0] * n_ac
             for u, k in num_ac.items():
                 owner[k] = num_ab[u]
-            comps = self._surfaces[(a, b, c)] = _surface(n_ab + n_bc, seams, owner)
-        got: Morphism = {}
+            comps = _surface(n_ab + n_bc, seams, owner)
+            got = self._composites[(a, b, c)] = (n_ab, comps, {})
+        n_ab, comps, evals = got
+        total: Morphism = {}
         for s, u in f.items():
             for t, v in g.items():
-                for m, w in _evaluate(comps, s | t << n_ab).items():
-                    got[m] = got.get(m, 0) + u * v * w
-        return {m: v for m, v in got.items() if v}
+                mask = s | t << n_ab
+                terms = evals.get(mask)
+                if terms is None:
+                    terms = evals[mask] = _evaluate(comps, mask)
+                for m, w in terms.items():
+                    total[m] = total.get(m, 0) + u * v * w
+        return {m: v for m, v in total.items() if v}
 
     # -- one crossing -------------------------------------------------------
 
@@ -329,12 +350,16 @@ class _Complex:
                     loops.append(p)
             return tuple(sorted((u, v) for u, v in pair.items() if u < v)), loops
 
+        glued: dict[tuple[Matching, int], tuple[Matching, list[int]]] = {}
         objs: list[tuple[Matching, int, int]] = []
-        glued: dict[tuple[int, int], tuple[Matching, list[int], int]] = {}
-        for x, (a, h, q) in enumerate(self.objs):
+        first: list[int] = []  # 2x + s -> first summand of (x, s)
+        for a, h, q in self.objs:
             for s in (0, 1):
-                a2, loops = glue(a, s)
-                glued[(x, s)] = (a2, loops, len(objs))
+                got = glued.get((a, s))
+                if got is None:
+                    got = glued[(a, s)] = glue(a, s)
+                a2, loops = got
+                first.append(len(objs))
                 n_loops = len(loops)
                 # summand m: loop k labelled v+ (q + 1) iff bit k of m is set
                 objs += [
@@ -343,12 +368,13 @@ class _Complex:
                 ]
         out: list[dict] = [{} for _ in objs]
 
-        def tensor(x, y, s, t, f: Morphism) -> None:
-            """Add f ⊗ (the identity of s, or the saddle s -> t) from the
-            summands of (x, s) to those of (y, t)."""
-            a, b = self.objs[x][0], self.objs[y][0]
-            a2, src_loops, src = glued[(x, s)]
-            b2, tgt_loops, tgt = glued[(y, t)]
+        def surface(a: Matching, b: Matching, s: int, t: int):
+            """The surface of (the identity of s, or the saddle s -> t)
+            glued to the disks of a -> b, and what splitting its terms
+            needs: the circle count of the glued matchings, the source
+            loop count and the mask that flips target loop labels."""
+            a2, src_loops = glued[(a, s)]
+            b2, tgt_loops = glued[(b, t)]
             num_ab, n_ab = self.circles(a, b)
             disk = [n_ab + k for k in (_STRIP[s] if s == t else _SADDLE)]
             seams = []
@@ -363,16 +389,38 @@ class _Complex:
                 owner[k] = disk[new[u]] if u in new else num_ab[u]
             owner += [disk[p] for p in src_loops + tgt_loops]
             comps = _surface(n_ab + (2 if s == t else 1), seams, owner)
-            # a source loop survives delooping on its v+ summand with a dot
-            # and on its v- summand without; a target loop the other way
-            keep = (1 << n2) - 1
-            n_src = len(src_loops)
-            flip = (1 << len(tgt_loops)) - 1
+            return comps, n2, len(src_loops), (1 << len(tgt_loops)) - 1
+
+        #: (a, b, s, t) -> (surface, {dot mask: [(source summand offset,
+        #: target summand offset, key, coefficient)]})
+        tables: dict[tuple[Matching, Matching, int, int], tuple] = {}
+
+        def tensor(x, y, s, t, f: Morphism) -> None:
+            """Add f ⊗ (the identity of s, or the saddle s -> t) from the
+            summands of (x, s) to those of (y, t)."""
+            key = (self.objs[x][0], self.objs[y][0], s, t)
+            got = tables.get(key)
+            if got is None:
+                got = tables[key] = (surface(*key), {})
+            (comps, n2, n_src, flip), split = got
+            src, tgt = first[2 * x + s], first[2 * y + t]
             for dots, coef in f.items():
-                for m, v in _evaluate(comps, dots).items():
-                    i = src + ((m >> n2) & ((1 << n_src) - 1))
-                    j = tgt + (flip ^ (m >> (n2 + n_src)))
-                    _add_into(out[i], j, m & keep, coef * v)
+                terms = split.get(dots)
+                if terms is None:
+                    # a source loop survives delooping on its v+ summand
+                    # with a dot and on its v- summand without; a target
+                    # loop the other way
+                    terms = split[dots] = [
+                        (
+                            (m >> n2) & ((1 << n_src) - 1),
+                            flip ^ (m >> (n2 + n_src)),
+                            m & ((1 << n2) - 1),
+                            v,
+                        )
+                        for m, v in _evaluate(comps, dots).items()
+                    ]
+                for i, j, m, v in terms:
+                    _add_into(out[src + i], tgt + j, m, coef * v)
 
         for x, (_, h, _) in enumerate(self.objs):
             for y, f in self.out[x].items():

@@ -71,8 +71,9 @@ def front_words(draw, max_crossings: int = 4, max_cusp_pairs: int = 3):
             choices.append("L")
         if x_left and k >= 2:
             choices.append("X")
-        # never strand more right cusps than remaining strands allow
-        if r_left and k >= 2 and (l_left == 0 or k > 2 or x_left == 0):
+        # never close the last two strands while crossings remain: they
+        # would be dropped
+        if r_left and k >= 2 and (k > 2 or x_left == 0):
             choices.append("R")
         if not choices:
             # only crossings left but too few strands: drop them

@@ -24,6 +24,7 @@ from khfront.cli import (
     _parser,
     main,
 )
+from khfront.front import EVENT_LIMIT
 from khfront.trees import LISTING_LIMIT, PRETTY
 
 from conftest import front_words, run_optimized, run_python
@@ -305,6 +306,17 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "analyze", "@/no/such/file.front")[0] == EXIT_INVALID
+
+    def test_oversized_front_is_refused_before_the_sweep(self, capsys):
+        # a twist eight times over the limit, which analyze used to take
+        # about 43 s and 1.6 GB to sweep and count
+        word = "L1 L2 " + "X1 " * (8 * EVENT_LIMIT) + "R2 R1"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", word)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(EVENT_LIMIT) in err
+        assert time.perf_counter() - start < 5
 
     def test_convention_exit_code_value(self):
         assert EXIT_CONVENTION == 2

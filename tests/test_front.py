@@ -1,15 +1,18 @@
 """Front parsing, validation, desingularization, and tb."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 from khfront import (
     Disconnected,
+    FrontDiagram,
     MalformedToken,
     NonzeroEndState,
     StrandUnderflow,
+    TooLarge,
     parse_front,
 )
+from khfront.front import EVENT_LIMIT
 
 from conftest import front_words
 
@@ -45,6 +48,15 @@ class TestParsing:
     def test_nonzero_end_state(self):
         with pytest.raises(NonzeroEndState):
             parse_front("L1 L2")
+
+    def test_one_event_past_the_limit_is_refused(self):
+        # four cusps and EVENT_LIMIT - 3 crossings
+        events = (("L", 1), ("L", 2)) + (("X", 1),) * (EVENT_LIMIT - 3)
+        events += (("R", 2), ("R", 1))
+        with pytest.raises(TooLarge, match=str(EVENT_LIMIT)):
+            parse_front(" ".join(f"{kind}{pos}" for kind, pos in events))
+        with pytest.raises(TooLarge):
+            FrontDiagram(events)
 
     def test_disconnected(self):
         # two stacked circles that never interact
@@ -122,3 +134,23 @@ class TestFrontProperties:
     def test_crossing_signs_are_units(self, front):
         d = front.desingularize()
         assert all(s in (-1, 1) for s in d.crossing_signs())
+
+    def test_random_fronts_reach_their_size(self):
+        # crossings must not be dropped by closing the last right cusp
+        # early, or the property tests only ever see small fronts
+        sizes = []
+
+        @settings(
+            max_examples=100,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            phases=[Phase.generate],
+        )
+        @given(front_words(max_crossings=8))
+        def draw(front):
+            sizes.append(front.crossing_count)
+
+        draw()
+        assert len(sizes) == 100
+        assert sum(n >= 6 for n in sizes) >= 25, sorted(sizes)

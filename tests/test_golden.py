@@ -3,8 +3,10 @@
 ``golden_outputs.json`` maps each command line to its exact stdout: the
 bundled corpus under ``corpus --oracle --json``, and ``homology --json``,
 ``jones --json`` and the ``trees --coloring both`` listing, as JSON and
-as text, for every bundled front word.  A change that means
-to alter one of these outputs regenerates the file and says why::
+as text, for every bundled front word; and ``homology --json`` on the
+scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented.  A
+change that means to alter one of these outputs regenerates the file and
+says why::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +26,17 @@ from khfront.cli import EXIT_OK, main
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 
 
+#: fronts the homology scan finds hard, beyond the bundled words: the sum
+#: of five right trefoils (15 crossings, torsion-heavy), T(3, 7) (14
+#: crossings), and a two-component sum of a trefoil, two Hopf clasps on
+#: one shared ring, and a kink
+SCAN_HARD = (
+    "L1" + " L2 X1 X1 X1 R2" * 5 + " R1",
+    "L1 L2 L3" + " X1 X2" * 7 + " R3 R2 R1",
+    "L1 L2 X1 X1 X1 R2 L2 X1 X1 X3 X3 R2 L2 X1 R2 R1",
+)
+
+
 def golden_commands() -> list[list[str]]:
     commands = [["corpus", "--oracle", "--json"]]
     for e in BUNDLED:
@@ -31,6 +44,12 @@ def golden_commands() -> list[list[str]]:
         commands.append(["jones", "--json", e.word])
         commands.append(["trees", "--json", "--coloring", "both", e.word])
         commands.append(["trees", "--coloring", "both", e.word])
+    for word in SCAN_HARD:
+        commands.append(["homology", "--json", "--max-crossings", "15", word])
+    link = SCAN_HARD[-1]
+    commands.append(
+        ["homology", "--json", "--max-crossings", "15", "--orient", "-,+", link]
+    )
     return commands
 
 

@@ -17,6 +17,7 @@ from khfront import (
     khovanov_homology,
     parse_front,
 )
+from khfront import oracle
 from khfront.snf import invariant_factors
 
 from conftest import front_words, run_optimized
@@ -94,6 +95,23 @@ class TestKhovanov:
         v = LaurentPoly({2: 1, 6: 1, 8: -1})
         assert table.graded_euler() == UNKNOT_POLY * v**5
         assert elapsed < 10, f"{elapsed:.1f}s"
+
+    def test_scan_builds_each_surface_once_per_matching(self, monkeypatch):
+        # the five-trefoil sum has 835 scan objects but few matchings; a
+        # scan that built and evaluated a surface per object or per
+        # differential entry made 3,192 surfaces and 11,435 evaluations
+        calls = {"_surface": 0, "_evaluate": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        trefoil = "L2 X1 X1 X1 R2"
+        d = parse_front(f"L1 {' '.join([trefoil] * 5)} R1").desingularize()
+        khovanov_homology(d, max_crossings=15)
+        assert calls["_surface"] <= 320
+        assert calls["_evaluate"] <= 1144
 
     def test_too_large(self):
         d = parse_front(TREFOIL).desingularize()
