@@ -44,8 +44,9 @@ class ParityViolation(KhfrontError, ValueError):
 
 class TooLarge(KhfrontError, ValueError):
     """A front word has more than ``front.EVENT_LIMIT`` = 50,000 events,
-    the diagram exceeds the configured crossing bound for the oracle, or
-    it has more spanning trees than a listing holds."""
+    the diagram exceeds the configured crossing bound for the oracle, the
+    Jones sweep holds more than ``oracle.JONES_STATE_LIMIT`` = 2048
+    matchings, or the graph has more spanning trees than a listing holds."""
 
 
 class EmptyTable(KhfrontError, ValueError):

@@ -1,6 +1,6 @@
 """Independent verification back-ends: integer Khovanov homology by
 Bar-Natan's scanning algorithm, and the Jones polynomial as a state sum
-in q.
+in q swept over matchings.
 
 Both work directly on a LinkDiagram and share nothing with the spanning
 tree model beyond the diagram itself, so agreement between the two sides
@@ -41,11 +41,21 @@ the next.
 After the last crossing the boundary is empty and every morphism is an
 integer; each residual (i, j) block goes through Smith normal form.
 
-The Jones polynomial is summed over the 2^n states in Khovanov's
-normalisation (D. Bar-Natan, "On Khovanov's categorification of the Jones
-polynomial", AGT 2 (2002), arXiv:math/0201043): a state with r
-1-smoothings and k loops weighs (-q)^r (q + 1/q)^k, and the sum is
-multiplied by (-1)^{n-} q^{n+ - 2 n-}, so the unknot maps to q + 1/q.
+The Jones polynomial is the state sum in Khovanov's normalisation (D.
+Bar-Natan, "On Khovanov's categorification of the Jones polynomial", AGT 2
+(2002), arXiv:math/0201043): a state with r 1-smoothings and k loops
+weighs (-q)^r (q + 1/q)^k, and the sum is multiplied by
+(-1)^{n-} q^{n+ - 2 n-}, so the unknot maps to q + 1/q.  It is not summed
+over the 2^n states but swept over the crossings in index order, keeping
+one Laurent polynomial per matching of the open arc-ends (a Temperley-Lieb
+state): each crossing joins every matching with its A-smoothing (weight 1)
+and its B-smoothing (weight -q), and each loop that closes multiplies by
+q + 1/q.  On a front the open arc-ends are the strands cut by the sweep
+line, so a front whose line cuts at most w strands holds at most
+Catalan(w/2) matchings; the sweep raises TooLarge past
+``JONES_STATE_LIMIT`` = 2048 of them.  It shares no code with the scan,
+so the homology's graded Euler characteristic against the Jones
+polynomial stays an independent check.
 
 Conventions: the unknot has homology Z at (0, -1) and (0, 1) (unreduced,
 graded Euler characteristic (q + 1/q) times the Jones polynomial); the
@@ -63,6 +73,11 @@ from .laurent import LaurentPoly
 from .snf import invariant_factors
 
 DEFAULT_MAX_CROSSINGS = 14
+#: most matchings the Jones sweep holds after a crossing.  After k of n
+#: crossings it holds at most 2^k matchings, and at most the number of
+#: matchings of the <= 4(n - k) open arc-ends, so at most 2^11 for
+#: n <= 14: the limit never trips under the default crossing limit
+JONES_STATE_LIMIT = 2**11
 
 Matching = tuple[tuple[int, int], ...]  # sorted pairs (u, v), u < v, of arc ids
 Morphism = dict[int, int]  # dotted-circle bitmask -> coefficient
@@ -562,31 +577,76 @@ def kauffman_jones(
         (-1)^{n-} q^{n+ - 2 n-} * sum over states of (-q)^b (q + 1/q)^k
 
     where a state has b B-smoothings (1-smoothings) and k loops; the
-    unknot maps to q + 1/q."""
+    unknot maps to q + 1/q.
+
+    The sum is swept over the crossings in index order, keeping one
+    polynomial per matching of the open arc-ends: each crossing joins
+    every matching with the A-smoothing (weight 1) and the B-smoothing
+    (weight -q), and each loop that closes multiplies by q + 1/q.  Raises
+    TooLarge when more than ``JONES_STATE_LIMIT`` matchings are held after
+    a crossing, and ConventionError unless the sweep ends on the empty
+    matching."""
     _check_oracle_input(d, max_crossings)
-    n_plus, n_minus = d.positive_negative(flips)
     port_arc = _port_arc(d)
-    # states counted by (B-smoothings, loops): one term per class.  The
-    # states are enumerated depth-first over the crossings; each level
-    # copies the arc union-find once and keeps a running loop count
-    states: dict[tuple[int, int], int] = {}
-    stack = [(0, list(range(len(d.arcs))), 0, len(d.arcs) + d.free_loops)]
-    while stack:
-        c, parent, b, loops = stack.pop()
-        if c == d.n:
-            states[(b, loops)] = states.get((b, loops), 0) + 1
-            continue
-        for smoothing, pairs in ((1, B_PAIRS), (0, A_PAIRS)):
-            here = parent[:] if smoothing else parent
-            k = loops
-            for p, q in pairs:
-                ra = _find(here, port_arc[(c, p)])
-                rb = _find(here, port_arc[(c, q)])
-                if ra != rb:
-                    here[ra] = rb
-                    k -= 1
-            stack.append((c + 1, here, b + smoothing, k))
-    total = LaurentPoly.zero()
-    for (b, loops), count in states.items():
-        total = total + LaurentPoly.monomial(b, count * (-1) ** b) * _circle() ** loops
+    # q-exponent -> coefficient of (1 or -q) (q + 1/q)^k, by smoothing and k
+    weight = [
+        [
+            (LaurentPoly.monomial(s, (-1) ** s) * _circle() ** k).coeffs
+            for k in range(3)
+        ]
+        for s in (0, 1)
+    ]
+    # the open arc-ends are labelled by arc; a matching is a sorted tuple
+    # of pairs of labels, each pair joined by a strand of the tangle swept
+    states: dict[Matching, dict[int, int]] = {(): {0: 1}}
+    for c in range(d.n):
+        # each port's end at c: its arc if that arc is open, else -1 - port,
+        # joined first to the arc's other end (an open label or a port)
+        label = [0] * 4
+        fresh = []
+        for p in range(4):
+            other_c, other_p = d.other_end((c, p))
+            if other_c < c:
+                label[p] = port_arc[(c, p)]
+                continue
+            label[p] = -1 - p
+            if other_c > c:
+                fresh.append((port_arc[(c, p)], -1 - p))
+            elif p < other_p:
+                fresh.append((-1 - p, -1 - other_p))
+        swept: dict[Matching, dict[int, int]] = {}
+        for matching, poly in states.items():
+            for s, pairs in enumerate((A_PAIRS, B_PAIRS)):
+                mate = {}
+                for u, v in (*matching, *fresh):
+                    mate[u] = v
+                    mate[v] = u
+                loops = 0
+                for p, q in pairs:
+                    x, y = label[p], label[q]
+                    mx = mate.pop(x)
+                    if mx == y:
+                        del mate[y]
+                        loops += 1
+                    else:
+                        my = mate.pop(y)
+                        mate[mx] = my
+                        mate[my] = mx
+                key = tuple(sorted((u, v) for u, v in mate.items() if u < v))
+                into = swept.setdefault(key, {})
+                for de, dv in weight[s][loops].items():
+                    for e, v in poly.items():
+                        into[e + de] = into.get(e + de, 0) + v * dv
+        states = swept
+        if len(states) > JONES_STATE_LIMIT:
+            raise TooLarge(
+                f"the Jones sweep holds {len(states)} matchings after "
+                f"crossing {c}, over the limit of {JONES_STATE_LIMIT}"
+            )
+    if list(states) != [()]:
+        raise ConventionError(
+            f"the Jones sweep ended on {len(states)} matchings, not the empty one"
+        )
+    n_plus, n_minus = d.positive_negative(flips)
+    total = LaurentPoly(states[()]) * _circle() ** d.free_loops
     return LaurentPoly.monomial(n_plus - 2 * n_minus, (-1) ** n_minus) * total

@@ -1,5 +1,6 @@
-"""Test-only reference for the Khovanov oracle: one sparse matrix per
-bidegree and a separate Smith normal form for each.
+"""Test-only references for the oracles: Khovanov homology with one
+sparse matrix per bidegree and a separate Smith normal form for each, and
+the Jones polynomial as a sum over all 2^n states.
 
 It builds the differential of the cube of resolutions as one matrix per
 bidegree (i, j) -> (i + 1, j), keyed by generator positions within each
@@ -8,7 +9,8 @@ sparsest rows first, then a dense Smith reduction of what is left.  It
 shares only the dense Smith reduction (``snf.invariant_factors``) with the
 oracle it checks, which never builds the cube: it scans the diagram one
 crossing at a time over dotted cobordisms and cancels +-identity entries
-as it goes.
+as it goes.  The Jones reference enumerates the states with an arc
+union-find; the oracle sweeps matchings of the open arc-ends instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import heapq
 
 from khfront.diagram import A_PAIRS, B_PAIRS, _find
-from khfront.oracle import BigradedTable, _port_arc
+from khfront.laurent import LaurentPoly
+from khfront.oracle import BigradedTable, _circle, _port_arc
 from khfront.snf import invariant_factors as dense_invariant_factors
 
 
@@ -42,12 +45,14 @@ class _StateLoops:
         self.count = len(self.roots)
 
 
-def reference_homology(d, flips=None) -> BigradedTable:
-    """Integer Khovanov homology of a diagram with at least one crossing."""
+def reference_homology(d, orientations) -> list[BigradedTable]:
+    """Integer Khovanov homology of a diagram with at least one crossing,
+    one table per orientation in ``orientations`` (each a ``flips``
+    argument).  The cube is built and reduced once, in the unshifted
+    gradings h = number of B-smoothings and q = h + #v+ - #v-, since the
+    orientation only shifts them by (-n-, n+ - 2 n-)."""
     assert d.n and d.free_loops == 0
     n = d.n
-    n_plus, n_minus = d.positive_negative(flips)
-    w = n_plus - n_minus
     port_arc = _port_arc(d)
     loops = [_StateLoops(d, port_arc, s) for s in range(1 << n)]
 
@@ -56,11 +61,11 @@ def reference_homology(d, flips=None) -> BigradedTable:
     dims: dict[tuple[int, int], int] = {}
     idx_of: list[list[int]] = []
     for s in range(1 << n):
-        i = s.bit_count() - n_minus
+        h = s.bit_count()
         nl = loops[s].count
         here = []
         for mask in range(1 << nl):
-            key = (i, i + w + 2 * mask.bit_count() - nl)
+            key = (h, h + 2 * mask.bit_count() - nl)
             k = dims.get(key, 0)
             here.append(k)
             dims[key] = k + 1
@@ -68,12 +73,12 @@ def reference_homology(d, flips=None) -> BigradedTable:
 
     mats: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
-    def add(i, mask, nl, row, col, sign):
-        mat = mats.setdefault((i, i + w + 2 * mask.bit_count() - nl), {})
+    def add(h, mask, nl, row, col, sign):
+        mat = mats.setdefault((h, h + 2 * mask.bit_count() - nl), {})
         mat[(row, col)] = mat.get((row, col), 0) + sign
 
     for s in range(1 << n):
-        i = s.bit_count() - n_minus
+        h = s.bit_count()
         ls = loops[s]
         nl = ls.count
         for c in range(n):
@@ -100,7 +105,7 @@ def reference_homology(d, flips=None) -> BigradedTable:
                     a, b = mask >> la & 1, mask >> lb & 1
                     if a or b:
                         tmask = image(mask) | (tbit if a and b else 0)
-                        add(i, mask, nl, idx_of[t][tmask], idx_of[s][mask], sign)
+                        add(h, mask, nl, idx_of[t][tmask], idx_of[s][mask], sign)
             else:  # split: d(+) = +- + -+, d(-) = --
                 (la,) = touch
                 targets = sorted(
@@ -116,22 +121,29 @@ def reference_homology(d, flips=None) -> BigradedTable:
                     if mask >> la & 1:
                         for tb in targets:
                             tmask = image(mask) | 1 << tb
-                            add(i, mask, nl, idx_of[t][tmask], col, sign)
+                            add(h, mask, nl, idx_of[t][tmask], col, sign)
                     else:
-                        add(i, mask, nl, idx_of[t][image(mask)], col, sign)
+                        add(h, mask, nl, idx_of[t][image(mask)], col, sign)
 
     factors = {key: reference_invariant_factors(mat) for key, mat in mats.items()}
     groups = {}
-    for (i, jq), dim in dims.items():
-        free = (
-            dim
-            - len(factors.get((i, jq), ()))
-            - len(factors.get((i - 1, jq), ()))
-        )
+    for (h, q), dim in dims.items():
+        free = dim - len(factors.get((h, q), ())) - len(factors.get((h - 1, q), ()))
         assert free >= 0
-        torsion = tuple(sorted(t for t in factors.get((i - 1, jq), ()) if t > 1))
-        groups[(i, jq)] = (free, torsion)
-    return BigradedTable(groups)
+        torsion = tuple(sorted(t for t in factors.get((h - 1, q), ()) if t > 1))
+        groups[(h, q)] = (free, torsion)
+    tables = []
+    for flips in orientations:
+        n_plus, n_minus = d.positive_negative(flips)
+        tables.append(
+            BigradedTable(
+                {
+                    (h - n_minus, q + n_plus - 2 * n_minus): g
+                    for (h, q), g in groups.items()
+                }
+            )
+        )
+    return tables
 
 
 def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
@@ -190,3 +202,36 @@ def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int
 
     core = {(r, c): val for r, rowd in rows.items() for c, val in rowd.items()}
     return [1] * unit_pivots + dense_invariant_factors(core)
+
+
+def reference_jones(d, flips=None) -> LaurentPoly:
+    """Unreduced Jones polynomial as a sum over all 2^n states, in the
+    normalisation of ``oracle.kauffman_jones``: a state with b B-smoothings
+    and k loops weighs (-q)^b (q + 1/q)^k, and the sum is multiplied by
+    (-1)^{n-} q^{n+ - 2 n-}."""
+    n_plus, n_minus = d.positive_negative(flips)
+    port_arc = _port_arc(d)
+    # states counted by (B-smoothings, loops): one term per class.  The
+    # states are enumerated depth-first over the crossings; each level
+    # copies the arc union-find once and keeps a running loop count
+    states: dict[tuple[int, int], int] = {}
+    stack = [(0, list(range(len(d.arcs))), 0, len(d.arcs) + d.free_loops)]
+    while stack:
+        c, parent, b, loops = stack.pop()
+        if c == d.n:
+            states[(b, loops)] = states.get((b, loops), 0) + 1
+            continue
+        for smoothing, pairs in ((1, B_PAIRS), (0, A_PAIRS)):
+            here = parent[:] if smoothing else parent
+            k = loops
+            for p, q in pairs:
+                ra = _find(here, port_arc[(c, p)])
+                rb = _find(here, port_arc[(c, q)])
+                if ra != rb:
+                    here[ra] = rb
+                    k -= 1
+            stack.append((c + 1, here, b + smoothing, k))
+    total = LaurentPoly.zero()
+    for (b, loops), count in states.items():
+        total = total + LaurentPoly.monomial(b, count * (-1) ** b) * _circle() ** loops
+    return LaurentPoly.monomial(n_plus - 2 * n_minus, (-1) ** n_minus) * total

@@ -1,13 +1,17 @@
 """Bound reports, censuses, sharpness certificates, tripwire."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khfront import (
+    FrontDiagram,
     checkerboard,
     good_bad_census,
+    kauffman_jones,
     khovanov_homology,
     ng_bound,
     parse_front,
@@ -117,6 +121,62 @@ class TestKnownMaximalTb:
         elapsed = time.perf_counter() - start
         assert (r.tb, r.tree_count, r.verdict) == (1999, 2001, "sharp_certified")
         assert elapsed < 1
+
+
+def stabilize(front, at: int, p: int, down: bool) -> FrontDiagram:
+    """The front with a zigzag on strand ``p`` after its first ``at``
+    events: ``L p+1 R p``, or ``L p R p+1`` when ``down``.  It adds one
+    right cusp and no crossing, so tb drops by 1 and the link type is
+    kept."""
+    zigzag = (("L", p), ("R", p + 1)) if down else (("L", p + 1), ("R", p))
+    return FrontDiagram(front.events[:at] + zigzag + front.events[at:])
+
+
+def strands_after(front, at: int) -> int:
+    """Strands cut by a vertical line after the first ``at`` events."""
+    steps = {"L": 2, "R": -2, "X": 0}
+    return sum(steps[kind] for kind, _ in front.events[:at])
+
+
+class TestStabilization:
+    """A stabilization lowers tb by exactly 1 and keeps the knot type, so
+    the Jones polynomial of a knot stays, and a front that certified its
+    bound sharp certifies it no longer."""
+
+    def check(self, front, stabilized, max_crossings):
+        assert stabilized.tb() == front.tb() - 1
+        d, e = front.desingularize(), stabilized.desingularize()
+        if d.component_count() == 1:
+            jones = kauffman_jones(d, max_crossings=max_crossings)
+            assert kauffman_jones(e, max_crossings=max_crossings) == jones
+        if sharpness_report(front).verdict == "sharp_certified":
+            assert sharpness_report(stabilized).verdict != "sharp_certified"
+
+    @settings(max_examples=50, deadline=None)
+    @given(front_words(max_crossings=8), st.data())
+    def test_random_fronts(self, front, data):
+        at = data.draw(st.integers(1, len(front.events) - 1))
+        strand = data.draw(st.integers(1, strands_after(front, at)))
+        stabilized = stabilize(front, at, strand, data.draw(st.booleans()))
+        self.check(front, stabilized, max_crossings=8)
+
+    def seeded(self, front, seed: int) -> FrontDiagram:
+        rng = random.Random(seed)
+        at = rng.randrange(1, len(front.events))
+        strand = rng.randint(1, strands_after(front, at))
+        return stabilize(front, at, strand, rng.random() < 0.5)
+
+    def test_bundled_fronts(self, corpus_fronts):
+        # nine of the ten bundled fronts certify sharp
+        for seed, (_, front) in enumerate(corpus_fronts):
+            n = front.crossing_count
+            self.check(front, self.seeded(front, seed), max_crossings=n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_torus_3_20(self, seed):
+        front = parse_front("L1 L2 L3 " + "X1 X2 " * 20 + "R3 R2 R1")
+        assert sharpness_report(front).verdict == "sharp_certified"
+        self.check(front, self.seeded(front, seed), max_crossings=40)
 
 
 class TestReportShape:

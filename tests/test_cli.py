@@ -25,6 +25,7 @@ from khfront.cli import (
     main,
 )
 from khfront.front import EVENT_LIMIT
+from khfront.oracle import JONES_STATE_LIMIT
 from khfront.trees import LISTING_LIMIT, PRETTY
 
 from conftest import front_words, run_optimized, run_python
@@ -181,13 +182,35 @@ class TestOracleCommands:
         assert "exceeds" in err
 
     def test_jones_refuses_oversized_front_at_once(self, capsys):
-        # 22 crossings would mean a state sum over 2^22 states
+        # 22 crossings are over the default crossing limit
         word = "L1 L2 " + "X1 " * 22 + "R2 R1"
         start = time.perf_counter()
         code, _, err = run(capsys, "jones", word)
         assert code == EXIT_INVALID
         assert "exceeds" in err
         assert time.perf_counter() - start < 5
+
+    def test_jones_refuses_a_wide_front_by_its_matching_count(self):
+        # nine nested cusps: the sweep line cuts 18 strands, which have up
+        # to Catalan(9) = 4862 planar matchings; unguarded, the 102-crossing
+        # sweep takes about 10 s.  Run under the benchmark's 2 GiB address
+        # space cap
+        nest = " ".join(f"L{k}" for k in range(1, 10))
+        ladder = " ".join(f"X{p}" for p in range(1, 18))
+        close = " ".join(f"R{k}" for k in range(9, 0, -1))
+        word = f"{nest} {' '.join([ladder] * 6)} {close}"
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from khfront.cli import main\n"
+            f"raise SystemExit(main(['jones', {word!r}, '--max-crossings', '102']))\n"
+        )
+        start = time.perf_counter()
+        proc = run_python("-c", code, timeout=60)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == ""
+        assert f"over the limit of {JONES_STATE_LIMIT}" in proc.stderr
+        assert time.perf_counter() - start < 10
 
 
 class TestCorpus:

@@ -21,7 +21,11 @@ from khfront import oracle
 from khfront.snf import invariant_factors
 
 from conftest import front_words, run_optimized
-from khovanov_reference import reference_homology, reference_invariant_factors
+from khovanov_reference import (
+    reference_homology,
+    reference_invariant_factors,
+    reference_jones,
+)
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 FIG8 = "L1 L1 L1 X2 X2 X4 R3 X2 R1 R1"
@@ -175,18 +179,39 @@ class TestTripwires:
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_jones_end_state_check_survives_optimize(self):
+        # a crossing whose four arcs lead to a crossing that never comes:
+        # the sweep ends on an open matching
+        code = (
+            "from types import SimpleNamespace\n"
+            "from khfront import ConventionError, kauffman_jones\n"
+            "d = SimpleNamespace(\n"
+            "    n=1, free_loops=0, arcs=[((0, p), (1, p)) for p in range(4)],\n"
+            "    other_end=lambda end: (1, end[1]),\n"
+            "    positive_negative=lambda flips=None: (1, 0),\n"
+            ")\n"
+            "try:\n"
+            "    kauffman_jones(d)\n"
+            "except ConventionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestReference:
-    """The oracle against a separate Smith normal form per bidegree."""
+    """The oracles against their references: the cube with a separate
+    Smith normal form per bidegree, and the sum over all 2^n states."""
 
     @settings(max_examples=100, deadline=None)
     @given(front_words(max_crossings=8))
     def test_cancellation_matches_per_bidegree_snf(self, front):
         d = front.desingularize()
         assume(d.n > 0)  # the reference builds no crossing-free table
-        for flips in (None, [True] * d.component_count()):
-            got = khovanov_homology(d, flips=flips).groups
-            assert got == reference_homology(d, flips=flips).groups
+        orientations = (None, [True] * d.component_count())
+        for flips, want in zip(orientations, reference_homology(d, orientations)):
+            assert khovanov_homology(d, flips=flips).groups == want.groups
 
     @settings(max_examples=50, deadline=None)
     @given(front_words(max_crossings=8), st.data())
@@ -197,9 +222,30 @@ class TestReference:
         assume(d.n > 0)
         e = LinkDiagram.from_pd(data.draw(st.permutations(d.to_pd())))
         n_comp = e.component_count()
+        orientations = ([True] * n_comp, [k == 0 for k in range(n_comp)])
+        for flips, want in zip(orientations, reference_homology(e, orientations)):
+            assert khovanov_homology(e, flips=flips).groups == want.groups
+
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=8), st.data())
+    def test_jones_sweep_matches_state_sum(self, front, data):
+        d = front.desingularize()
+        n_comp = d.component_count()
+        flipped = data.draw(st.integers(min_value=0, max_value=n_comp - 1))
+        for flips in (None, [k == flipped for k in range(n_comp)]):
+            assert kauffman_jones(d, flips) == reference_jones(d, flips)
+
+    @settings(max_examples=50, deadline=None)
+    @given(front_words(max_crossings=8), st.data())
+    def test_jones_sweep_in_any_crossing_order(self, front, data):
+        # the sweep adds a PD re-import's crossings in their shuffled order,
+        # so its matchings need not be planar along any line
+        d = front.desingularize()
+        assume(d.n > 0)
+        e = LinkDiagram.from_pd(data.draw(st.permutations(d.to_pd())))
+        n_comp = e.component_count()
         for flips in ([True] * n_comp, [k == 0 for k in range(n_comp)]):
-            got = khovanov_homology(e, flips=flips).groups
-            assert got == reference_homology(e, flips=flips).groups
+            assert kauffman_jones(e, flips) == reference_jones(e, flips)
 
     @pytest.mark.parametrize(
         "entries, factors",
@@ -226,6 +272,21 @@ class TestJones:
     def test_figure_eight(self):
         d = parse_front(FIG8).desingularize()
         assert kauffman_jones(d) == LaurentPoly({-5: 1, 5: 1})
+
+    def test_torus_3_100_within_a_second(self):
+        d = parse_front("L1 L2 L3 " + "X1 X2 " * 100 + "R3 R2 R1").desingularize()
+        start = time.perf_counter()
+        kauffman_jones(d, max_crossings=d.n)
+        assert time.perf_counter() - start < 1
+
+    def test_seven_trefoil_sum_within_a_tenth_of_a_second(self):
+        # 2^21 states for a state sum; the sweep holds at most two matchings
+        d = parse_front("L1 " + "L2 X1 X1 X1 R2 " * 7 + "R1").desingularize()
+        start = time.perf_counter()
+        got = kauffman_jones(d, max_crossings=d.n)
+        elapsed = time.perf_counter() - start
+        assert got == UNKNOT_POLY * LaurentPoly({2: 1, 6: 1, 8: -1}) ** 7
+        assert elapsed < 0.1, f"{elapsed:.3f}s"
 
     def test_mirror_negates_exponents(self):
         left = "L1 L1 L1 X2 X4 R3 X2 R1 R1"

@@ -1,5 +1,6 @@
 """Spanning trees, activities, bigradings, splicing, duality labels."""
 
+import time
 from collections import Counter
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from khfront import (
     ConventionError,
     Disconnected,
+    LaurentPoly,
     NotASpanningTree,
     TaitGraph,
     bigrading_counts,
     checkerboard,
     classify_activities,
     dual_tree,
+    kauffman_jones,
     labelled_trees,
     min_x_spanning_tree,
     parse_front,
@@ -303,3 +306,24 @@ class TestEulerCharacteristic:
         _, d, g = setup(TREFOIL)
         poly = tree_euler_characteristic(g, d.n, d.writhe())
         assert dict(poly.items()) == {1: 1, 3: 1, 5: 1, 9: -1}
+
+    def test_equals_jones_at_scale(self):
+        # tree census against the Jones sweep, both far past the 2^n state
+        # sum: T(3, 100), T(2, 301), a sum of 20 trefoils and a chain of
+        # 540 kinks, which is an unknot
+        unknot = LaurentPoly({-1: 1, 1: 1})
+        trefoil = LaurentPoly({2: 1, 6: 1, 8: -1})
+        cases = [
+            ("L1 L2 L3 " + "X1 X2 " * 100 + "R3 R2 R1", None),
+            ("L1 L2 " + "X1 " * 301 + "R2 R1", None),
+            ("L1 " + "L2 X1 X1 X1 R2 " * 20 + "R1", unknot * trefoil**20),
+            ("L1 " + "L2 X1 R2 " * 540 + "R1", unknot),
+        ]
+        start = time.perf_counter()
+        for word, known in cases:
+            _, d, g = setup(word)
+            tree_side = tree_euler_characteristic(g, d.n, d.writhe())
+            assert tree_side == kauffman_jones(d, max_crossings=d.n), word[:20]
+            assert known is None or tree_side == known
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"{elapsed:.2f}s"
