@@ -29,8 +29,9 @@ diagram = front.desingularize()
 print(f"\ndesingularized  : {diagram}")
 print(f"writhe          : {diagram.writhe()}")
 print(f"tb = w - C      : {front.tb()}")
-print(f"faces (sphere)  : {diagram.face_count()}  "
-      f"(Euler: {diagram.n} - {2 * diagram.n} + {diagram.face_count()} = 2)")
+n_faces = len(diagram.face_walks) + diagram.free_loops
+print(f"faces (sphere)  : {n_faces}  "
+      f"(Euler: {diagram.n} - {2 * diagram.n} + {n_faces} = 2)")
 
 canonical, _ = checkerboard(diagram)
 graph = tait_graph(diagram, canonical)

@@ -159,7 +159,7 @@ def sharpness_report(
     if with_oracle:
         min_delta = khovanov_homology(d, max_crossings=max_crossings).min_delta()
     report = BoundReport(
-        tb=front.tb(),
+        tb=w - c,
         C=c,
         min_u=min_u,
         census=census,

@@ -1,4 +1,4 @@
-"""Planar link diagrams as combinatorial maps.
+"""Planar link diagrams as combinatorial maps on packed integer ports.
 
 A diagram is a 4-valent plane graph: one node per crossing, with the four
 arc-ends at a crossing in fixed geometric ports
@@ -6,36 +6,44 @@ arc-ends at a crossing in fixed geometric ports
     0 = NW (upper left)   1 = NE (upper right)
     3 = SW (lower left)   2 = SE (lower right)
 
-The counterclockwise rotation at every crossing is NW -> SW -> SE -> NE.
-Arcs join ports and may pass smoothly through cusps of a front; cusps are
-never nodes.  Faces are traced from the rotation system, so the embedding
-is purely combinatorial (sphere compactification).
+Port p of crossing c is the integer x = 4c + p, so x >> 2 is its crossing
+and x & 3 its place.  Arcs join ports and may pass smoothly through cusps
+of a front; cusps are never nodes.  ``mate[x]`` is the port at the other
+end of x's arc, and two rules of arithmetic give the rest of the geometry:
+
+    x ^ 2                        the port reached passing straight through
+    (x & ~3) | ((x - 1) & 3)     the next port counterclockwise,
+                                 NW -> SW -> SE -> NE -> NW
+
+A face corner is named by the port at which the face's boundary walk
+arrives.  The walk turns counterclockwise there and leaves by the next
+port, so from x it goes on to ``mate[ccw(x)]``, and the corner at x is the
+quadrant swept between x and ccw(x): ``CORNER_AT[x & 3]``.  Every port
+names exactly one corner, so a face lookup is a list indexed by port.
+Faces are traced from the rotation system, so the embedding is purely
+combinatorial (sphere compactification).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConventionError
 
-PortEnd = tuple[int, int]  # (crossing id, port)
+#: the four places of a port, x & 3
+NW, NE, SE, SW = range(4)
 
-#: port reached when passing straight through a crossing
-THROUGH = {0: 2, 2: 0, 1: 3, 3: 1}
-
-#: next port counterclockwise
-CCW_NEXT = {0: 3, 3: 2, 2: 1, 1: 0}
-
-#: quadrant swept between arriving at port p and leaving at CCW_NEXT[p]
-CORNER_AT = {0: "W", 3: "S", 2: "E", 1: "N"}
+#: quadrant of the corner at which a face walk arrives through place p:
+#: arriving at NW it sweeps W on its way to SW, and so on
+CORNER_AT = ("W", "N", "E", "S")
 
 #: port pairings of the A- and B-smoothings.  The NW-SE strand is always
 #: over, so the A-smoothing (the one merging the two regions swept
 #: counterclockwise from the over-strand) joins NW-NE and SW-SE
-A_PAIRS = ((0, 1), (3, 2))
-B_PAIRS = ((0, 3), (1, 2))
+A_PAIRS = ((NW, NE), (SW, SE))
+B_PAIRS = ((NW, SW), (NE, SE))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -44,17 +52,6 @@ def _find(parent: list[int], x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of the sphere diagram: its corners in boundary-walk order.
-
-    Each corner is a (crossing, quadrant) pair with quadrant in N/E/S/W.
-    """
-
-    index: int
-    corners: tuple[tuple[int, str], ...]
 
 
 class LinkDiagram:
@@ -66,13 +63,12 @@ class LinkDiagram:
     ----------
     n : number of crossings; crossing ids 0..n-1 are in x-order when the
         diagram comes from a front.
-    arcs : arc endpoints, each a ((c, port), (c, port)) pair; every port of
-        every crossing appears exactly once.
+    arcs : arc endpoints, each a pair of ports; every port of every
+        crossing appears exactly once.  Their order seeds the face walks.
     free_loops : closed curves that meet no crossing.
-    attach_log : optional chronological list of (crossing, in-port) entries
-        recorded by the front sweep; used for canonical component order and
-        orientation.
-    white_corner : optional (crossing, quadrant) corner recorded by the
+    attach_log : optional chronological list of in-ports recorded by the
+        front sweep; used for canonical component order and orientation.
+    white_corner : optional corner (its arriving port) recorded by the
         front sweep; its face has the color of the unbounded face, so the
         canonical checkerboard coloring is seeded there.
     """
@@ -80,59 +76,58 @@ class LinkDiagram:
     def __init__(
         self,
         n: int,
-        arcs: Sequence[tuple[PortEnd, PortEnd]],
+        arcs: Sequence[tuple[int, int]],
         free_loops: int = 0,
-        attach_log: Optional[Sequence[PortEnd]] = None,
-        white_corner: Optional[tuple[int, str]] = None,
+        attach_log: Optional[Sequence[int]] = None,
+        white_corner: Optional[int] = None,
     ):
         self.n = n
-        self.arcs = [tuple(a) for a in arcs]
+        self.arcs = list(arcs)
         self.free_loops = free_loops
         self.attach_log = list(attach_log) if attach_log is not None else None
         self.white_corner = white_corner
         if len(self.arcs) != 2 * n:
             raise ValueError(f"expected {2 * n} arcs, got {len(self.arcs)}")
-        self._port_loc: dict[PortEnd, tuple[int, int]] = {}
-        for idx, (a, b) in enumerate(self.arcs):
-            for side, end in ((0, a), (1, b)):
-                if end in self._port_loc:
-                    raise ValueError(f"port {end} used twice")
-                self._port_loc[end] = (idx, side)
-        for c in range(n):
-            for p in range(4):
-                if (c, p) not in self._port_loc:
-                    raise ValueError(f"port {(c, p)} not attached to an arc")
+        size = 4 * n
+        mate: list = [None] * size
+        for a, b in self.arcs:
+            for x in (a, b):
+                # an end on no crossing leaves some port on no arc
+                if 0 <= x < size:
+                    if mate[x] is not None:
+                        raise ValueError(f"port {divmod(x, 4)} used twice")
+                    mate[x] = a + b - x
+        if None in mate:
+            raise ValueError(
+                f"port {divmod(mate.index(None), 4)} not attached to an arc"
+            )
+        #: port -> port at the other end of its arc
+        self.mate = mate
 
     # -- basic structure ---------------------------------------------------
 
-    def other_end(self, end: PortEnd) -> PortEnd:
-        idx, side = self._port_loc[end]
-        return self.arcs[idx][1 - side]
-
     @cached_property
-    def components(self) -> list[list[PortEnd]]:
-        """Closed curves through crossings, as lists of (crossing, in-port)
-        steps in traversal order.  Crossing-free loops are not listed.
+    def components(self) -> list[list[int]]:
+        """Closed curves through crossings, as lists of in-ports in
+        traversal order.  Crossing-free loops are not listed.
 
         Traversal direction is canonical: sweep-built diagrams start each
         component rightward into its chronologically first left-side port;
-        otherwise the lowest unvisited (crossing, port) seeds the walk.
+        otherwise the lowest unvisited port seeds the walk.
         """
-        visited: set[tuple[int, int]] = set()  # (crossing, diagonal)
-        comps: list[list[PortEnd]] = []
-        seeds: list[PortEnd] = list(self.attach_log or [])
-        seeds.extend((c, p) for c in range(self.n) for p in range(4))
-        for c0, p0 in seeds:
-            if (c0, p0 % 2) in visited:
+        mate = self.mate
+        passed = [False] * len(mate)  # both ports of each passage walked
+        comps: list[list[int]] = []
+        for x0 in chain(self.attach_log or (), range(len(mate))):
+            if passed[x0]:
                 continue
-            steps: list[PortEnd] = []
-            c, p = c0, p0
+            steps: list[int] = []
+            x = x0
             while True:
-                visited.add((c, p % 2))
-                steps.append((c, p))
-                c2, p2 = self.other_end((c, THROUGH[p]))
-                c, p = c2, p2
-                if (c, p) == (c0, p0):
+                passed[x] = passed[x ^ 2] = True
+                steps.append(x)
+                x = mate[x ^ 2]
+                if x == x0:
                     break
             comps.append(steps)
         return comps
@@ -146,12 +141,16 @@ class LinkDiagram:
             return self.component_count() == 1
         if self.free_loops:
             return False
-        parent = list(range(self.n))
-        for (a, _), (b, _) in self.arcs:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({_find(parent, c) for c in range(self.n)}) == 1
+        mate = self.mate
+        reached = [True] + [False] * (self.n - 1)
+        stack = [0]
+        while stack:
+            x = 4 * stack.pop()
+            for y in mate[x : x + 4]:
+                if not reached[y >> 2]:
+                    reached[y >> 2] = True
+                    stack.append(y >> 2)
+        return all(reached)
 
     # -- orientation and writhe -------------------------------------------
 
@@ -161,22 +160,16 @@ class LinkDiagram:
         ``flips[i]`` reverses the traversal orientation of component i (in
         canonical component order).
         """
-        if self.n == 0:
-            return []
-        dir_a = [0] * self.n  # +1 if NW-SE passage entered at NW
-        dir_b = [0] * self.n  # +1 if SW-NE passage entered at SW
+        # +-1 at the port by which each passage is entered, 0 at the other
+        e = [0] * (4 * self.n)
         for ci, steps in enumerate(self.components):
             s = -1 if flips and ci < len(flips) and flips[ci] else 1
-            for c, p in steps:
-                if p == 0:
-                    dir_a[c] = s
-                elif p == 2:
-                    dir_a[c] = -s
-                elif p == 3:
-                    dir_b[c] = s
-                else:
-                    dir_b[c] = -s
-        return [a * b for a, b in zip(dir_a, dir_b)]
+            for x in steps:
+                e[x] = s
+        return [
+            (nw - se) * (sw - ne)
+            for nw, ne, se, sw in zip(e[NW::4], e[NE::4], e[SE::4], e[SW::4])
+        ]
 
     def writhe(self, flips: Optional[Sequence[bool]] = None) -> int:
         return sum(self.crossing_signs(flips))
@@ -188,56 +181,34 @@ class LinkDiagram:
     # -- faces -------------------------------------------------------------
 
     @cached_property
-    def _face_trace(self) -> tuple[list[Face], dict[tuple[int, int], int]]:
-        faces: list[Face] = []
-        dart_face: dict[tuple[int, int], int] = {}
-        for idx0 in range(len(self.arcs)):
-            for side0 in (0, 1):
-                if (idx0, side0) in dart_face:
-                    continue
-                corners: list[tuple[int, str]] = []
-                idx, side = idx0, side0
-                while True:
-                    dart_face[(idx, side)] = len(faces)
-                    c, p = self.arcs[idx][side]
-                    corners.append((c, CORNER_AT[p]))
-                    nidx, nside = self._port_loc[(c, CCW_NEXT[p])]
-                    idx, side = nidx, 1 - nside
-                    if (idx, side) == (idx0, side0):
-                        break
-                faces.append(Face(len(faces), tuple(corners)))
-        return faces, dart_face
+    def _face_trace(self) -> tuple[list[int], list[list[int]]]:
+        # each walk is seeded at the first arc end, in arc order, that no
+        # earlier walk has passed
+        mate = self.mate
+        face = [-1] * len(mate)
+        walks: list[list[int]] = []
+        for x0 in chain.from_iterable(self.arcs):
+            if face[x0] >= 0:
+                continue
+            walk: list[int] = []
+            x = x0
+            while face[x] < 0:
+                face[x] = len(walks)
+                walk.append(x)
+                x = mate[(x & ~3) | ((x - 1) & 3)]
+            walks.append(walk)
+        return face, walks
 
     @property
-    def faces(self) -> list[Face]:
-        """Faces of the sphere compactification, traced from the rotation
-        system.  Empty for crossing-free diagrams (use face_count)."""
+    def face_walks(self) -> list[list[int]]:
+        """Faces of the sphere compactification, each as the corners of
+        its boundary walk in order.  Empty for crossing-free diagrams."""
+        return self._face_trace[1]
+
+    @property
+    def face_of_corner(self) -> list[int]:
+        """Port -> index of the face whose corner it names."""
         return self._face_trace[0]
-
-    def arc_faces(self, arc_idx: int) -> tuple[int, int]:
-        """The two faces on either side of an arc."""
-        dart_face = self._face_trace[1]
-        return dart_face[(arc_idx, 0)], dart_face[(arc_idx, 1)]
-
-    def face_count(self) -> int:
-        if self.n == 0:
-            # sphere: k disjoint nested circles give k+1 regions
-            return self.free_loops + 1
-        return len(self.faces) + self.free_loops
-
-    @cached_property
-    def face_of_corner(self) -> dict[tuple[int, str], int]:
-        out: dict[tuple[int, str], int] = {}
-        for f in self.faces:
-            for corner in f.corners:
-                out[corner] = f.index
-        return out
-
-    def euler_check(self) -> bool:
-        """V - E + F = 2 for a connected diagram with crossings."""
-        if self.n == 0:
-            return self.face_count() == 2
-        return self.n - 2 * self.n + self.face_count() == 2
 
     # -- smoothing ---------------------------------------------------------
 
@@ -248,44 +219,50 @@ class LinkDiagram:
         renumbered in their original order.
         """
         keep = [c for c in range(self.n) if c not in resolution]
-        newid = {c: i for i, c in enumerate(keep)}
-        partner: dict[PortEnd, PortEnd] = {}
+        newid = [-1] * self.n
+        for i, c in enumerate(keep):
+            newid[c] = i
+        mate = self.mate
+        partner = [-1] * len(mate)
         for c, kind in resolution.items():
             for p, q in A_PAIRS if kind == "A" else B_PAIRS:
-                partner[(c, p)] = (c, q)
-                partner[(c, q)] = (c, p)
+                partner[4 * c + p] = 4 * c + q
+                partner[4 * c + q] = 4 * c + p
 
-        new_arcs: list[tuple[PortEnd, PortEnd]] = []
+        new_arcs: list[tuple[int, int]] = []
         loops = self.free_loops
-        visited: set[PortEnd] = set()
+        visited = [False] * len(mate)
 
-        def chase(end: PortEnd) -> Optional[PortEnd]:
+        def chase(x: int) -> Optional[int]:
             # follow arcs through smoothed crossings to a kept port; None
             # when the chain closes up first
             while True:
-                visited.add(end)
-                nxt = self.other_end(end)
-                visited.add(nxt)
-                if nxt[0] in newid:
-                    return nxt
-                end = partner[nxt]
-                if end in visited:
+                visited[x] = True
+                y = mate[x]
+                visited[y] = True
+                if newid[y >> 2] >= 0:
+                    return y
+                x = partner[y]
+                if visited[x]:
                     return None
 
         for c in keep:
-            for p in range(4):
-                start = (c, p)
-                if start in visited:
+            for x in range(4 * c, 4 * c + 4):
+                if visited[x]:
                     continue
-                finish = chase(start)
-                if finish is None:
-                    raise ConventionError(f"strand from port {start} reaches no port")
-                new_arcs.append(((newid[c], p), (newid[finish[0]], finish[1])))
+                y = chase(x)
+                if y is None:
+                    raise ConventionError(
+                        f"strand from port {divmod(x, 4)} reaches no port"
+                    )
+                new_arcs.append(
+                    (4 * newid[c] + (x & 3), 4 * newid[y >> 2] + (y & 3))
+                )
         # closed chains entirely through smoothed crossings
         for c in resolution:
-            for p in range(4):
-                if (c, p) not in visited:
-                    chase((c, p))
+            for x in range(4 * c, 4 * c + 4):
+                if not visited[x]:
+                    chase(x)
                     loops += 1
         return LinkDiagram(n=len(keep), arcs=new_arcs, free_loops=loops)
 
@@ -301,13 +278,12 @@ class LinkDiagram:
         NW-SE at every crossing.
         """
         code = [tuple(x) for x in code]
-        slot_port = (3, 2, 1, 0)
-        ends_by_label: dict[int, list[PortEnd]] = {}
+        ends_by_label: dict[int, list[int]] = {}
         for c, quad in enumerate(code):
             if len(quad) != 4:
                 raise ValueError("PD crossing must have 4 arc labels")
-            for slot, label in enumerate(quad):
-                ends_by_label.setdefault(label, []).append((c, slot_port[slot]))
+            for p, label in zip((SW, SE, NE, NW), quad):
+                ends_by_label.setdefault(label, []).append(4 * c + p)
         arcs = []
         for label, ends in sorted(ends_by_label.items()):
             if len(ends) != 2:
@@ -317,24 +293,19 @@ class LinkDiagram:
 
     def to_pd(self) -> list[tuple[int, int, int, int]]:
         """Export a PD code (labels follow the canonical traversal)."""
-        label_of: dict[frozenset[PortEnd], int] = {}
-        next_label = 1
+        mate = self.mate
+        label = [0] * len(mate)
+        count = 0
         for steps in self.components:
-            for c, p in steps:
-                out = (c, THROUGH[p])
-                arc = frozenset({out, self.other_end(out)})
-                if arc not in label_of:
-                    label_of[arc] = next_label
-                    next_label += 1
-        out_code = []
-        for c in range(self.n):
-            labels = []
-            for p in (3, 2, 1, 0):
-                end = (c, p)
-                arc = frozenset({end, self.other_end(end)})
-                labels.append(label_of[frozenset(arc)])
-            out_code.append(tuple(labels))
-        return out_code
+            for x in steps:
+                out = x ^ 2
+                if not label[out]:
+                    count += 1
+                    label[out] = label[mate[out]] = count
+        return [
+            (label[x + SW], label[x + SE], label[x + NE], label[x + NW])
+            for x in range(0, len(mate), 4)
+        ]
 
     # -- misc --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .diagram import LinkDiagram, PortEnd
+from .diagram import NE, NW, SE, SW, LinkDiagram
 from .errors import (
     Disconnected,
     MalformedToken,
@@ -66,13 +66,13 @@ class FrontDiagram:
 
     @property
     def cusp_count(self) -> int:
-        """C(F): half the number of cusps."""
-        n_cusps = sum(1 for kind, _ in self.events if kind in "LR")
-        return n_cusps // 2
+        """C(F): half the number of cusps.  The sweep has checked that
+        every event is a cusp or one of the diagram's crossings."""
+        return (len(self.events) - self._diagram.n) // 2
 
     @property
     def crossing_count(self) -> int:
-        return sum(1 for kind, _ in self.events if kind == "X")
+        return self._diagram.n
 
     def word(self) -> str:
         return " ".join(f"{kind}{pos}" for kind, pos in self.events)
@@ -105,17 +105,6 @@ def parse_front(text: str) -> FrontDiagram:
     return FrontDiagram(tuple(events))
 
 
-class _Strand:
-    """An open strand during the sweep.  ``far`` is whatever sits at the
-    other end of the partial arc it belongs to: a concrete (crossing, port)
-    or another open strand (arc still open on both sides)."""
-
-    __slots__ = ("far",)
-
-    def __init__(self):
-        self.far = None
-
-
 def desingularize(front: FrontDiagram) -> LinkDiagram:
     """Smooth all cusps of the front into a link diagram.
 
@@ -131,20 +120,25 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
     unknown kind, StrandUnderflow for too few strands), and strands left
     open at the end raise NonzeroEndState.
     """
-    strands: list[_Strand] = []
-    arcs: list[tuple[PortEnd, PortEnd]] = []
+    # An open strand is an int: a port x >= 0 when its partial arc runs
+    # back to port x, else ~t for the cusp-born strand t.  far[t] is what
+    # sits at the other end of t's partial arc: a port, or ~u for the open
+    # strand u when the arc is still open on both sides.
+    strands: list[int] = []
+    far: list[int] = []
+    arcs: list[tuple[int, int]] = []
     free_loops = 0
-    attach_log: list[PortEnd] = []
-    white_corner: Optional[tuple[int, str]] = None
+    attach_log: list[int] = []
+    white_corner: Optional[int] = None
     n = 0
 
-    def attach(s: _Strand, end: PortEnd) -> None:
-        attach_log.append(end)
-        f = s.far
-        if isinstance(f, _Strand):
-            f.far = end
+    def attach(s: int, x: int) -> None:
+        attach_log.append(x)
+        f = s if s >= 0 else far[~s]
+        if f < 0:
+            far[~f] = x
         else:
-            arcs.append((f, end))
+            arcs.append((f, x))
 
     for i, (kind, pos) in enumerate(front.events):
         if pos < 1:
@@ -155,9 +149,9 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
                     f"event {i}: left cusp at position {pos} "
                     f"with {len(strands)} strands"
                 )
-            a, b = _Strand(), _Strand()
-            a.far, b.far = b, a
-            strands[pos - 1 : pos - 1] = [a, b]
+            t = len(far)
+            far += (~(t + 1), ~t)
+            strands[pos - 1 : pos - 1] = (~t, ~(t + 1))
             continue
         if kind not in ("R", "X"):
             raise MalformedToken(f"event {i}: unknown kind {kind!r}")
@@ -168,30 +162,29 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             )
         if kind == "R":
             s, t = strands[pos - 1], strands[pos]
-            fs, ft = s.far, t.far
-            if isinstance(fs, _Strand) and isinstance(ft, _Strand):
-                if fs is t:
+            fs = s if s >= 0 else far[~s]
+            ft = t if t >= 0 else far[~t]
+            if fs < 0 and ft < 0:
+                if fs == t:
                     free_loops += 1
                 else:
-                    fs.far, ft.far = ft, fs
-            elif isinstance(fs, _Strand):
-                fs.far = ft
-            elif isinstance(ft, _Strand):
-                ft.far = fs
+                    far[~fs], far[~ft] = ft, fs
+            elif fs < 0:
+                far[~fs] = ft
+            elif ft < 0:
+                far[~ft] = fs
             else:
                 arcs.append((fs, ft))
             del strands[pos - 1 : pos + 1]
         else:  # crossing
-            c = n
+            x = 4 * n
+            if n == 0:
+                # the N corner is named by its arriving port NE, W by NW
+                white_corner = x + (NE if pos % 2 else NW)
             n += 1
-            if c == 0:
-                white_corner = (c, "N" if pos % 2 else "W")
-            attach(strands[pos - 1], (c, 0))
-            attach(strands[pos], (c, 3))
-            ne, se = _Strand(), _Strand()
-            ne.far = (c, 1)
-            se.far = (c, 2)
-            strands[pos - 1], strands[pos] = ne, se
+            attach(strands[pos - 1], x + NW)
+            attach(strands[pos], x + SW)
+            strands[pos - 1], strands[pos] = x + NE, x + SE
 
     if strands:
         raise NonzeroEndState(f"{len(strands)} strands remain after the last event")

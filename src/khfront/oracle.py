@@ -136,7 +136,7 @@ class BigradedTable:
         return "\n".join(lines) or "  (empty)"
 
 
-def _port_arc(d: LinkDiagram) -> dict[tuple[int, int], int]:
+def _port_arc(d: LinkDiagram) -> dict[int, int]:
     out = {}
     for idx, (a, b) in enumerate(d.arcs):
         out[a] = idx
@@ -311,12 +311,12 @@ class _Complex:
     def add_crossing(self, d: LinkDiagram, port_arc, c: int) -> None:
         """Replace the complex by that of this tangle with crossing c
         added, every closed loop delooped."""
-        arcs = [port_arc[(c, p)] for p in range(4)]
+        arcs = [port_arc[4 * c + p] for p in range(4)]
         old: dict[int, int] = {}  # boundary arc at c -> its port
         new: dict[int, int] = {}  # arc from c to a later crossing -> port
         mate: list[Optional[int]] = [None] * 4  # other port of an arc c -> c
         for p in range(4):
-            other_c, other_p = d.other_end((c, p))
+            other_c, other_p = divmod(d.mate[4 * c + p], 4)
             if other_c < c:
                 old[arcs[p]] = p
             elif other_c == c:
@@ -605,13 +605,13 @@ def kauffman_jones(
         label = [0] * 4
         fresh = []
         for p in range(4):
-            other_c, other_p = d.other_end((c, p))
+            other_c, other_p = divmod(d.mate[4 * c + p], 4)
             if other_c < c:
-                label[p] = port_arc[(c, p)]
+                label[p] = port_arc[4 * c + p]
                 continue
             label[p] = -1 - p
             if other_c > c:
-                fresh.append((port_arc[(c, p)], -1 - p))
+                fresh.append((port_arc[4 * c + p], -1 - p))
             elif p < other_p:
                 fresh.append((-1 - p, -1 - other_p))
         swept: dict[Matching, dict[int, int]] = {}

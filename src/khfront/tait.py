@@ -19,18 +19,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import Face, LinkDiagram, _find
+from .diagram import CORNER_AT, LinkDiagram, _find
 from .errors import ConventionError, NonplanarRotation
 
-#: quadrant pair merged by the A-smoothing (the NW-SE strand is over)
-_A_QUADS = frozenset({"W", "E"})
-
-
-def faces(diagram: LinkDiagram) -> list[Face]:
-    """Faces of the sphere compactification of the diagram."""
-    if diagram.n == 0:
-        return [Face(0, ()), Face(1, ())]
-    return diagram.faces
+#: edge ends of a crossing whose black quadrants are W and E (the corners
+#: at its even ports, merged by the A-smoothing: a positive edge), or N
+#: and S (its odd ports: a negative edge)
+_ENDS = (CORNER_AT[0::2], CORNER_AT[1::2])
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,9 @@ class Coloring:
     canonical: bool  # True when the unbounded face is white
 
     def reversed(self) -> "Coloring":
-        all_faces = frozenset(f.index for f in faces(self.diagram))
+        # a crossing-free diagram has the two faces of the sphere
+        n_faces = len(self.diagram.face_walks) if self.diagram.n else 2
+        all_faces = frozenset(range(n_faces))
         return Coloring(self.diagram, all_faces - self.black, not self.canonical)
 
 
@@ -53,33 +50,36 @@ def _white_face(diagram: LinkDiagram) -> int:
     deterministically."""
     if diagram.white_corner is not None:
         return diagram.face_of_corner[diagram.white_corner]
-    return max(diagram.faces, key=lambda f: (len(f.corners), -f.index)).index
+    walks = diagram.face_walks
+    return max(range(len(walks)), key=lambda f: (len(walks[f]), -f))
 
 
 def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     """Both checkerboard colorings; the canonical one (unbounded face
-    white) comes first.  One search over the arcs' face adjacency colors
-    sweep-built diagrams and PD imports alike."""
+    white) comes first.  One search over the faces, crossing each arc from
+    the corner it arrives at, colors sweep-built diagrams and PD imports
+    alike."""
     if diagram.n == 0:
         canonical = Coloring(diagram, frozenset({1}), True)
         return canonical, canonical.reversed()
-    sides = [diagram.arc_faces(idx) for idx in range(len(diagram.arcs))]
-    neighbours: dict[int, list[int]] = {f.index: [] for f in diagram.faces}
-    for fa, fb in sides:
-        neighbours[fa].append(fb)
-        neighbours[fb].append(fa)
+    face, walks, mate = diagram.face_of_corner, diagram.face_walks, diagram.mate
     white = _white_face(diagram)
-    color = {white: 0}
+    color = [-1] * len(walks)
+    color[white] = 0
     stack = [white]
     while stack:
         f = stack.pop()
-        for there in neighbours[f]:
-            if there not in color:
-                color[there] = 1 - color[f]
+        other = 1 - color[f]
+        for x in walks[f]:
+            there = face[mate[x]]  # across the arc that arrives at x
+            if color[there] < 0:
+                color[there] = other
                 stack.append(there)
-    if any(color[fa] == color[fb] for fa, fb in sides):
+            elif color[there] != other:
+                raise ConventionError("faces are not 2-colorable")
+    if -1 in color:
         raise ConventionError("faces are not 2-colorable")
-    black = frozenset(f for f, col in color.items() if col == 1)
+    black = frozenset(f for f, col in enumerate(color) if col)
     canonical = Coloring(diagram, black, True)
     return canonical, canonical.reversed()
 
@@ -124,10 +124,10 @@ class TaitGraph:
         self._check()
 
     def _check(self) -> None:
-        darts = [d for cyc in self.rotation for d in cyc]
-        if not len(darts) == 2 * len(self.edges) == len(set(darts)):
-            raise ConventionError("rotation must list each dart exactly once")
         where = self._dart_vertex
+        n_darts = sum(map(len, self.rotation))
+        if not n_darts == 2 * len(self.edges) == len(where):
+            raise ConventionError("rotation must list each dart exactly once")
         for e_idx, e in enumerate(self.edges):
             qa, qb = e.ends
             at = (where.get((e_idx, qa)), where.get((e_idx, qb)))
@@ -270,36 +270,29 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
     if diagram.n == 0:
         return TaitGraph(1, [], [[]])
     black_faces = sorted(coloring.black)
-    vid = {f: i for i, f in enumerate(black_faces)}
-    corner_face = diagram.face_of_corner
+    vid = [-1] * len(diagram.face_walks)  # -1 on white faces
+    for v, f in enumerate(black_faces):
+        vid[f] = v
+    at = [vid[f] for f in diagram.face_of_corner]  # vertex at each corner
     edges: list[TaitEdge] = []
-    for c in range(diagram.n):
-        quad_face = {q: corner_face[(c, q)] for q in "NESW"}
-        ns_black = quad_face["N"] in coloring.black
-        if ns_black != (quad_face["S"] in coloring.black) or ns_black == (
-            quad_face["W"] in coloring.black
-        ):
+    # a crossing's corners at ports 4c .. 4c + 3 are its W, N, E and S
+    for c, (w, n, e, s) in enumerate(zip(at[0::4], at[1::4], at[2::4], at[3::4])):
+        ns_black = n >= 0
+        if ns_black != (s >= 0) or ns_black == (w >= 0):
             raise ConventionError(f"crossing {c}: quadrants are not checkerboard")
-        quads = ("N", "S") if ns_black else ("W", "E")
-        sign = 1 if frozenset(quads) == _A_QUADS else -1
-        edges.append(
-            TaitEdge(
-                u=vid[quad_face[quads[0]]],
-                v=vid[quad_face[quads[1]]],
-                sign=sign,
-                ends=quads,
-            )
-        )
-    rotation: list[list[tuple[int, str]]] = [[] for _ in black_faces]
-    for f in diagram.faces:
-        if f.index not in coloring.black:
-            continue
+        if ns_black:
+            edges.append(TaitEdge(u=n, v=s, sign=-1, ends=_ENDS[1]))
+        else:
+            edges.append(TaitEdge(u=w, v=e, sign=1, ends=_ENDS[0]))
+    rotation: list[list[tuple[int, str]]] = []
+    for f in black_faces:
         cyc = []
-        for c, q in f.corners:
+        for x in diagram.face_walks[f]:
+            c, q = x >> 2, CORNER_AT[x & 3]
             if q not in edges[c].ends:
                 raise ConventionError(f"crossing {c}: black corner {q} is no edge end")
             cyc.append((c, q))
-        rotation[vid[f.index]] = cyc
+        rotation.append(cyc)
     return TaitGraph(len(black_faces), edges, rotation)
 
 

@@ -34,8 +34,8 @@ class _StateLoops:
         parent = list(range(n_arcs))
         for c in range(d.n):
             for p, q in B_PAIRS if (state >> c) & 1 else A_PAIRS:
-                ra = _find(parent, port_arc[(c, p)])
-                rb = _find(parent, port_arc[(c, q)])
+                ra = _find(parent, port_arc[4 * c + p])
+                rb = _find(parent, port_arc[4 * c + q])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
         root = [_find(parent, x) for x in range(n_arcs)]
@@ -87,7 +87,7 @@ def reference_homology(d, orientations) -> list[BigradedTable]:
             t = s | (1 << c)
             lt = loops[t]
             sign = -1 if (s & ((1 << c) - 1)).bit_count() % 2 else 1
-            touch = sorted({ls.loop_of_arc[port_arc[(c, p)]] for p in range(4)})
+            touch = sorted({ls.loop_of_arc[port_arc[4 * c + p]] for p in range(4)})
             t_pos = {r: k for k, r in enumerate(lt.roots)}
 
             def image(mask):
@@ -225,8 +225,8 @@ def reference_jones(d, flips=None) -> LaurentPoly:
             here = parent[:] if smoothing else parent
             k = loops
             for p, q in pairs:
-                ra = _find(here, port_arc[(c, p)])
-                rb = _find(here, port_arc[(c, q)])
+                ra = _find(here, port_arc[4 * c + p])
+                rb = _find(here, port_arc[4 * c + q])
                 if ra != rb:
                     here[ra] = rb
                     k -= 1

@@ -77,6 +77,21 @@ class TestAnalyze:
         assert code == EXIT_OK, err
         assert json.loads(out)["tree_count"] == 1001
 
+    def test_kink_chain_just_under_the_event_limit(self, capsys):
+        # 16,000 kinks are 48,002 events.  Sweep, faces, coloring, Tait
+        # graph and census are each linear in them (about 0.3 s in all on
+        # a 2-core x86 box); a step quadratic in the crossings would take
+        # minutes
+        word = "L1 " + "L2 X1 R2 " * 16000 + "R1"
+        assert len(word.split()) == 48_002 < EVENT_LIMIT
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", word, "--json")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert (payload["tb"], payload["verdict"]) == (-1, "sharp_certified")
+        assert elapsed < 10
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "analyze", TREFOIL, "--json")
         _, out2, _ = run(capsys, "analyze", TREFOIL, "--json")

@@ -1,22 +1,41 @@
 """Front parsing, validation, desingularization, and tb."""
 
+from itertools import product
+
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 
 from khfront import (
     Disconnected,
     FrontDiagram,
+    LinkDiagram,
     MalformedToken,
     NonzeroEndState,
     StrandUnderflow,
     TooLarge,
+    bigrading_counts,
+    checkerboard,
     parse_front,
+    tait_graph,
 )
 from khfront.front import EVENT_LIMIT
 
 from conftest import front_words
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
+
+
+def sphere_regions(d) -> int:
+    """Regions of the sphere: the traced faces and one more per free loop;
+    k disjoint circles alone make k + 1."""
+    return len(d.face_walks) + d.free_loops + (d.n == 0)
+
+
+def census_of_both_colorings(d) -> list:
+    return sorted(
+        sorted(bigrading_counts(tait_graph(d, coloring)).items())
+        for coloring in checkerboard(d)
+    )
 
 
 class TestParsing:
@@ -89,27 +108,55 @@ class TestDesingularization:
         d = parse_front("L1 R1").desingularize()
         assert d.n == 0
         assert d.component_count() == 1
-        assert d.face_count() == 2
+        assert sphere_regions(d) == 2
 
     def test_trefoil_diagram(self):
         d = parse_front(TREFOIL).desingularize()
         assert d.n == 3
         assert d.component_count() == 1
-        assert d.face_count() == 5  # V - E + F = 3 - 6 + 5 = 2
+        assert sphere_regions(d) == 5  # V - E + F = 3 - 6 + 5 = 2
 
     def test_hopf_front_components(self):
         d = parse_front("L1 L2 X1 X1 R2 R1").desingularize()
         assert d.n == 2
         assert d.component_count() == 2
 
-    def test_pd_round_trip(self):
-        d = parse_front(TREFOIL).desingularize()
-        d2 = type(d).from_pd(d.to_pd())
+    @settings(max_examples=60, deadline=None)
+    @given(front_words(max_crossings=8))
+    def test_pd_round_trip(self, front):
+        # the re-import orders its arcs by PD label and seeds its coloring
+        # at the longest face, so its face walks start elsewhere.  It
+        # orients each component from its lowest port, so a link's writhe
+        # is compared over all orientations
+        d = front.desingularize()
+        assume(d.n > 0)  # a PD code holds no crossing-free loop
+        d2 = LinkDiagram.from_pd(d.to_pd())
         assert d2.n == d.n
         assert d2.component_count() == d.component_count()
-        assert sorted(map(len, (f.corners for f in d2.faces))) == sorted(
-            map(len, (f.corners for f in d.faces))
-        )
+        assert sorted(map(len, d2.face_walks)) == sorted(map(len, d.face_walks))
+        flips = list(product((False, True), repeat=d.component_count()))
+        assert sorted(map(d2.writhe, flips)) == sorted(map(d.writhe, flips))
+        assert census_of_both_colorings(d2) == census_of_both_colorings(d)
+
+
+class TestDiagramChecks:
+    """The constructor's checks on the arc list, each tripped by a crafted
+    one-crossing diagram, whose ports are 0-3."""
+
+    def test_port_used_twice(self):
+        with pytest.raises(ValueError, match=r"port \(0, 0\) used twice"):
+            LinkDiagram(1, [(0, 1), (0, 2)])
+
+    @pytest.mark.parametrize("stray", [7, -1])
+    def test_port_on_no_arc(self, stray):
+        # an end on no crossing (a negative one must not index from the
+        # back) leaves port 3 without an arc
+        with pytest.raises(ValueError, match=r"port \(0, 3\) not attached"):
+            LinkDiagram(1, [(0, 1), (2, stray)])
+
+    def test_wrong_arc_count(self):
+        with pytest.raises(ValueError, match="expected 2 arcs, got 3"):
+            LinkDiagram(1, [(0, 1), (2, 3), (0, 2)])
 
 
 class TestFrontProperties:
@@ -122,7 +169,8 @@ class TestFrontProperties:
     @settings(max_examples=60, deadline=None)
     @given(front_words())
     def test_euler_formula(self, front):
-        assert front.desingularize().euler_check()
+        d = front.desingularize()
+        assert d.n - 2 * d.n + sphere_regions(d) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(front_words())

@@ -186,8 +186,8 @@ class TestTripwires:
             "from types import SimpleNamespace\n"
             "from khfront import ConventionError, kauffman_jones\n"
             "d = SimpleNamespace(\n"
-            "    n=1, free_loops=0, arcs=[((0, p), (1, p)) for p in range(4)],\n"
-            "    other_end=lambda end: (1, end[1]),\n"
+            "    n=1, free_loops=0, arcs=[(p, 4 + p) for p in range(4)],\n"
+            "    mate=[4, 5, 6, 7],\n"
             "    positive_negative=lambda flips=None: (1, 0),\n"
             ")\n"
             "try:\n"

@@ -5,10 +5,13 @@ import time
 from dataclasses import replace
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khfront import (
+    Coloring,
+    ConventionError,
     LinkDiagram,
     TaitGraph,
     checkerboard,
@@ -16,7 +19,7 @@ from khfront import (
     parse_front,
     tait_graph,
 )
-from khfront.tait import faces
+from khfront.diagram import CORNER_AT
 
 from conftest import front_words, run_optimized
 
@@ -90,14 +93,14 @@ class TestColoring:
     def test_unknot_two_faces(self):
         d = parse_front("L1 R1").desingularize()
         canonical, rev = checkerboard(d)
-        assert len(faces(d)) == 2
+        assert canonical.black | rev.black == {0, 1}  # the sphere's two faces
         assert len(canonical.black) == 1
         assert canonical.black != rev.black
 
     def test_coloring_partitions_faces(self):
         d = parse_front(TREFOIL).desingularize()
         canonical, rev = checkerboard(d)
-        all_faces = {f.index for f in faces(d)}
+        all_faces = set(range(len(d.face_walks)))
         assert canonical.black | rev.black == all_faces
         assert canonical.black & rev.black == set()
 
@@ -106,8 +109,8 @@ class TestColoring:
     def test_adjacent_faces_differ(self, front):
         d = front.desingularize()
         canonical, _ = checkerboard(d)
-        for idx in range(len(d.arcs)):
-            fa, fb = d.arc_faces(idx)
+        for a, b in d.arcs:
+            fa, fb = d.face_of_corner[a], d.face_of_corner[b]
             assert (fa in canonical.black) != (fb in canonical.black)
 
     @settings(max_examples=100, deadline=None)
@@ -119,9 +122,19 @@ class TestColoring:
         d = front.desingularize()
         canonical, _ = checkerboard(d)
         positions = [pos for kind, pos in front.events if kind == "X"]
+        north = CORNER_AT.index("N")
         for c, pos in enumerate(positions):
-            white = d.face_of_corner[(c, "N")] not in canonical.black
+            white = d.face_of_corner[4 * c + north] not in canonical.black
             assert white == (pos % 2 == 1)
+
+
+    def test_faces_that_are_not_two_colorable(self):
+        # one crossing whose two strands close up across each other: the
+        # map lies on a torus, with one face on both sides of every arc
+        d = LinkDiagram.from_pd([(1, 2, 1, 2)])
+        assert len(d.face_walks) == 1
+        with pytest.raises(ConventionError, match="not 2-colorable"):
+            checkerboard(d)
 
 
 class TestTaitGraph:
@@ -150,9 +163,25 @@ class TestTaitGraph:
             for i, e in enumerate(g.edges):
                 qa, qb = e.ends
                 assert (e.u, e.v) == (
-                    vertex[d.face_of_corner[(i, qa)]],
-                    vertex[d.face_of_corner[(i, qb)]],
+                    vertex[d.face_of_corner[4 * i + CORNER_AT.index(qa)]],
+                    vertex[d.face_of_corner[4 * i + CORNER_AT.index(qb)]],
                 )
+
+    def test_non_checkerboard_quadrants(self):
+        d = parse_front(TREFOIL).desingularize()
+        every_face = frozenset(range(len(d.face_walks)))
+        with pytest.raises(ConventionError, match="crossing 0: quadrants"):
+            tait_graph(d, Coloring(d, every_face, True))
+
+    def test_black_corner_off_the_edge_ends(self):
+        # a kink with its W corner, its E corner and its N and S corners
+        # in three faces.  Black N, S and E pass the per-crossing check,
+        # which reads N, S and W, but E is no end of the N-S edge
+        d = LinkDiagram(1, [(0, 3), (1, 2)])
+        w, n, e, s = d.face_of_corner
+        assert n == s and len({w, n, e}) == 3
+        with pytest.raises(ConventionError, match="black corner E is no edge end"):
+            tait_graph(d, Coloring(d, frozenset({n, e}), True))
 
     def test_sign_counts_swap_under_reversal(self):
         _, g, gr = graphs_of(TREFOIL)
@@ -174,7 +203,7 @@ class TestTaitGraph:
         g, gr = tait_graph(d, canonical), tait_graph(d, rev)
         assert len(g.edges) == len(gr.edges) == d.n
         # black + white face counts add up to all faces
-        assert g.n_vertices + gr.n_vertices == max(len(faces(d)), 2)
+        assert g.n_vertices + gr.n_vertices == max(len(d.face_walks), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(front_words())
@@ -184,12 +213,12 @@ class TestTaitGraph:
         d = front.desingularize()
         d2 = LinkDiagram.from_pd(d.to_pd())
         canonical, rev = checkerboard(d2)
-        for idx in range(len(d2.arcs)):
-            fa, fb = d2.arc_faces(idx)
+        for a, b in d2.arcs:
+            fa, fb = d2.face_of_corner[a], d2.face_of_corner[b]
             assert (fa in canonical.black) != (fb in canonical.black)
         g, gr = tait_graph(d2, canonical), tait_graph(d2, rev)
         assert len(g.edges) == len(gr.edges) == d.n
-        assert g.n_vertices + gr.n_vertices == len(faces(d2))
+        assert g.n_vertices + gr.n_vertices == max(len(d2.face_walks), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(front_words())
@@ -296,6 +325,28 @@ class TestTripwires:
             "    (lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
             "     NonzeroEndState),\n"
             "    (lambda: tait_graph(d, Coloring(d, frozenset(), True)),\n"
+            "     ConventionError),\n"
+            ")\n"
+            "for check, expected in checks:\n"
+            "    try:\n"
+            "        check()\n"
+            "    except expected:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_diagram_and_coloring_checks_survive_optimize(self):
+        # a port used twice, a port on no arc, a wrong arc count, and
+        # faces that are not 2-colorable
+        code = (
+            "from khfront import ConventionError, LinkDiagram, checkerboard\n"
+            "checks = (\n"
+            "    (lambda: LinkDiagram(1, [(0, 1), (0, 2)]), ValueError),\n"
+            "    (lambda: LinkDiagram(1, [(0, 1), (2, 7)]), ValueError),\n"
+            "    (lambda: LinkDiagram(1, [(0, 1)]), ValueError),\n"
+            "    (lambda: checkerboard(LinkDiagram.from_pd([(1, 2, 1, 2)])),\n"
             "     ConventionError),\n"
             ")\n"
             "for check, expected in checks:\n"
