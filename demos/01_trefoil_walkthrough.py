@@ -5,15 +5,14 @@ Run:  python demos/01_trefoil_walkthrough.py
 
 from khfront import (
     checkerboard,
-    classify_activities,
+    generator_ij,
     kauffman_jones,
     khovanov_homology,
+    labelled_trees,
     parse_front,
     sharpness_report,
-    spanning_trees,
     splice_front,
     tait_graph,
-    to_khovanov_bigrading,
     tree_euler_characteristic,
 )
 from khfront.trees import PRETTY
@@ -39,13 +38,12 @@ print(f"\nTait graph      : {graph}")
 print(f"edge signs      : {[e.sign for e in graph.edges]}")
 
 print("\nspanning trees and activities:")
-for tree in spanning_trees(graph):
-    rec = classify_activities(graph, tree, front)
-    pair = to_khovanov_bigrading(rec, diagram.n, diagram.writhe())
+for rec in labelled_trees(graph, front):
+    ij = generator_ij(rec.u, rec.v, diagram.n, diagram.writhe())
     labels = "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
     spliced, tb_t, c_t = splice_front(front, rec)
-    print(f"  edges {sorted(tree)}  labels {labels}  u={rec.u:>2} v={rec.v}"
-          f"  class={rec.class_:<7}  generators {pair.ij}")
+    print(f"  edges {sorted(rec.tree)}  labels {labels}  u={rec.u:>2} v={rec.v}"
+          f"  class={rec.class_:<7}  generators {ij}")
     print(f"    spliced unknot front: {spliced.word()}  (tb={tb_t}, C={c_t})")
 
 euler = tree_euler_characteristic(graph, diagram.n, diagram.writhe())

@@ -10,9 +10,8 @@ Run:  python demos/02_duality.py
 from khfront import (
     checkerboard,
     dual_graph,
-    dual_tree,
+    labelled_trees,
     parse_front,
-    spanning_trees,
     tait_graph,
 )
 from khfront.trees import PRETTY
@@ -32,9 +31,13 @@ print(f"dual == other coloring's graph (up to mirror) = "
       f"{dual.isomorphic_to(tait_graph(diagram, reversed_coloring))}")
 
 print("\ntree <-> complementary dual tree, with label swaps:")
-for tree in spanning_trees(graph):
-    _, complement, pairs = dual_tree(graph, tree)
+every_edge = frozenset(range(len(graph.edges)))
+dual_records = {rec.tree: rec for rec in labelled_trees(dual)}
+for rec in labelled_trees(graph):
+    complement = every_edge - rec.tree
+    dual_labels = dual_records[complement].labels
     swaps = "  ".join(
-        f"e{e}: {PRETTY[lab]}->{PRETTY[dlab]}" for e, (lab, dlab) in pairs.items()
+        f"e{e}: {PRETTY[lab]}->{PRETTY[dual_labels[e]]}"
+        for e, lab in rec.labels.items()
     )
-    print(f"  T = {sorted(tree)}  T* = {sorted(complement)}   {swaps}")
+    print(f"  T = {sorted(rec.tree)}  T* = {sorted(complement)}   {swaps}")

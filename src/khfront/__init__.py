@@ -2,8 +2,8 @@
 Thurston-Bennequin number of Legendrian fronts, with from-scratch
 Khovanov homology and Jones polynomial oracles."""
 
-from .bounds import BoundReport, good_bad_census, ng_bound, sharpness_report
-from .corpus import BUNDLED, CorpusEntry, quick_entries, read_front_file
+from .bounds import BoundReport, sharpness_report
+from .corpus import BUNDLED, CorpusEntry
 from .diagram import LinkDiagram
 from .errors import (
     ConventionError,
@@ -14,27 +14,20 @@ from .errors import (
     NonplanarRotation,
     NonzeroEndState,
     NotASpanningTree,
-    NotUnknot,
     ParityViolation,
     StrandUnderflow,
     TooLarge,
 )
-from .front import FrontDiagram, desingularize, parse_front, tb
+from .front import FrontDiagram, parse_front
 from .laurent import LaurentPoly
 from .oracle import BigradedTable, kauffman_jones, khovanov_homology
 from .tait import Coloring, TaitGraph, checkerboard, dual_graph, tait_graph
 from .trees import (
-    GeneratorPair,
     SpanningTreeRecord,
     bigrading_counts,
-    classify_activities,
-    dual_tree,
+    generator_ij,
     labelled_trees,
-    min_x_spanning_tree,
-    spanning_trees,
     splice_front,
-    splice_unknot,
-    to_khovanov_bigrading,
     tree_euler_characteristic,
 )
 
@@ -50,7 +43,6 @@ __all__ = [
     "Disconnected",
     "EmptyTable",
     "FrontDiagram",
-    "GeneratorPair",
     "KhfrontError",
     "LaurentPoly",
     "LinkDiagram",
@@ -58,7 +50,6 @@ __all__ = [
     "NonplanarRotation",
     "NonzeroEndState",
     "NotASpanningTree",
-    "NotUnknot",
     "ParityViolation",
     "SpanningTreeRecord",
     "StrandUnderflow",
@@ -66,25 +57,14 @@ __all__ = [
     "TooLarge",
     "bigrading_counts",
     "checkerboard",
-    "classify_activities",
-    "desingularize",
     "dual_graph",
-    "dual_tree",
-    "good_bad_census",
+    "generator_ij",
     "kauffman_jones",
     "khovanov_homology",
     "labelled_trees",
-    "min_x_spanning_tree",
-    "ng_bound",
     "parse_front",
-    "quick_entries",
-    "read_front_file",
     "sharpness_report",
-    "spanning_trees",
     "splice_front",
-    "splice_unknot",
     "tait_graph",
-    "tb",
-    "to_khovanov_bigrading",
     "tree_euler_characteristic",
 ]

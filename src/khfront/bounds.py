@@ -16,16 +16,16 @@ run: such a disagreement can only come from a sign or ordering bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConventionError
 from .front import FrontDiagram
 from .oracle import DEFAULT_MAX_CROSSINGS, khovanov_homology
-from .tait import Coloring, checkerboard, tait_graph
-from .trees import _generator_ij, bigrading_counts
+from .tait import checkerboard, tait_graph
+from .trees import bigrading_counts, generator_ij
 
-VERDICTS = ("bound_holds", "sharp_certified", "not_sharp_certified", "inconclusive")
+VERDICTS = ("sharp_certified", "not_sharp_certified", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,6 @@ class BoundReport:
             raise ConventionError(
                 f"tb={self.tb} exceeds homology min delta={self.min_delta}"
             )
-
-    def bound_is_equality(self) -> Optional[bool]:
-        if self.min_delta is None:
-            return None
-        return self.tb == self.min_delta
-
-    def good_total(self) -> int:
-        return sum(g for g, _ in self.census.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,18 +76,6 @@ def _good_bad(
     }
 
 
-def good_bad_census(
-    front: FrontDiagram, coloring: Optional[Coloring] = None
-) -> dict[int, tuple[int, int]]:
-    """For every spanning tree of the Tait graph, classify good/bad by
-    u(T) against C(F) and bucket the counts by v(T); the canonical
-    coloring unless one is given."""
-    d = front.desingularize()
-    if coloring is None:
-        coloring, _ = checkerboard(d)
-    return _good_bad(bigrading_counts(tait_graph(d, coloring)), front.cusp_count)
-
-
 def _certificate_verdict(census: dict[int, tuple[int, int]]) -> str:
     if any(
         census.get(v, (0, 0))[0] > census.get(v + 2, (0, 0))[1] for v in census
@@ -104,17 +84,6 @@ def _certificate_verdict(census: dict[int, tuple[int, int]]) -> str:
     if all(g == 0 for g, _ in census.values()):
         return "not_sharp_certified"
     return "inconclusive"
-
-
-def ng_bound(
-    front: FrontDiagram,
-    with_oracle: bool = False,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> BoundReport:
-    """The Thurston-Bennequin bound for a front: the checks and numbers of
-    ``sharpness_report``, with the verdict left at ``bound_holds``."""
-    report = sharpness_report(front, with_oracle, max_crossings)
-    return replace(report, verdict="bound_holds")
 
 
 def sharpness_report(
@@ -147,7 +116,7 @@ def sharpness_report(
             f"tree with u={min_u} violates u >= 1 - C = {1 - c}"
         )
     tree_min_delta = min(
-        j - i for u, v in counts for i, j in _generator_ij(u, v, d.n, w)
+        j - i for u, v in counts for i, j in generator_ij(u, v, d.n, w)
     )
     if tree_min_delta != min_u + w - 1:
         raise ConventionError(

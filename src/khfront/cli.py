@@ -25,12 +25,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .bounds import sharpness_report
-from .corpus import BUNDLED, read_corpus_file, read_front_file
-from .errors import ConventionError, KhfrontError, MalformedToken
+from .corpus import BUNDLED, _read_front_file, read_corpus_file
+from .errors import ConventionError, KhfrontError
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
 from .tait import checkerboard, tait_graph
-from .trees import PRETTY, labelled_trees, to_khovanov_bigrading
+from .trees import PRETTY, generator_ij, labelled_trees
 
 EXIT_OK = 0
 EXIT_CONVENTION = 2
@@ -104,8 +104,10 @@ def _parser() -> _Parser:
 
 
 def _load_front(arg: str) -> FrontDiagram:
+    """The front of an event word, or of the file ``@path`` names; a tb
+    the file records goes unchecked."""
     if arg.startswith("@"):
-        return read_front_file(Path(arg[1:]))
+        return _read_front_file(Path(arg[1:]))[0]
     return parse_front(arg)
 
 
@@ -198,8 +200,8 @@ def _trees_json(rows: list, n: int) -> str:
         f'        "{k}": {{{k}}}' for k in sorted(range(n), key=str)
     ) + "\n      }}"
     records = []
-    for col, rec, pair in rows:
-        (i0, j0), (i1, j1) = pair.ij
+    for col, rec, ij in rows:
+        (i0, j0), (i1, j1) = ij
         edges = ",\n        ".join(map(str, sorted(rec.tree)))
         records.append(_TREE_RECORD.format(
             rec.class_,
@@ -223,7 +225,7 @@ def _cmd_trees(args) -> _Output:
         (
             "canonical" if coloring.canonical else "reversed",
             rec,
-            to_khovanov_bigrading(rec, d.n, w),
+            generator_ij(rec.u, rec.v, d.n, w),
         )
         for coloring in colorings[args.coloring]
         for rec in labelled_trees(tait_graph(d, coloring), front)
@@ -233,8 +235,8 @@ def _cmd_trees(args) -> _Output:
         return "\n".join(
             f"[{col}] edges={sorted(rec.tree)} labels="
             + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
-            + f" u={rec.u} v={rec.v} class={rec.class_} generators={pair.ij}"
-            for col, rec, pair in rows
+            + f" u={rec.u} v={rec.v} class={rec.class_} generators={ij}"
+            for col, rec, ij in rows
         )
 
     return lambda: _trees_json(rows, d.n), text
@@ -277,13 +279,8 @@ def _cmd_corpus(args) -> _Output:
         return e.name, report(e.front()), e.tb
 
     def run_file(path: Path):
-        front, header = read_corpus_file(path)
-        r = report(front)
-        try:
-            tb = None if header is None else int(header.partition("=")[2])
-        except ValueError:
-            raise MalformedToken(f"{path}: bad header {header!r}") from None
-        return path.stem, r, tb
+        front, tb = read_corpus_file(path)
+        return path.stem, report(front), tb
 
     if args.directory is None:
         run_one, items = run_entry, sorted(BUNDLED, key=lambda e: f"{e.name}.front")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import KhfrontError
+from .errors import KhfrontError, MalformedToken
 from .front import FrontDiagram, parse_front
 
 _TB_HEADER = "# tb="
@@ -126,18 +126,6 @@ BUNDLED: tuple[CorpusEntry, ...] = (
 )
 
 
-def quick_entries() -> list[CorpusEntry]:
-    """The corpus without the scale-test entries (<= 10 crossings)."""
-    return [e for e in BUNDLED if "scale" not in e.tags]
-
-
-def entry_by_name(name: str) -> CorpusEntry:
-    for e in BUNDLED:
-        if e.name == name:
-            return e
-    raise KeyError(name)
-
-
 def write_corpus_dir(path: Path) -> list[Path]:
     """Materialize the bundled corpus as one .front file per entry."""
     path.mkdir(parents=True, exist_ok=True)
@@ -149,7 +137,7 @@ def write_corpus_dir(path: Path) -> list[Path]:
     return out
 
 
-def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
+def _read_front_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     """Read a .front file once: its front, whose event word is the
     non-empty lines that are not comments (a comment starts with '#')
     joined, and its first ``# tb=N`` header line, stripped, or None."""
@@ -168,6 +156,13 @@ def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     return parse_front(" ".join(words)), header
 
 
-def read_front_file(path: Path) -> FrontDiagram:
-    """The front of a .front file; its ``# tb=`` header goes unchecked."""
-    return read_corpus_file(path)[0]
+def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[int]]:
+    """The front of a .front file and the tb its ``# tb=N`` header
+    records, or None without one; MalformedToken when N is no integer."""
+    front, header = _read_front_file(path)
+    if header is None:
+        return front, None
+    try:
+        return front, int(header[len(_TB_HEADER):])
+    except ValueError:
+        raise MalformedToken(f"{path}: bad header {header!r}") from None

@@ -30,8 +30,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConventionError
-
 #: the four places of a port, x & 3
 NW, NE, SE, SW = range(4)
 
@@ -209,62 +207,6 @@ class LinkDiagram:
     def face_of_corner(self) -> list[int]:
         """Port -> index of the face whose corner it names."""
         return self._face_trace[0]
-
-    # -- smoothing ---------------------------------------------------------
-
-    def smooth(self, resolution: dict[int, str]) -> "LinkDiagram":
-        """Replace crossings by smoothings ('A' or 'B'); keep the rest.
-
-        Returns a new diagram whose crossings are the unsmoothed ones,
-        renumbered in their original order.
-        """
-        keep = [c for c in range(self.n) if c not in resolution]
-        newid = [-1] * self.n
-        for i, c in enumerate(keep):
-            newid[c] = i
-        mate = self.mate
-        partner = [-1] * len(mate)
-        for c, kind in resolution.items():
-            for p, q in A_PAIRS if kind == "A" else B_PAIRS:
-                partner[4 * c + p] = 4 * c + q
-                partner[4 * c + q] = 4 * c + p
-
-        new_arcs: list[tuple[int, int]] = []
-        loops = self.free_loops
-        visited = [False] * len(mate)
-
-        def chase(x: int) -> Optional[int]:
-            # follow arcs through smoothed crossings to a kept port; None
-            # when the chain closes up first
-            while True:
-                visited[x] = True
-                y = mate[x]
-                visited[y] = True
-                if newid[y >> 2] >= 0:
-                    return y
-                x = partner[y]
-                if visited[x]:
-                    return None
-
-        for c in keep:
-            for x in range(4 * c, 4 * c + 4):
-                if visited[x]:
-                    continue
-                y = chase(x)
-                if y is None:
-                    raise ConventionError(
-                        f"strand from port {divmod(x, 4)} reaches no port"
-                    )
-                new_arcs.append(
-                    (4 * newid[c] + (x & 3), 4 * newid[y >> 2] + (y & 3))
-                )
-        # closed chains entirely through smoothed crossings
-        for c in resolution:
-            for x in range(4 * c, 4 * c + 4):
-                if not visited[x]:
-                    chase(x)
-                    loops += 1
-        return LinkDiagram(n=len(keep), arcs=new_arcs, free_loops=loops)
 
     # -- PD codes ----------------------------------------------------------
 

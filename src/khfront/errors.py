@@ -33,11 +33,6 @@ class NotASpanningTree(KhfrontError, ValueError):
     """An edge set is not a spanning tree of the graph it was used with."""
 
 
-class NotUnknot(KhfrontError, RuntimeError):
-    """Splicing all inactive crossings did not produce a one-component
-    diagram; this signals a convention bug, not bad user input."""
-
-
 class ParityViolation(KhfrontError, ValueError):
     """Crossing count and writhe have different parities."""
 

@@ -83,7 +83,9 @@ class FrontDiagram:
         return self._diagram
 
     def tb(self, flips: Optional[Sequence[bool]] = None) -> int:
-        return tb(self, flips)
+        """Thurston-Bennequin number: writhe of the desingularization
+        minus half the number of cusps."""
+        return self._diagram.writhe(flips) - self.cusp_count
 
     def __repr__(self) -> str:
         return f"FrontDiagram({self.word()!r})"
@@ -195,9 +197,3 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
         attach_log=attach_log,
         white_corner=white_corner,
     )
-
-
-def tb(front: FrontDiagram, flips: Optional[Sequence[bool]] = None) -> int:
-    """Thurston-Bennequin number: writhe of the desingularization minus
-    half the number of cusps."""
-    return front.desingularize().writhe(flips) - front.cusp_count

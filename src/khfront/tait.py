@@ -15,7 +15,6 @@ same cyclic sequence, looked up by a canonical key, with no search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,12 +151,6 @@ class TaitGraph:
     def sigma(self, dart: tuple[int, str]) -> tuple[int, str]:
         return self._next_dart[dart]
 
-    def positive_count(self) -> int:
-        return sum(1 for e in self.edges if e.sign > 0)
-
-    def negative_count(self) -> int:
-        return sum(1 for e in self.edges if e.sign < 0)
-
     def is_connected(self) -> bool:
         """True when uniting the edge ends takes V - 1 successful unions
         (never for a graph with no vertex)."""
@@ -240,21 +233,6 @@ class TaitGraph:
         coloring's quadrants, and face boundaries are traced against the
         vertex orientation, so the mirror must be allowed.)"""
         return self._match(other, lambda dart: dart[0], mirror=True)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "vertices": self.n_vertices,
-                "edges": [
-                    {"endpoints": [e.u, e.v], "sign": e.sign} for e in self.edges
-                ],
-                "rotation": [
-                    [[e_idx, q] for e_idx, q in cyc] for cyc in self.rotation
-                ],
-            },
-            indent=2,
-        )
 
     def __repr__(self) -> str:
         return f"TaitGraph(V={self.n_vertices}, E={len(self.edges)})"

@@ -37,9 +37,6 @@ Tani, *Computing the Tutte polynomial of a graph of moderate size*,
 * Edge e is a loop when its ends share a class, and a bridge when its
   ends stay apart in the union of the classes and the components of the
   edges below e; otherwise both branches are kept.
-
-``classify_activities`` labels one given tree straight from the
-definition, with one union-find per edge: the reference for both.
 """
 
 from __future__ import annotations
@@ -48,26 +45,17 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .diagram import LinkDiagram, _find
+from .diagram import _find
 from .errors import (
     ConventionError,
     Disconnected,
     NotASpanningTree,
-    NotUnknot,
     ParityViolation,
     TooLarge,
 )
 from .front import FrontDiagram
 from .laurent import LaurentPoly
-from .tait import TaitGraph, dual_graph
-
-#: Lemma-style label swap between an edge and its dual under dual trees
-DUAL_LABEL = {
-    "L": "lb", "lb": "L",
-    "D": "db", "db": "D",
-    "l": "Lb", "Lb": "l",
-    "d": "Db", "Db": "d",
-}
+from .tait import TaitGraph
 
 #: splicing of inactive crossings; active ones keep their crossing
 INACTIVE_SPLICE = {"D": "A", "d": "B", "Db": "B", "db": "A"}
@@ -90,16 +78,6 @@ class SpanningTreeRecord:
 
     def count(self, label: str) -> int:
         return sum(1 for lab in self.labels.values() if lab == label)
-
-
-@dataclass(frozen=True)
-class GeneratorPair:
-    """The two generators contributed by one spanning tree: bidegrees
-    (u, v) and (u+2, v+2), plus their Khovanov (i, j) conversions."""
-
-    u: int
-    v: int
-    ij: tuple[tuple[int, int], tuple[int, int]]
 
 
 #: labels by code in the byte strings that ``_record`` reads: tree labels
@@ -224,10 +202,9 @@ def labelled_trees(
     lexicographic order of the sorted edge-id lists.
 
     One deletion-contraction pass on the highest edge labels every tree
-    as it is found; the records equal ``classify_activities`` on each tree
-    without its per-edge union-finds.  Each tree is checked to span.  A
-    graph with more than ``LISTING_LIMIT`` trees raises TooLarge as soon as
-    the pass finds one tree more than that.
+    as it is found.  Each tree is checked to span.  A graph with more
+    than ``LISTING_LIMIT`` trees raises TooLarge as soon as the pass finds
+    one tree more than that.
     """
     cusp_count = front.cusp_count if front is not None else None
     found = list(islice(_labelling_pass(g), LISTING_LIMIT + 1))
@@ -241,14 +218,6 @@ def labelled_trees(
         rec = _record(codes, cusp_count)
         _validate_tree(g, rec.tree)
         yield rec
-
-
-def spanning_trees(g: TaitGraph) -> Iterator[frozenset[int]]:
-    """All spanning trees, each exactly once, in lexicographic order of
-    their sorted edge-id lists: the tree-only view of ``labelled_trees``.
-    """
-    for rec in labelled_trees(g):
-        yield rec.tree
 
 
 def bigrading_counts(g: TaitGraph) -> dict[tuple[int, int], int]:
@@ -404,82 +373,7 @@ def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
         parent[a] = b
 
 
-def classify_activities(
-    g: TaitGraph, tree: frozenset[int], front: Optional[FrontDiagram] = None
-) -> SpanningTreeRecord:
-    """Label every edge with its activity read off the definition, and
-    compute u(T) and v(T): the reference for the labelling pass.
-
-    Each edge gets a fresh union-find forest.  A tree edge is lowest in
-    its cut exactly when T minus it, together with every lower edge,
-    leaves its ends apart.  A non-tree edge is lowest in its cycle exactly
-    when the higher tree edges join its ends (a loop's ends are joined at
-    once).  When a front is attached, the record is classed good
-    (u = 1 - C) or bad (u = 2 - C) relative to the front's cusp number.
-    """
-    _validate_tree(g, tree)
-    codes = bytearray(len(g.edges))
-    for i, e in enumerate(g.edges):
-        if i in tree:
-            joining = [f for f in tree if f != i] + list(range(i))
-        else:
-            joining = [f for f in tree if f > i]
-        parent = list(range(g.n_vertices))
-        for f in joining:
-            parent[_find(parent, g.edges[f].u)] = _find(parent, g.edges[f].v)
-        joined = _find(parent, e.u) == _find(parent, e.v)
-        if i in tree:
-            code = _D if joined else _L
-        else:
-            code = _LOOP if joined else _DEL
-        codes[i] = code + (e.sign < 0)
-    return _record(bytes(codes), front.cusp_count if front is not None else None)
-
-
-def dual_tree(
-    g: TaitGraph, tree: frozenset[int]
-) -> tuple[TaitGraph, frozenset[int], dict[int, tuple[str, str]]]:
-    """The complementary spanning tree of the dual graph.
-
-    Returns (dual graph, dual tree, per-edge label pair (label, dual
-    label)); ``classify_activities`` checks that the tree and its
-    complement in the dual span, and ConventionError is raised unless every
-    label swaps L<->lb, D<->db, l<->Lb, d<->Db.
-    """
-    rec = classify_activities(g, tree)
-    gd = dual_graph(g)
-    dual = frozenset(range(len(g.edges))) - tree
-    rec_d = classify_activities(gd, dual)
-    pairs = {}
-    for i in range(len(g.edges)):
-        lab, dlab = rec.labels[i], rec_d.labels[i]
-        if dlab != DUAL_LABEL[lab]:
-            raise ConventionError(
-                f"edge {i}: label {lab} has dual label {dlab}, "
-                f"not {DUAL_LABEL[lab]}"
-            )
-        pairs[i] = (lab, dlab)
-    return gd, dual, pairs
-
-
-def min_x_spanning_tree(
-    g: TaitGraph, front: Optional[FrontDiagram] = None
-) -> SpanningTreeRecord:
-    """Kruskal tree minimizing the sum of edge indices (x-ranks); indices
-    are distinct, so the minimizer is unique."""
-    if not g.is_connected():
-        raise Disconnected("graph is not connected")
-    parent = list(range(g.n_vertices))
-    chosen = set()
-    for i, e in enumerate(g.edges):
-        ru, rv = _find(parent, e.u), _find(parent, e.v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.add(i)
-    return classify_activities(g, frozenset(chosen), front)
-
-
-def _generator_ij(
+def generator_ij(
     u: int, v: int, n: int, w: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Khovanov (i, j) of the generators at (u, v) and (u + 2, v + 2):
@@ -490,45 +384,23 @@ def _generator_ij(
     return ((i, i + u + w - 1), (i, i + u + w + 1))
 
 
-def to_khovanov_bigrading(
-    rec: SpanningTreeRecord, n: int, w: int
-) -> GeneratorPair:
-    """Convert (u, v) to the Khovanov gradings of the tree's two
-    generators: i = u - v + w + (n - w)/2 and j = i + u + w - 1."""
-    return GeneratorPair(u=rec.u, v=rec.v, ij=_generator_ij(rec.u, rec.v, n, w))
-
-
 def tree_euler_characteristic(g: TaitGraph, n: int, w: int) -> LaurentPoly:
     """Sum of (-1)^i q^j over both generators of every spanning tree."""
     coeffs: dict[int, int] = {}
     for (u, v), count in bigrading_counts(g).items():
-        for i, j in _generator_ij(u, v, n, w):
+        for i, j in generator_ij(u, v, n, w):
             coeffs[j] = coeffs.get(j, 0) + (-1) ** (i % 2) * count
     return LaurentPoly(coeffs)
-
-
-def splice_unknot(d: LinkDiagram, rec: SpanningTreeRecord) -> tuple[LinkDiagram, int]:
-    """Splice every inactive crossing (D, db -> A; d, Db -> B), keeping the
-    active ones.  The result must be a one-component twisted unknot; its
-    writhe is returned (and equals -u by the activity count)."""
-    resolution = {}
-    for i, lab in rec.labels.items():
-        if lab in INACTIVE_SPLICE:
-            resolution[i] = INACTIVE_SPLICE[lab]
-    u_t = d.smooth(resolution)
-    if u_t.component_count() != 1:
-        raise NotUnknot(
-            f"splicing produced {u_t.component_count()} components; "
-            "convention bug"
-        )
-    return u_t, u_t.writhe()
 
 
 def splice_front(
     front: FrontDiagram, rec: SpanningTreeRecord
 ) -> tuple[FrontDiagram, int, int]:
-    """Event-word surgery: Legendrian A-splices drop the crossing event,
-    B-splices replace it by a right cusp followed by a left cusp.
+    """Splice every inactive crossing of the tree (D, db -> A; d, Db -> B)
+    by event-word surgery, keeping the active ones: Legendrian A-splices
+    drop the crossing event, B-splices replace it by a right cusp followed
+    by a left cusp.  F_T is a one-component unknot front whose
+    desingularization has writhe -u(T).
 
     Returns (F_T, tb(F_T), C(F_T)).
     """

@@ -18,7 +18,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import khfront
-from khfront import FrontDiagram, KhfrontError
+from khfront import BUNDLED, CorpusEntry, FrontDiagram, KhfrontError
 
 
 def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -107,13 +107,10 @@ def front_words(draw, max_crossings: int = 4, max_cusp_pairs: int = 3):
 
 @pytest.fixture(scope="session")
 def corpus_fronts():
-    from khfront import BUNDLED
-
     return [(e, e.front()) for e in BUNDLED]
 
 
-@pytest.fixture(scope="session")
-def quick_fronts():
-    from khfront import quick_entries
-
-    return [(e, e.front()) for e in quick_entries()]
+def quick_entries() -> list[CorpusEntry]:
+    """The bundled corpus without the scale-test entries (<= 10
+    crossings)."""
+    return [e for e in BUNDLED if "scale" not in e.tags]

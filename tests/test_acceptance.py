@@ -8,25 +8,24 @@ import time
 
 from khfront import (
     BUNDLED,
+    bigrading_counts,
     checkerboard,
-    classify_activities,
     dual_graph,
-    dual_tree,
-    good_bad_census,
     kauffman_jones,
     khovanov_homology,
+    labelled_trees,
     parse_front,
-    quick_entries,
     sharpness_report,
-    spanning_trees,
     splice_front,
     tait_graph,
     tree_euler_characteristic,
 )
 from khfront.cli import EXIT_OK, main
-from khfront.corpus import entry_by_name
 
-from conftest import matrix_tree_count
+from conftest import matrix_tree_count, quick_entries
+from tree_reference import dual_tree
+
+ENTRIES = {e.name: e for e in BUNDLED}
 
 
 def _report(name: str):
@@ -64,8 +63,7 @@ def test_2_tree_grading_lower_bound_and_splice():
         front = entry.front()
         c = front.cusp_count
         _, g = _graph(front)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
+        for rec in labelled_trees(g, front):
             assert rec.u >= 1 - c, entry.name
             _, tb_t, _ = splice_front(front, rec)
             assert tb_t <= -1 - (rec.count("d") + rec.count("Db")), entry.name
@@ -79,12 +77,12 @@ def test_3_tb_bound_with_named_cases():
         front = entry.front()
         table = khovanov_homology(front.desingularize())
         assert front.tb() <= table.min_delta(), entry.name
-    strict = entry_by_name("unknot-stabilized").front()
+    strict = ENTRIES["unknot-stabilized"].front()
     assert strict.tb() == -2
     assert khovanov_homology(strict.desingularize()).min_delta() == -1
-    eq = entry_by_name("unknot-max-tb").front()
+    eq = ENTRIES["unknot-max-tb"].front()
     assert eq.tb() == khovanov_homology(eq.desingularize()).min_delta() == -1
-    tref = entry_by_name("trefoil-right-max-tb").front()
+    tref = ENTRIES["trefoil-right-max-tb"].front()
     table = khovanov_homology(tref.desingularize())
     assert tref.tb() == table.min_delta() == 1
     assert table.groups == {
@@ -104,7 +102,7 @@ def test_4_certificates_consistent_with_oracle():
         r = sharpness_report(entry.front(), with_oracle=True)
         if r.verdict == "sharp_certified":
             assert r.tb == r.min_delta, entry.name
-        if r.good_total() == 0:
+        if not any(good for good, _ in r.census.values()):
             assert r.tb < r.min_delta, entry.name
     _report("4 certificates consistent with the homology oracle")
 
@@ -112,11 +110,11 @@ def test_4_certificates_consistent_with_oracle():
 def test_5_max_tb_fronts_certified_sharp():
     """The max-tb figure-eight (tb = -3) and alternating 6-crossing
     fronts are certified sharp and confirmed by the oracle."""
-    fig8 = entry_by_name("figure-eight-max-tb")
+    fig8 = ENTRIES["figure-eight-max-tb"]
     r = sharpness_report(fig8.front(), with_oracle=True)
     assert r.verdict == "sharp_certified"
     assert r.tb == r.min_delta == -3
-    alt6 = entry_by_name("granny-knot-max-tb")
+    alt6 = ENTRIES["granny-knot-max-tb"]
     assert alt6.crossings == 6 and alt6.alternating
     r = sharpness_report(alt6.front(), with_oracle=True)
     assert r.verdict == "sharp_certified"
@@ -126,20 +124,19 @@ def test_5_max_tb_fronts_certified_sharp():
 
 def test_6_duality_suite():
     """Double dual is the identity; the label-swap table holds for every
-    tree of every corpus graph; census invariant under coloring reversal."""
+    tree of every corpus graph; the tree counts by (u, v), and so the
+    census, invariant under coloring reversal."""
     for entry in BUNDLED:
         front = entry.front()
         d = front.desingularize()
         canonical, rev = checkerboard(d)
-        g = tait_graph(d, canonical)
+        g, gr = tait_graph(d, canonical), tait_graph(d, rev)
         gd = dual_graph(g)
         assert dual_graph(gd).matched_to(g), entry.name
-        assert gd.isomorphic_to(tait_graph(d, rev)), entry.name
-        for t in spanning_trees(g):
-            dual_tree(g, t)  # asserts the edgewise label swaps
-        assert good_bad_census(front, canonical) == good_bad_census(
-            front, rev
-        ), entry.name
+        assert gd.isomorphic_to(gr), entry.name
+        for rec in labelled_trees(g):
+            dual_tree(g, rec.tree)  # raises unless every label swaps
+        assert bigrading_counts(g) == bigrading_counts(gr), entry.name
     _report("6 duality: involution, label swaps, census invariance")
 
 
@@ -151,7 +148,7 @@ def test_7_oracle_self_checks():
         front = entry.front()
         d, g = _graph(front)
         khovanov_homology(d)  # raises ConventionError unless d^2 = 0
-        assert len(list(spanning_trees(g))) == matrix_tree_count(g), entry.name
+        assert len(list(labelled_trees(g))) == matrix_tree_count(g), entry.name
     table = khovanov_homology(parse_front("L1 R1").desingularize())
     assert table.groups == {(0, -1): (1, ()), (0, 1): (1, ())}
     _report("7 oracle self-checks: d^2=0, matrix-tree count, unknot table")
@@ -159,7 +156,7 @@ def test_7_oracle_self_checks():
 
 def test_8_twelve_crossing_scale(capsys):
     """A 12-crossing front completes `analyze --oracle` within 5 minutes."""
-    entry = entry_by_name("four-trefoil-sum")
+    entry = ENTRIES["four-trefoil-sum"]
     assert entry.crossings == 12
     start = time.monotonic()
     code = main(["analyze", entry.word, "--oracle", "--json"])

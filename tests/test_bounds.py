@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from khfront import (
     FrontDiagram,
     checkerboard,
-    good_bad_census,
     kauffman_jones,
     khovanov_homology,
-    ng_bound,
     parse_front,
     sharpness_report,
     tait_graph,
@@ -26,48 +24,39 @@ TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
 class TestNgBound:
     def test_unknot_equality(self):
-        r = ng_bound(parse_front("L1 R1"), with_oracle=True)
-        assert (r.tb, r.min_delta, r.verdict) == (-1, -1, "bound_holds")
+        r = sharpness_report(parse_front("L1 R1"), with_oracle=True)
+        assert (r.tb, r.min_delta, r.verdict) == (-1, -1, "sharp_certified")
 
     def test_trefoil_equality(self):
-        r = ng_bound(parse_front(TREFOIL), with_oracle=True)
+        r = sharpness_report(parse_front(TREFOIL), with_oracle=True)
         assert (r.tb, r.min_delta) == (1, 1)
 
     def test_stabilized_unknot_strict(self):
-        r = ng_bound(parse_front("L1 L2 R1 R1"), with_oracle=True)
+        r = sharpness_report(parse_front("L1 L2 R1 R1"), with_oracle=True)
         assert r.tb == -2
         assert r.min_delta == -1
-        assert r.bound_is_equality() is False
 
     def test_without_oracle(self):
-        r = ng_bound(parse_front(TREFOIL))
+        r = sharpness_report(parse_front(TREFOIL))
         assert r.min_delta is None
-        assert r.bound_is_equality() is None
 
     @settings(max_examples=20, deadline=None)
     @given(front_words(max_crossings=3, max_cusp_pairs=2))
     def test_bound_on_random_fronts(self, front):
-        r = ng_bound(front, with_oracle=True)
+        r = sharpness_report(front, with_oracle=True)
         assert r.tb <= r.min_delta
         assert r.min_u >= 1 - r.C
 
 
 class TestCensus:
     def test_unknot(self):
-        assert good_bad_census(parse_front("L1 R1")) == {0: (1, 0)}
+        assert sharpness_report(parse_front("L1 R1")).census == {0: (1, 0)}
 
     def test_trefoil(self):
-        assert good_bad_census(parse_front(TREFOIL)) == {2: (1, 0)}
+        assert sharpness_report(parse_front(TREFOIL)).census == {2: (1, 0)}
 
     def test_stabilized_unknot(self):
-        assert good_bad_census(parse_front("L1 L2 R1 R1")) == {0: (0, 1)}
-
-    @settings(max_examples=20, deadline=None)
-    @given(front_words())
-    def test_census_invariant_under_coloring_reversal(self, front):
-        d = front.desingularize()
-        canonical, rev = checkerboard(d)
-        assert good_bad_census(front, canonical) == good_bad_census(front, rev)
+        assert sharpness_report(parse_front("L1 L2 R1 R1")).census == {0: (0, 1)}
 
 
 class TestSharpness:
@@ -97,7 +86,7 @@ class TestSharpness:
         table = khovanov_homology(front.desingularize())
         r = sharpness_report(front)
         if front.tb() == table.min_delta():
-            assert r.good_total() >= 1
+            assert any(good for good, _ in r.census.values())
 
 
 class TestKnownMaximalTb:
@@ -194,7 +183,9 @@ class TestTripwires:
         # tripwires must not
         code = (
             "from khfront import BoundReport, ConventionError\n"
-            "for tb, verdict, min_delta in ((2, 'bound_holds', 1), (0, 'maybe', None)):\n"
+            "for tb, verdict, min_delta in (\n"
+            "    (2, 'sharp_certified', 1), (0, 'maybe', None)\n"
+            "):\n"
             "    try:\n"
             "        BoundReport(tb=tb, C=1, min_u=0, census={},"
             " verdict=verdict, min_delta=min_delta)\n"

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 
 from khfront import (
     checkerboard,
+    generator_ij,
     labelled_trees,
     parse_front,
     tait_graph,
-    to_khovanov_bigrading,
 )
 from khfront.cli import (
     EXIT_CONVENTION,
@@ -134,7 +134,7 @@ class TestTrees:
             {
                 "coloring": "canonical" if coloring.canonical else "reversed",
                 **record_json_dict(rec),
-                "generators": list(to_khovanov_bigrading(rec, d.n, w).ij),
+                "generators": list(generator_ij(rec.u, rec.v, d.n, w)),
             }
             for coloring in checkerboard(d)
             for rec in labelled_trees(tait_graph(d, coloring), front)

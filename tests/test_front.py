@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 
 from khfront import (
+    BUNDLED,
     Disconnected,
     FrontDiagram,
     LinkDiagram,
@@ -101,6 +102,13 @@ class TestMeasures:
         f = parse_front("L1 L2 X1 R2 R1")
         assert f.desingularize().writhe() == 1
         assert f.tb() == -1
+
+    @pytest.mark.parametrize("entry", BUNDLED, ids=lambda e: e.name)
+    def test_bundled_entry_records_its_front(self, entry):
+        front = entry.front()
+        assert entry.crossings == front.crossing_count
+        assert entry.components == front.desingularize().component_count()
+        assert entry.tb == front.tb()
 
 
 class TestDesingularization:

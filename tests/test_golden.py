@@ -4,9 +4,9 @@
 bundled corpus under ``corpus --oracle --json``, and ``homology --json``,
 ``jones --json`` and the ``trees --coloring both`` listing, as JSON and
 as text, for every bundled front word; and ``homology --json`` on the
-scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented.  A
-change that means to alter one of these outputs regenerates the file and
-says why::
+scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented; and
+the demo scripts, whose keys are ``python demos/<script>``.  A change that
+means to alter one of these outputs regenerates the file and says why::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,15 @@ from khfront import BUNDLED
 from khfront.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+#: the demo scripts, each with the number of trailing lines of its stdout
+#: that report a run time and so are left out
+DEMO_SCRIPTS = {
+    "01_trefoil_walkthrough.py": 0,
+    "02_duality.py": 0,
+    "03_corpus_survey.py": 1,
+}
 
 
 #: fronts the homology scan finds hard, beyond the bundled words: the sum
@@ -62,12 +72,31 @@ def stdout_of(argv: list[str]) -> str:
     return buf.getvalue()
 
 
+def demo_stdout(script: str) -> str:
+    """The stdout of a demo run in this process, without its timing
+    lines."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(DEMOS / script), run_name="__main__")
+    lines = buf.getvalue().splitlines(keepends=True)
+    return "".join(lines[: len(lines) - DEMO_SCRIPTS[script]])
+
+
 @pytest.mark.parametrize("argv", golden_commands(), ids=" ".join)
 def test_output_is_byte_identical(argv):
     expected = json.loads(GOLDEN.read_text())[" ".join(argv)]
     assert stdout_of(argv) == expected
 
 
+@pytest.mark.parametrize("script", DEMO_SCRIPTS)
+def test_demo_output_is_byte_identical(script):
+    expected = json.loads(GOLDEN.read_text())[f"python demos/{script}"]
+    assert demo_stdout(script) == expected
+
+
 if __name__ == "__main__":
     outputs = {" ".join(argv): stdout_of(argv) for argv in golden_commands()}
+    outputs.update(
+        {f"python demos/{script}": demo_stdout(script) for script in DEMO_SCRIPTS}
+    )
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")

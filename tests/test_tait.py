@@ -1,6 +1,5 @@
 """Checkerboard colorings, Tait graphs, rotation systems, duality."""
 
-import json
 import time
 from dataclasses import replace
 from itertools import permutations
@@ -13,6 +12,7 @@ from khfront import (
     Coloring,
     ConventionError,
     LinkDiagram,
+    NonplanarRotation,
     TaitGraph,
     checkerboard,
     dual_graph,
@@ -20,6 +20,7 @@ from khfront import (
     tait_graph,
 )
 from khfront.diagram import CORNER_AT
+from khfront.tait import TaitEdge
 
 from conftest import front_words, run_optimized
 
@@ -183,17 +184,9 @@ class TestTaitGraph:
         with pytest.raises(ConventionError, match="black corner E is no edge end"):
             tait_graph(d, Coloring(d, frozenset({n, e}), True))
 
-    def test_sign_counts_swap_under_reversal(self):
+    def test_signs_swap_under_reversal(self):
         _, g, gr = graphs_of(TREFOIL)
-        assert (g.positive_count(), g.negative_count()) == (3, 0)
-        assert (gr.positive_count(), gr.negative_count()) == (0, 3)
-
-    def test_json_schema(self):
-        _, g, _ = graphs_of(TREFOIL)
-        payload = json.loads(g.to_json())
-        assert payload["schema"] == 1
-        assert payload["vertices"] == 3
-        assert len(payload["edges"]) == 3
+        assert [e.sign for e in gr.edges] == [-e.sign for e in g.edges]
 
     @settings(max_examples=50, deadline=None)
     @given(front_words())
@@ -254,10 +247,15 @@ class TestDuality:
         gd = dual_graph(g)
         assert dual_graph(gd).matched_to(g)
         assert gd.isomorphic_to(tait_graph(d, rev))
-        assert (gd.positive_count(), gd.negative_count()) == (
-            g.negative_count(),
-            g.positive_count(),
-        )
+        assert [e.sign for e in gd.edges] == [-e.sign for e in g.edges]
+
+    def test_interleaved_loops_have_no_dual(self):
+        # two loops whose ends alternate around the one vertex: V - E + F
+        # is 1 - 2 + 1 = 0, so the rotation is not planar
+        loop = TaitEdge(0, 0, 1, ("W", "E"))
+        g = TaitGraph(1, [loop] * 2, [[(0, "W"), (1, "W"), (0, "E"), (1, "E")]])
+        with pytest.raises(NonplanarRotation):
+            dual_graph(g)
 
 
     def test_isomorphism_of_1200_crossing_twist(self):

@@ -11,26 +11,23 @@ from khfront import (
     Disconnected,
     LaurentPoly,
     NotASpanningTree,
+    ParityViolation,
     TaitGraph,
     bigrading_counts,
     checkerboard,
-    classify_activities,
-    dual_tree,
+    generator_ij,
     kauffman_jones,
     labelled_trees,
-    min_x_spanning_tree,
     parse_front,
-    spanning_trees,
     splice_front,
-    splice_unknot,
     tait_graph,
-    to_khovanov_bigrading,
     tree_euler_characteristic,
 )
-import khfront.trees
-from khfront.trees import DUAL_LABEL, _validate_tree
+from khfront.trees import _validate_tree
 
+import tree_reference
 from conftest import front_words, matrix_tree_count
+from tree_reference import DUAL_LABEL, classify_activities, dual_tree, min_x_tree
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -43,11 +40,14 @@ def setup(word):
     return front, d, g
 
 
+def trees_of(g):
+    return [rec.tree for rec in labelled_trees(g)]
+
+
 class TestEnumeration:
     def test_trefoil_trees(self):
         _, _, g = setup(TREFOIL)
-        trees = list(spanning_trees(g))
-        assert trees == [
+        assert trees_of(g) == [
             frozenset({0, 1}),
             frozenset({0, 2}),
             frozenset({1, 2}),
@@ -55,12 +55,12 @@ class TestEnumeration:
 
     def test_unknot_single_empty_tree(self):
         _, _, g = setup("L1 R1")
-        assert list(spanning_trees(g)) == [frozenset()]
+        assert trees_of(g) == [frozenset()]
 
     def test_count_matches_matrix_tree(self):
         for word in (TREFOIL, "L1 L2 X1 R2 R1", "L1 L2 X1 X1 R2 R1"):
             _, _, g = setup(word)
-            assert len(list(spanning_trees(g))) == matrix_tree_count(g)
+            assert len(trees_of(g)) == matrix_tree_count(g)
 
     @settings(max_examples=40, deadline=None)
     @given(front_words())
@@ -68,23 +68,23 @@ class TestEnumeration:
         d = front.desingularize()
         canonical, _ = checkerboard(d)
         g = tait_graph(d, canonical)
-        assert len(list(spanning_trees(g))) == matrix_tree_count(g)
+        assert len(trees_of(g)) == matrix_tree_count(g)
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
-            list(spanning_trees(TaitGraph(2, [], [[], []])))
+            trees_of(TaitGraph(2, [], [[], []]))
 
     def test_not_a_spanning_tree(self):
         _, _, g = setup(TREFOIL)
         with pytest.raises(NotASpanningTree):
-            classify_activities(g, frozenset({0}))
+            _validate_tree(g, frozenset({0}))
         with pytest.raises(NotASpanningTree):
-            classify_activities(g, frozenset({0, 1, 2}))
+            _validate_tree(g, frozenset({0, 1, 2}))
         # two Hopf clasps: V - 1 = 2 edges, but edges 0 and 1 are parallel
         _, _, g = setup("L1 L2 X1 X1 R2 L2 X1 X1 R2 R1")
         assert g.n_vertices == 3
         with pytest.raises(NotASpanningTree):
-            classify_activities(g, frozenset({0, 1}))
+            _validate_tree(g, frozenset({0, 1}))
 
 
 class TestBigradingCounts:
@@ -118,10 +118,7 @@ class TestBigradingCounts:
 class TestActivities:
     def test_trefoil_labels(self):
         front, _, g = setup(TREFOIL)
-        recs = {
-            tuple(sorted(t)): classify_activities(g, t, front)
-            for t in spanning_trees(g)
-        }
+        recs = {tuple(sorted(rec.tree)): rec for rec in labelled_trees(g, front)}
         assert recs[(0, 1)].labels == {0: "L", 1: "L", 2: "d"}
         assert recs[(0, 2)].labels == {0: "L", 1: "d", 2: "D"}
         assert recs[(1, 2)].labels == {0: "l", 1: "D", 2: "D"}
@@ -155,7 +152,7 @@ class TestActivities:
         for coloring in checkerboard(d):
             g = tait_graph(d, coloring)
             edges = range(len(g.edges))
-            for tree in spanning_trees(g):
+            for tree in trees_of(g):
 
                 def exchanges(e, f):
                     try:
@@ -177,8 +174,7 @@ class TestActivities:
 
     def test_good_bad_mutually_exclusive(self):
         front, _, g = setup(TREFOIL)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
+        for rec in labelled_trees(g, front):
             assert rec.class_ in ("good", "bad", "neither")
 
     @settings(max_examples=40, deadline=None)
@@ -187,8 +183,7 @@ class TestActivities:
         d = front.desingularize()
         canonical, _ = checkerboard(d)
         g = tait_graph(d, canonical)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t)
+        for rec in labelled_trees(g):
             assert rec.u == (
                 rec.count("L") - rec.count("l") - rec.count("Lb") + rec.count("lb")
             )
@@ -201,15 +196,14 @@ class TestBigradings:
     def test_trefoil_generator_pairs(self):
         front, d, g = setup(TREFOIL)
         pairs = set()
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
-            pairs.update(to_khovanov_bigrading(rec, d.n, d.writhe()).ij)
+        for rec in labelled_trees(g, front):
+            pairs.update(generator_ij(rec.u, rec.v, d.n, d.writhe()))
         assert pairs == {(3, 7), (3, 9), (2, 5), (2, 7), (0, 1), (0, 3)}
 
     def test_unknot_generators(self):
         front, d, g = setup("L1 R1")
-        (rec,) = [classify_activities(g, t, front) for t in spanning_trees(g)]
-        assert to_khovanov_bigrading(rec, d.n, d.writhe()).ij == ((0, -1), (0, 1))
+        (rec,) = labelled_trees(g, front)
+        assert generator_ij(rec.u, rec.v, d.n, d.writhe()) == ((0, -1), (0, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(front_words())
@@ -219,11 +213,14 @@ class TestBigradings:
         w = d.writhe()
         canonical, _ = checkerboard(d)
         g = tait_graph(d, canonical)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t)
-            (i1, j1), (i2, j2) = to_khovanov_bigrading(rec, d.n, w).ij
+        for rec in labelled_trees(g):
+            (i1, j1), (i2, j2) = generator_ij(rec.u, rec.v, d.n, w)
             assert j1 - i1 == rec.u + w - 1
             assert j2 - i2 == rec.u + w + 1
+
+    def test_crossings_and_writhe_of_different_parity(self):
+        with pytest.raises(ParityViolation):
+            generator_ij(0, 0, 3, 2)
 
 
 class TestDualTrees:
@@ -233,15 +230,15 @@ class TestDualTrees:
         d = front.desingularize()
         canonical, _ = checkerboard(d)
         g = tait_graph(d, canonical)
-        for t in spanning_trees(g):
-            _, dual, pairs = dual_tree(g, t)  # asserts the swap internally
+        for t in trees_of(g):
+            _, dual, pairs = dual_tree(g, t)  # raises unless labels swap
             assert dual == frozenset(range(len(g.edges))) - t
             for lab, dlab in pairs.values():
                 assert dlab == DUAL_LABEL[lab]
 
     def test_label_swap_check_raises(self, monkeypatch):
         _, _, g = setup(TREFOIL)
-        monkeypatch.setattr(khfront.trees, "DUAL_LABEL", {k: "d" for k in DUAL_LABEL})
+        monkeypatch.setattr(tree_reference, "DUAL_LABEL", {k: "d" for k in DUAL_LABEL})
         with pytest.raises(ConventionError):
             dual_tree(g, frozenset({0, 1}))
 
@@ -252,34 +249,27 @@ class TestDualTrees:
 class TestSplicing:
     @settings(max_examples=40, deadline=None)
     @given(front_words())
-    def test_unknot_splice_writhe_is_minus_u(self, front):
-        d = front.desingularize()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
-            u_t, w_u = splice_unknot(d, rec)
-            assert u_t.component_count() == 1
-            assert w_u == -rec.u
-
-    @settings(max_examples=40, deadline=None)
-    @given(front_words())
     def test_front_splice_cusp_count(self, front):
+        # splicing the inactive crossings leaves a one-component unknot
+        # whose writhe is -u, on knots and links alike
         d = front.desingularize()
         canonical, _ = checkerboard(d)
         g = tait_graph(d, canonical)
-        for t in spanning_trees(g):
-            rec = classify_activities(g, t, front)
+        for rec in labelled_trees(g, front):
             f_t, tb_t, c_t = splice_front(front, rec)
+            unknot = f_t.desingularize()
+            assert unknot.component_count() == 1
+            assert unknot.writhe() == -rec.u
             assert c_t == front.cusp_count + rec.count("d") + rec.count("Db")
             assert tb_t == -rec.u - c_t
 
 
 class TestMinXTree:
     def test_trefoil_min_x(self):
-        front, _, g = setup(TREFOIL)
-        rec = min_x_spanning_tree(g, front)
-        assert rec.tree == frozenset({0, 1})
+        # the greedy tree is the lexicographically first, so the listing
+        # starts with it
+        _, _, g = setup(TREFOIL)
+        assert min_x_tree(g) == next(labelled_trees(g)).tree == frozenset({0, 1})
 
     def test_alternating_min_x_is_good(self):
         # on an alternating front, the x-minimal tree of the all-negative
@@ -294,11 +284,8 @@ class TestMinXTree:
             if all(e.sign < 0 for e in tait_graph(d, c).edges)
         )
         g = tait_graph(d, negative)
-        assert min_x_spanning_tree(g, front).class_ == "good"
-        vs = {
-            classify_activities(g, t, front).v for t in spanning_trees(g)
-        }
-        assert len(vs) == 1
+        assert classify_activities(g, min_x_tree(g), front).class_ == "good"
+        assert len({rec.v for rec in labelled_trees(g)}) == 1
 
 
 class TestEulerCharacteristic:
@@ -306,6 +293,11 @@ class TestEulerCharacteristic:
         _, d, g = setup(TREFOIL)
         poly = tree_euler_characteristic(g, d.n, d.writhe())
         assert dict(poly.items()) == {1: 1, 3: 1, 5: 1, 9: -1}
+
+    def test_crossings_and_writhe_of_different_parity(self):
+        _, _, g = setup(TREFOIL)
+        with pytest.raises(ParityViolation):
+            tree_euler_characteristic(g, 3, 2)
 
     def test_equals_jones_at_scale(self):
         # tree census against the Jones sweep, both far past the 2^n state
