@@ -64,8 +64,10 @@ class LinkDiagram:
     arcs : arc endpoints, each a pair of ports; every port of every
         crossing appears exactly once.  Their order seeds the face walks.
     free_loops : closed curves that meet no crossing.
-    attach_log : optional chronological list of in-ports recorded by the
-        front sweep; used for canonical component order and orientation.
+    attach_log : optional list of in-ports that fixes the canonical
+        component order and orientation: each component is walked from
+        the first of its ports listed.  The front sweep records its
+        attachments in order; a PD import lists one port per component.
     white_corner : optional corner (its arriving port) recorded by the
         front sweep; its face has the color of the unbounded face, so the
         canonical checkerboard coloring is seeded there.
@@ -110,7 +112,8 @@ class LinkDiagram:
         traversal order.  Crossing-free loops are not listed.
 
         Traversal direction is canonical: sweep-built diagrams start each
-        component rightward into its chronologically first left-side port;
+        component rightward into its chronologically first left-side port,
+        and PD imports as their code orients it (see ``from_pd``);
         otherwise the lowest unvisited port seeds the walk.
         """
         mate = self.mate
@@ -217,26 +220,47 @@ class LinkDiagram:
         Each crossing is a 4-tuple of arc labels, listed counterclockwise
         starting at the incoming under-strand.  Tuple slots map to ports
         (SW, SE, NE, NW), so the under-strand runs SW-NE and the over-strand
-        NW-SE at every crossing.
+        NW-SE at every crossing.  Each component is oriented as the code
+        orients it: into its SW ports, or along increasing labels when it
+        never passes under.  Components are walked in the order of their
+        least labels, each from the passage that leaves along that label.
         """
         code = [tuple(x) for x in code]
         ends_by_label: dict[int, list[int]] = {}
+        label_at: dict[int, int] = {}
         for c, quad in enumerate(code):
             if len(quad) != 4:
                 raise ValueError("PD crossing must have 4 arc labels")
             for p, label in zip((SW, SE, NE, NW), quad):
                 ends_by_label.setdefault(label, []).append(4 * c + p)
+                label_at[4 * c + p] = label
         arcs = []
         for label, ends in sorted(ends_by_label.items()):
             if len(ends) != 2:
                 raise ValueError(f"arc label {label} appears {len(ends)} times")
             arcs.append((ends[0], ends[1]))
-        return cls(n=len(code), arcs=arcs)
+        seeds = []
+        for steps in cls(n=len(code), arcs=arcs).components:
+            # the under-strand's ports SW and NE are the odd ones
+            under = [x for x in steps if x & 1]
+            if under:
+                forward = under[0] & 3 == SW
+            else:
+                rises = sum(label_at[x ^ 2] > label_at[x] for x in steps)
+                falls = sum(label_at[x ^ 2] < label_at[x] for x in steps)
+                forward = rises >= falls
+            ins = steps if forward else [x ^ 2 for x in steps]
+            seeds.append(min(ins, key=lambda x: label_at[x ^ 2]))
+        seeds.sort(key=lambda x: label_at[x ^ 2])
+        return cls(n=len(code), arcs=arcs, attach_log=seeds)
 
     def to_pd(self) -> list[tuple[int, int, int, int]]:
-        """Export a PD code (labels follow the canonical traversal)."""
+        """Export a PD code: labels count up along the canonical
+        traversal, and each crossing is listed counterclockwise from its
+        incoming under-strand, which enters at SW or at NE."""
         mate = self.mate
         label = [0] * len(mate)
+        under_from_ne = [False] * self.n
         count = 0
         for steps in self.components:
             for x in steps:
@@ -244,8 +268,12 @@ class LinkDiagram:
                 if not label[out]:
                     count += 1
                     label[out] = label[mate[out]] = count
+                if x & 3 == NE:
+                    under_from_ne[x >> 2] = True
         return [
-            (label[x + SW], label[x + SE], label[x + NE], label[x + NW])
+            (label[x + NE], label[x + NW], label[x + SW], label[x + SE])
+            if under_from_ne[x >> 2]
+            else (label[x + SW], label[x + SE], label[x + NE], label[x + NW])
             for x in range(0, len(mate), 4)
         ]
 

@@ -98,13 +98,16 @@ def parse_front(text: str) -> FrontDiagram:
     StrandUnderflow, NonzeroEndState, or Disconnected from the connectivity
     check of the desingularized diagram.
     """
-    events: list[Event] = []
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
-            raise MalformedToken(f"bad token {token!r}")
-        events.append((m.group(1), int(m.group(2))))
-    return FrontDiagram(tuple(events))
+    tokens = text.split()
+    # a word repeats few distinct tokens: match each one once
+    event_of: dict[str, Event] = {}
+    for token in tokens:
+        if token not in event_of:
+            m = _TOKEN.match(token)
+            if not m:
+                raise MalformedToken(f"bad token {token!r}")
+            event_of[token] = (m.group(1), int(m.group(2)))
+    return FrontDiagram(tuple(map(event_of.__getitem__, tokens)))
 
 
 def desingularize(front: FrontDiagram) -> LinkDiagram:

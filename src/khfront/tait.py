@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .diagram import CORNER_AT, LinkDiagram, _find
 from .errors import ConventionError, NonplanarRotation
@@ -83,8 +84,7 @@ def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     return canonical, canonical.reversed()
 
 
-@dataclass(frozen=True)
-class TaitEdge:
+class TaitEdge(NamedTuple):
     """One signed edge; ``ends`` are the quadrants of its crossing carrying
     the two edge-ends (equal endpoints give a loop).  The edge's crossing
     and its order are its index in ``TaitGraph.edges``."""
@@ -259,17 +259,21 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
         if ns_black != (s >= 0) or ns_black == (w >= 0):
             raise ConventionError(f"crossing {c}: quadrants are not checkerboard")
         if ns_black:
-            edges.append(TaitEdge(u=n, v=s, sign=-1, ends=_ENDS[1]))
+            edges.append(TaitEdge(n, s, -1, _ENDS[1]))
         else:
-            edges.append(TaitEdge(u=w, v=e, sign=1, ends=_ENDS[0]))
+            edges.append(TaitEdge(w, e, 1, _ENDS[0]))
     rotation: list[list[tuple[int, str]]] = []
     for f in black_faces:
         cyc = []
         for x in diagram.face_walks[f]:
-            c, q = x >> 2, CORNER_AT[x & 3]
-            if q not in edges[c].ends:
-                raise ConventionError(f"crossing {c}: black corner {q} is no edge end")
-            cyc.append((c, q))
+            # a positive edge ends at the corners of even ports, a negative
+            # one at those of odd ports
+            c = x >> 2
+            if x & 1 != (edges[c].sign < 0):
+                raise ConventionError(
+                    f"crossing {c}: black corner {CORNER_AT[x & 3]} is no edge end"
+                )
+            cyc.append((c, CORNER_AT[x & 3]))
         rotation.append(cyc)
     return TaitGraph(len(black_faces), edges, rotation)
 
@@ -289,10 +293,10 @@ def dual_graph(g: TaitGraph) -> TaitGraph:
     dart_orbit = {d: i for i, orb in enumerate(orbits) for d in orb}
     edges = [
         TaitEdge(
-            u=dart_orbit[(e_idx, e.ends[0])],
-            v=dart_orbit[(e_idx, e.ends[1])],
-            sign=-e.sign,
-            ends=e.ends,
+            dart_orbit[(e_idx, e.ends[0])],
+            dart_orbit[(e_idx, e.ends[1])],
+            -e.sign,
+            e.ends,
         )
         for e_idx, e in enumerate(g.edges)
     ]

@@ -18,32 +18,33 @@ sign:
 
     u(T) = #L - #l - #Lb + #lb        v(T) = #L + #D + #lb + #db
 
-Two functions walk that recursion.  ``labelled_trees`` follows every
-branch and yields each tree with its labels; the ``trees`` listing and
-the tests use it.  ``bigrading_counts`` only counts the trees at each
-(u, v), by frontier dynamic programming over the edges (Sekine, Imai and
-Tani, *Computing the Tutte polynomial of a graph of moderate size*,
-1995):
+One frontier sweep runs that recursion (Sekine, Imai and Tani,
+*Computing the Tutte polynomial of a graph of moderate size*, 1995), and
+both tree paths read it: ``bigrading_counts`` counts the trees at each
+(u, v) for ``analyze``, ``certify`` and ``corpus``, and ``labelled_trees``
+lists every tree with its labels for ``trees``.
 
 * Reduce first.  A bridge of G stays a bridge, and a loop stays a loop,
   in every minor of the recursion, so each is labelled alike in every
   tree and leaves the other labels alone.  One bridge search contracts
-  the bridges and drops the loops, keeping their constant (u, v) shift.
+  the bridges and drops the loops, each with its fixed label.
 * The state before edge e is the contraction partition of the frontier:
   the vertices with edges both above e and at or below it.  On a front
-  the frontier is the set of black faces cut by the sweep line.  Each
-  state carries its ``{(u, v): count}`` relative to an offset, so a step
-  that does not branch shifts it in O(1).
+  the frontier is the set of black faces cut by the sweep line.
 * Edge e is a loop when its ends share a class, and a bridge when its
   ends stay apart in the union of the classes and the components of the
-  edges below e; otherwise both branches are kept.
+  edges below e; otherwise both branches are kept.  That rule is decided
+  once per state and edge.
+* A path through the states is one tree.  The count carries each state's
+  ``{(u, v): count}`` relative to an offset, so a step that does not
+  branch shifts it in O(1); the listing walks the paths depth first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional
+from itertools import compress
+from typing import Iterable, Iterator, Optional
 
 from .diagram import _find
 from .errors import (
@@ -86,9 +87,9 @@ _LABEL_OF_CODE = ("L", "Lb", "D", "Db", "l", "lb", "d", "db")
 _L, _D, _LOOP, _DEL = 0, 2, 4, 6
 #: code -> the (u, v) it adds to its tree's bigrading
 _SHIFT = ((1, 1), (-1, 0), (0, 1), (0, 0), (-1, 0), (1, 1), (0, 0), (0, 1))
-#: code -> 0 on the tree, 1 off it; ascending order of the translated
+#: code -> 1 on the tree, 0 off it; descending order of the translated
 #: strings is lexicographic order of the trees' sorted edge lists
-_MEMBERSHIP = bytes.maketrans(bytes(range(8)), bytes([0, 0, 0, 0, 1, 1, 1, 1]))
+_ON_TREE = bytes.maketrans(bytes(range(8)), bytes([1, 1, 1, 1, 0, 0, 0, 0]))
 #: u + C -> class of a tree on a front with C cusp pairs
 _CLASS = {1: "good", 2: "bad"}
 #: most spanning trees ``labelled_trees`` lists; the listing is sorted, so
@@ -96,14 +97,11 @@ _CLASS = {1: "good", 2: "bad"}
 LISTING_LIMIT = 100_000
 
 
-def _bridges(
-    parent: list[int], ends: list[tuple[int, int]], edge_ids: range
-) -> set[int]:
-    """Bridges of the minor whose vertices are the union-find classes of
-    ``parent`` and whose edges are ``edge_ids`` (iterative Tarjan)."""
+def _bridges(ends: list[tuple[int, int]]) -> set[int]:
+    """Bridges of the graph whose edges join the vertex pairs ``ends``
+    (iterative Tarjan)."""
     adj: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_ids:
-        a, b = _find(parent, ends[e][0]), _find(parent, ends[e][1])
+    for e, (a, b) in enumerate(ends):
         if a != b:
             adj.setdefault(a, []).append((b, e))
             adj.setdefault(b, []).append((a, e))
@@ -136,118 +134,34 @@ def _bridges(
     return bridges
 
 
-def _labelling_pass(g: TaitGraph) -> Iterator[bytes]:
-    """Tutte's activity recursion on the highest edge, depth first.
+def _reduce(g: TaitGraph) -> tuple[dict[int, int], list[int], list, list]:
+    """The bridge and loop reduction, by one bridge search.
 
-    Each yielded string holds one spanning tree's label codes, indexed by
-    edge id.  In the current minor a loop is externally active and a
-    bridge internally active (and contracted); any other edge branches
-    into contraction (inactive tree edge) and deletion (inactive non-tree
-    edge).  Contraction creates no bridge, so the bridges are recomputed
-    only after a deletion.
+    Returns the label codes of the bridges and loops by edge id, the ids
+    of the other edges in ascending order, their ends in the graph with
+    the bridges contracted, and whether each of them is negative.
     """
     if not g.is_connected():
         raise Disconnected("graph is not connected")
-    order = range(len(g.edges) - 1, -1, -1)
     ends = [(e.u, e.v) for e in g.edges]
-    neg = [1 if e.sign < 0 else 0 for e in g.edges]
-    codes = bytearray(len(g.edges))
+    bridges = _bridges(ends)
     parent = list(range(g.n_vertices))
-    # (next depth, union-find parents, bridges of the minor, the edge just
-    # contracted as inactive or -1); entries at depth k never rewrite the
-    # codes of edges processed above k, so one buffer serves every branch
-    stack = [(0, parent, _bridges(parent, ends, order), -1)]
-    while stack:
-        k, parent, bridges, contracted = stack.pop()
-        if contracted >= 0:
-            codes[contracted] = _D + neg[contracted]
-        for depth in range(k, len(order)):
-            e = order[depth]
-            a, b = _find(parent, ends[e][0]), _find(parent, ends[e][1])
-            if a == b:
-                codes[e] = _LOOP + neg[e]
-            elif e in bridges:
-                codes[e] = _L + neg[e]
-                parent[a] = b
-            else:
-                merged = parent.copy()
-                merged[a] = b
-                stack.append((depth + 1, merged, bridges, e))
-                codes[e] = _DEL + neg[e]
-                bridges = _bridges(parent, ends, order[depth + 1:])
-        yield bytes(codes)
-
-
-def _record(codes: bytes, cusp_count: Optional[int]) -> SpanningTreeRecord:
-    """The record of one tree from its label codes; with a front's cusp
-    count, classed good (u = 1 - C) or bad (u = 2 - C)."""
-    tree = frozenset(i for i, c in enumerate(codes) if c < _LOOP)
-    count = codes.count
-    u = count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1)
-    cls = "neither" if cusp_count is None else _CLASS.get(u + cusp_count, "neither")
-    return SpanningTreeRecord(
-        tree=tree,
-        labels={i: _LABEL_OF_CODE[c] for i, c in enumerate(codes)},
-        u=u,
-        v=count(_L) + count(_D) + count(_LOOP + 1) + count(_DEL + 1),
-        class_=cls,
-    )
-
-
-def labelled_trees(
-    g: TaitGraph, front: Optional[FrontDiagram] = None
-) -> Iterator[SpanningTreeRecord]:
-    """Every spanning tree with its activity labels, u and v (and its
-    good/bad class when a front is attached), each exactly once, in
-    lexicographic order of the sorted edge-id lists.
-
-    One deletion-contraction pass on the highest edge labels every tree
-    as it is found.  Each tree is checked to span.  A graph with more
-    than ``LISTING_LIMIT`` trees raises TooLarge as soon as the pass finds
-    one tree more than that.
-    """
-    cusp_count = front.cusp_count if front is not None else None
-    found = list(islice(_labelling_pass(g), LISTING_LIMIT + 1))
-    if len(found) > LISTING_LIMIT:
-        raise TooLarge(
-            f"more than {LISTING_LIMIT} spanning trees to list; "
-            "analyze counts them without listing"
-        )
-    found.sort(key=lambda c: c.translate(_MEMBERSHIP))
-    for codes in found:
-        rec = _record(codes, cusp_count)
-        _validate_tree(g, rec.tree)
-        yield rec
-
-
-def bigrading_counts(g: TaitGraph) -> dict[tuple[int, int], int]:
-    """The number of spanning trees at each bigrading (u, v), in ascending
-    order of (u, v), without listing any tree: the (u, v) counts of
-    ``labelled_trees``, from the bridge and loop reduction and the
-    frontier sweep of the module docstring."""
-    if not g.is_connected():
-        raise Disconnected("graph is not connected")
-    ends = [(e.u, e.v) for e in g.edges]
-    parent = list(range(g.n_vertices))
-    bridges = _bridges(parent, ends, range(len(ends)))
-    u0 = v0 = 0
+    fixed: dict[int, int] = {}
     kept = []
     for i, e in enumerate(g.edges):
         if e.u == e.v:
-            code = _LOOP
+            fixed[i] = _LOOP + (e.sign < 0)
         elif i in bridges:
-            code = _L
+            fixed[i] = _L + (e.sign < 0)
             parent[_find(parent, e.u)] = _find(parent, e.v)
         else:
             kept.append(i)
-            continue
-        du, dv = _SHIFT[code + (e.sign < 0)]
-        u0, v0 = u0 + du, v0 + dv
-    counts = _sweep(
+    return (
+        fixed,
+        kept,
         [(_find(parent, ends[i][0]), _find(parent, ends[i][1])) for i in kept],
         [g.edges[i].sign < 0 for i in kept],
     )
-    return {(u + u0, v + v0): c for (u, v), c in counts.items()}
 
 
 def _canon(labels) -> tuple[int, ...]:
@@ -263,8 +177,89 @@ def _joined(labels: list[int], comps: tuple[int, ...], pa: int, pb: int) -> bool
     m = len(labels)
     parent = list(range(2 * m))
     for x, c in zip(labels, comps):
-        parent[_find(parent, x)] = _find(parent, m + c)
-    return _find(parent, labels[pa]) == _find(parent, labels[pb])
+        c += m
+        while parent[x] != x:
+            x = parent[x]
+        while parent[c] != c:
+            c = parent[c]
+        parent[x] = c
+    x, y = labels[pa], labels[pb]
+    while parent[x] != x:
+        x = parent[x]
+    while parent[y] != y:
+        y = parent[y]
+    return x == y
+
+
+def _plan(ends: list[tuple[int, int]]) -> list[tuple]:
+    """The frontier plan of the sweep, per edge e: the positions of e's
+    ends among the working vertices (the frontier above e and the ends
+    of e that are new to it), their number, the positions that stay on
+    the next frontier and those that leave it, the components of the
+    edges below e on the working vertices, and whether those components
+    hold e's ends apart."""
+    n = len(ends)
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for e, pair in enumerate(ends):
+        for x in pair:
+            lo.setdefault(x, e)
+            hi[x] = e
+    works: list = [None] * n
+    frontier: list[int] = []
+    for e in range(n - 1, -1, -1):
+        work = frontier + [x for x in dict.fromkeys(ends[e]) if hi[x] == e]
+        works[e] = work
+        frontier = [x for x in work if lo[x] < e]
+    plan = []
+    parent = list(range(max(lo, default=-1) + 1))
+    for e, (a, b) in enumerate(ends):
+        work = works[e]
+        comps = _canon([_find(parent, x) for x in work])
+        pa, pb = work.index(a), work.index(b)
+        plan.append((
+            pa,
+            pb,
+            len(work),
+            [i for i, x in enumerate(work) if lo[x] < e],
+            [i for i, x in enumerate(work) if lo[x] == e],
+            comps,
+            comps[pa] != comps[pb],
+        ))
+        parent[_find(parent, a)] = _find(parent, b)
+    return plan
+
+
+def _level(states: Iterable[tuple], step: tuple, sign: int, last: bool) -> dict:
+    """The step rule at one edge: ``{state: its one or two (label code,
+    next state)}``.  The edge is a loop (l), a bridge (L, contracted), or
+    a branch into an inactive tree edge (D, contracted) and an inactive
+    non-tree edge (d, deleted).  A class that leaves the frontier while
+    edges remain (a deleted bridge) raises ConventionError."""
+    pa, pb, width, keep, leave, comps, apart = step
+    level = {}
+    for state in states:
+        labels = [*state, *range(len(state), width)]
+        la, lb = labels[pa], labels[pb]
+        if la == lb:
+            options = ((_LOOP + sign, labels),)
+        else:
+            merged = [la if x == lb else x for x in labels]
+            if apart and not _joined(labels, comps, pa, pb):
+                options = ((_L + sign, merged),)
+            else:
+                options = ((_D + sign, merged), (_DEL + sign, labels))
+        children = level[state] = []
+        for code, labs in options:
+            # the kept classes, renumbered in order of first appearance
+            first: dict[int, int] = {}
+            key = tuple([first.setdefault(labs[i], len(first)) for i in keep])
+            if not last and any(labs[i] not in first for i in leave):
+                raise ConventionError(
+                    "a class leaves the frontier while edges remain"
+                )
+            children.append((code, key))
+    return level
 
 
 def _pour(states: dict, key: tuple[int, ...], bucket: list) -> None:
@@ -288,86 +283,159 @@ def _pour(states: dict, key: tuple[int, ...], bucket: list) -> None:
 def _sweep(
     ends: list[tuple[int, int]], neg: list[bool]
 ) -> dict[tuple[int, int], int]:
-    """Tutte's recursion on the highest edge, memoized on the frontier.
-
-    ``ends`` lists each edge's vertex pair (small integers) and ``neg``
-    whether it is negative.  A step keeps one state per contraction
-    partition of the working vertices: the frontier and the ends of the
-    edge that are new to it.  Each state holds its counts keyed by
-    u * (n + 1) + v for n edges, relative to an offset in the same
-    encoding, which stays exact since 0 <= v <= n.  A class whose last
-    frontier vertex leaves while edges remain (a deleted bridge), or a
-    sweep that ends in anything but one state, raises ConventionError.
-    """
-    n = len(ends)
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for e, pair in enumerate(ends):
-        for x in pair:
-            lo.setdefault(x, e)
-            hi[x] = e
-    # per edge: its working vertices, the positions that stay on the
-    # next frontier and those that leave it
-    plan: list = [None] * n
-    frontier: list[int] = []
-    for e in range(n - 1, -1, -1):
-        work = frontier + [x for x in dict.fromkeys(ends[e]) if hi[x] == e]
-        keep = [i for i, x in enumerate(work) if lo[x] < e]
-        leave = [i for i, x in enumerate(work) if lo[x] == e]
-        plan[e] = (work, keep, leave)
-        frontier = [work[i] for i in keep]
-    # the components of the edges below e, on the working vertices
-    comps = [()] * n
-    parent = list(range(max(lo, default=-1) + 1))
-    for e, (a, b) in enumerate(ends):
-        comps[e] = _canon([_find(parent, x) for x in plan[e][0]])
-        parent[_find(parent, a)] = _find(parent, b)
-
-    stride = n + 1
+    """The (u, v) counts of the trees of the reduced edges: ``ends``
+    lists each edge's vertex pair (small integers) and ``neg`` whether it
+    is negative.  Each state holds its counts keyed by u * (n + 1) + v
+    for n edges, relative to an offset in the same encoding, which stays
+    exact since 0 <= v <= n."""
+    plan = _plan(ends)
+    stride = len(ends) + 1
     shifts = [du * stride + dv for du, dv in _SHIFT]
-    states = {(): [0, {0: 1}, True]}
-    for e in range(n - 1, -1, -1):
-        work, keep, leave = plan[e]
-        pa, pb = work.index(ends[e][0]), work.index(ends[e][1])
-        sign = neg[e]
+    buckets = {(): [0, {0: 1}, True]}
+    for e in range(len(ends) - 1, -1, -1):
         step: dict = {}
-        for state, bucket in states.items():
-            labels = [*state, *range(len(state), len(work))]
-            la, lb = labels[pa], labels[pb]
-            if la == lb:
-                children = ((_LOOP + sign, labels),)
+        for state, children in _level(buckets, plan[e], neg[e], e == 0).items():
+            bucket = buckets[state]
+            if len(children) == 1:
+                code, key = children[0]
+                bucket[0] += shifts[code]
+                _pour(step, key, bucket)
             else:
-                merged = [la if x == lb else x for x in labels]
-                if _joined(labels, comps[e], pa, pb):
-                    children = ((_D + sign, merged), (_DEL + sign, labels))
-                else:
-                    children = ((_L + sign, merged),)
-            for code, labs in children:
-                kept = [labs[i] for i in keep]
-                if e and any(labs[i] not in kept for i in leave):
-                    raise ConventionError(
-                        f"edge {e}: a class leaves the frontier while edges remain"
-                    )
-                if len(children) == 1:
-                    bucket[0] += shifts[code]
-                    child = bucket
-                else:
-                    child = [bucket[0] + shifts[code], bucket[1], False]
-                _pour(step, _canon(kept), child)
-        states = step
-    if list(states) != [()]:
-        raise ConventionError(f"the sweep ends in {len(states)} states, not one")
-    offset, counts, _ = states[()]
+                for code, key in children:
+                    _pour(step, key, [bucket[0] + shifts[code], bucket[1], False])
+        buckets = step
+    offset, counts, _ = buckets[()]
     return {divmod(k + offset, stride): c for k, c in sorted(counts.items())}
+
+
+def bigrading_counts(g: TaitGraph) -> dict[tuple[int, int], int]:
+    """The number of spanning trees at each bigrading (u, v), in ascending
+    order of (u, v), without listing any tree: the (u, v) counts of
+    ``labelled_trees``."""
+    fixed, _, ends, neg = _reduce(g)
+    u0, v0 = _bigrading(bytes(fixed.values()))
+    return {(u + u0, v + v0): c for (u, v), c in _sweep(ends, neg).items()}
+
+
+def _tree_codes(g: TaitGraph) -> list[bytes]:
+    """Every spanning tree's label codes, indexed by edge id, by a
+    depth-first walk over the sweep's transitions.
+
+    A path from the first state to the last is one tree.  The codes that
+    a state's run of single steps fixes, down to the next branching state,
+    are joined once per state with the codes of the reduced edges between
+    them, so a tree costs one slice write per branch on its path.  More
+    than ``LISTING_LIMIT`` trees, counted over the transitions first,
+    raise TooLarge.
+    """
+    fixed, kept, ends, neg = _reduce(g)
+    plan = _plan(ends)
+    levels = []  # levels[j]: the states before kept edge j
+    states: Iterable = [()]
+    for j in range(len(ends) - 1, -1, -1):
+        levels.append(_level(states, plan[j], neg[j], j == 0))
+        states = dict.fromkeys(k for ch in levels[-1].values() for _, k in ch)
+    levels.reverse()
+    below = {(): 1}
+    for level in levels:
+        below = {s: sum(below[k] for _, k in ch) for s, ch in level.items()}
+    if below[()] > LISTING_LIMIT:
+        raise TooLarge(
+            f"{below[()]} spanning trees exceed the listing limit of "
+            f"{LISTING_LIMIT}; analyze counts them without listing"
+        )
+    buf = bytearray(len(g.edges))
+    for i, c in fixed.items():
+        buf[i] = c
+    # per state, from the lowest kept edge up: the codes that its single
+    # steps fix down to the next branch, and that branch's options (lo, hi,
+    # codes of positions lo to hi - 1, the next branch's options or None)
+    runs: dict = {(): (b"", None)}
+    for j, level in enumerate(levels):
+        gap = bytes(buf[kept[j - 1] + 1 if j else 0 : kept[j]])
+        hi = kept[j] + 1
+        step = {}
+        for state, children in level.items():
+            options = []
+            for code, child in children:
+                codes, branch = runs[child]
+                codes += gap + bytes((code,))
+                options.append((hi - len(codes), hi, codes, branch))
+            step[state] = options[0][2:] if len(options) == 1 else (b"", options)
+        runs = step
+    top = kept[-1] + 1 if kept else 0
+    codes, branch = runs[()]
+    stack = [(top - len(codes), top, codes, branch)]
+    found = []
+    # a run writes only below the branch it follows, so the codes above it
+    # are still those of the path to that branch
+    while stack:
+        lo, hi, codes, branch = stack.pop()
+        buf[lo:hi] = codes
+        if branch is None:
+            found.append(bytes(buf))
+        else:
+            stack += branch
+    return found
+
+
+def _bigrading(codes: bytes) -> tuple[int, int]:
+    """(u, v) summed over label codes."""
+    count = codes.count
+    return (
+        count(_L) - count(_LOOP) - count(_L + 1) + count(_LOOP + 1),
+        count(_L) + count(_D) + count(_LOOP + 1) + count(_DEL + 1),
+    )
+
+
+def _record(codes: bytes, cusp_count: Optional[int]) -> SpanningTreeRecord:
+    """The record of one tree from its label codes; with a front's cusp
+    count, classed good (u = 1 - C) or bad (u = 2 - C)."""
+    tree = frozenset(compress(range(len(codes)), codes.translate(_ON_TREE)))
+    u, v = _bigrading(codes)
+    cls = "neither" if cusp_count is None else _CLASS.get(u + cusp_count, "neither")
+    return SpanningTreeRecord(
+        tree=tree,
+        labels=dict(enumerate(map(_LABEL_OF_CODE.__getitem__, codes))),
+        u=u,
+        v=v,
+        class_=cls,
+    )
+
+
+def labelled_trees(
+    g: TaitGraph, front: Optional[FrontDiagram] = None
+) -> Iterator[SpanningTreeRecord]:
+    """Every spanning tree with its activity labels, u and v (and its
+    good/bad class when a front is attached), each exactly once, in
+    lexicographic order of the sorted edge-id lists.
+
+    The trees are the paths of the frontier sweep, listed by
+    ``_tree_codes``; each is checked to span.  A graph with more than
+    ``LISTING_LIMIT`` trees raises TooLarge before any tree is listed.
+    """
+    cusp_count = front.cusp_count if front is not None else None
+    found = _tree_codes(g)
+    found.sort(key=lambda c: c.translate(_ON_TREE), reverse=True)
+    for codes in found:
+        rec = _record(codes, cusp_count)
+        _validate_tree(g, rec.tree)
+        yield rec
 
 
 def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
     if len(tree) != g.n_vertices - 1:
         raise NotASpanningTree(f"{len(tree)} edges for {g.n_vertices} vertices")
-    # V - 1 edges without a cycle span the graph
+    # V - 1 edges without a cycle span the graph; the roots are found with
+    # path halving, inline, since every listed tree is checked
     parent = list(range(g.n_vertices))
+    edges = g.edges
     for e_idx in tree:
-        a, b = _find(parent, g.edges[e_idx].u), _find(parent, g.edges[e_idx].v)
+        a, b, _, _ = edges[e_idx]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             raise NotASpanningTree(f"edge {e_idx} closes a cycle")
         parent[a] = b

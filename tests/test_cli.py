@@ -35,6 +35,16 @@ HOPF = "L1 L2 X1 X1 R2 R1"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
+def wheel_tree_count(spokes: int) -> int:
+    """Spanning trees of the wheel with n spokes, the canonical Tait graph
+    of the closure of (X1 X2)^n: L(2n) - 2 for the Lucas numbers, by
+    L(2k) = 3 L(2k - 2) - L(2k - 4)."""
+    lower, upper = 2, 3  # L(0), L(2)
+    for _ in range(spokes - 1):
+        lower, upper = upper, 3 * upper - lower
+    return upper - 2
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -145,17 +155,26 @@ class TestTrees:
             assert main(argv) == EXIT_OK
         assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def test_oversized_listing_is_refused(self, capsys):
-        # 3^11 trees: the labelling pass stops one tree past the limit
-        # instead of sorting all of them
-        word = "L1 " + "L2 X1 X1 X1 R2 " * 11 + "R1"
-        assert 3**11 > LISTING_LIMIT
+    @staticmethod
+    def refused(capsys, word, trees):
+        # the trees are counted over the sweep's transitions, and the
+        # listing is refused before any tree is listed
         start = time.perf_counter()
         code, out, err = run(capsys, "trees", word, "--json")
         assert (code, out) == (EXIT_INVALID, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.split()[1:3] == [str(trees), "spanning"]
         assert str(LISTING_LIMIT) in err
-        assert time.perf_counter() - start < 20
+        assert time.perf_counter() - start < 2
+
+    def test_oversized_listing_is_refused(self, capsys):
+        # a sum of 11 trefoils: 3^11 trees
+        self.refused(capsys, "L1 " + "L2 X1 X1 X1 R2 " * 11 + "R1", 3**11)
+
+    def test_torus_knot_listing_is_refused(self, capsys):
+        # T(3, 100), about 6 * 10^41 trees
+        word = "L1 L2 L3 " + "X1 X2 " * 100 + "R3 R2 R1"
+        self.refused(capsys, word, wheel_tree_count(100))
 
     def test_both_colorings(self, capsys):
         code, out, _ = run(capsys, "trees", TREFOIL, "--coloring", "both", "--json")

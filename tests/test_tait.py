@@ -1,7 +1,6 @@
 """Checkerboard colorings, Tait graphs, rotation systems, duality."""
 
 import time
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -69,7 +68,7 @@ def perturbed(g, v, i, j, e):
     swapped = [list(cyc) for cyc in rot]
     swapped[v][i], swapped[v][j] = swapped[v][j], swapped[v][i]
     flipped = list(g.edges)
-    flipped[e] = replace(flipped[e], sign=-flipped[e].sign)
+    flipped[e] = flipped[e]._replace(sign=-flipped[e].sign)
     return [
         TaitGraph(g.n_vertices, g.edges, reversed_at_v),
         TaitGraph(g.n_vertices, g.edges, swapped),

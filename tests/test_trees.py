@@ -23,11 +23,18 @@ from khfront import (
     tait_graph,
     tree_euler_characteristic,
 )
+from khfront import trees
 from khfront.trees import _validate_tree
 
 import tree_reference
 from conftest import front_words, matrix_tree_count
-from tree_reference import DUAL_LABEL, classify_activities, dual_tree, min_x_tree
+from tree_reference import (
+    DUAL_LABEL,
+    brute_force_trees,
+    classify_activities,
+    dual_tree,
+    min_x_tree,
+)
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -70,6 +77,37 @@ class TestEnumeration:
         g = tait_graph(d, canonical)
         assert len(trees_of(g)) == matrix_tree_count(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(front_words(max_crossings=12))
+    def test_lists_every_spanning_subset_once(self, front):
+        # the listing against a search over all edge subsets, on both
+        # colorings
+        d = front.desingularize()
+        for coloring in checkerboard(d):
+            g = tait_graph(d, coloring)
+            listed = trees_of(g)
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == brute_force_trees(g)
+
+    def test_one_bridge_search_per_listing(self, monkeypatch):
+        # the bridges are found once, by the reduction; the sweep finds
+        # the bridges of every minor without searching again
+        calls = []
+        search = trees._bridges
+        monkeypatch.setattr(
+            trees, "_bridges", lambda ends: calls.append(1) or search(ends)
+        )
+        for word in (
+            TREFOIL,
+            "L1 L2 " + "X1 " * 20 + "R2 R1",
+            "L1 " + "L2 X1 X1 X1 R2 L2 X1 R2 " * 3 + "R1",
+        ):
+            _, d, _ = setup(word)
+            for coloring in checkerboard(d):
+                calls.clear()
+                assert len(trees_of(tait_graph(d, coloring))) > 1
+                assert len(calls) == 1
+
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
             trees_of(TaitGraph(2, [], [[], []]))
@@ -91,8 +129,8 @@ class TestBigradingCounts:
     @settings(max_examples=100, deadline=None)
     @given(front_words(max_crossings=8))
     def test_counts_match_enumeration(self, front):
-        # the frontier sweep counts what the labelling pass lists, on
-        # both colorings
+        # the counts summed over the sweep against the (u, v) of the
+        # listed trees, on both colorings
         d = front.desingularize()
         for coloring in checkerboard(d):
             g = tait_graph(d, coloring)
@@ -129,8 +167,8 @@ class TestActivities:
     @settings(max_examples=100, deadline=None)
     @given(front_words(max_crossings=8))
     def test_pass_matches_classify_activities(self, front):
-        # the labelling pass against the per-edge union-find reference,
-        # on both colorings
+        # the listing's labels against the per-edge union-find
+        # reference, on both colorings
         d = front.desingularize()
         for coloring in checkerboard(d):
             g = tait_graph(d, coloring)

@@ -2,14 +2,17 @@
 
 ``classify_activities`` labels one given tree with one union-find per
 edge, and sums u and v from the labels; it is the reference for the
-labelling pass of ``khfront.trees.labelled_trees``.  ``dual_tree`` labels
-the complementary tree of the dual graph with it and checks the lemma's
-label swap.  ``min_x_tree`` is Kruskal's tree of least x-ranks.
+labels that ``khfront.trees.labelled_trees`` lists.  ``brute_force_trees``
+is the reference for which trees it lists: it tries every edge subset of
+the right size.  ``dual_tree`` labels the complementary tree of the dual
+graph with ``classify_activities`` and checks the lemma's label swap.
+``min_x_tree`` is Kruskal's tree of least x-ranks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Optional
 
 from khfront import (
@@ -107,3 +110,22 @@ def min_x_tree(g: TaitGraph) -> frozenset[int]:
             parent[a] = b
             chosen.add(i)
     return frozenset(chosen)
+
+
+def brute_force_trees(g: TaitGraph) -> set[frozenset[int]]:
+    """Every set of V - 1 edges that spans g, by trying each one: at most
+    C(12, 6) = 924 sets, since g may have at most 12 edges."""
+    if len(g.edges) > 12:
+        raise ValueError(f"{len(g.edges)} edges; the search takes at most 12")
+    found = set()
+    for subset in combinations(range(len(g.edges)), g.n_vertices - 1):
+        # V - 1 edges span exactly when joining them never closes a cycle
+        parent = list(range(g.n_vertices))
+        for i in subset:
+            a, b = _find(parent, g.edges[i].u), _find(parent, g.edges[i].v)
+            if a == b:
+                break
+            parent[a] = b
+        else:
+            found.add(frozenset(subset))
+    return found
