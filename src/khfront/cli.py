@@ -45,12 +45,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _crossing_limit(text: str) -> int:
+    """A ``--max-crossings`` value: a whole number, 0 or more."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"needs a count of 0 or more, not {text!r}")
+    return limit
+
+
 @cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and reused by every call
     of ``main`` in the process."""
     p = _Parser(prog="khfront", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    limit = {"type": _crossing_limit, "default": DEFAULT_MAX_CROSSINGS}
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -70,9 +82,7 @@ def _parser() -> _Parser:
         sp = add(name, f"{name} a front")
         add_front(sp)
         sp.add_argument("--oracle", action="store_true", help="run the homology oracle")
-        sp.add_argument(
-            "--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS
-        )
+        sp.add_argument("--max-crossings", **limit)
 
     sp = add("trees", "spanning-tree records")
     add_front(sp)
@@ -84,11 +94,11 @@ def _parser() -> _Parser:
 
     sp = add("homology", "Khovanov homology table")
     add_front(sp, orient=True)
-    sp.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    sp.add_argument("--max-crossings", **limit)
 
     sp = add("jones", "unreduced Jones polynomial")
     add_front(sp, orient=True)
-    sp.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    sp.add_argument("--max-crossings", **limit)
 
     sp = add("corpus", "batch run over a directory of .front files")
     sp.add_argument(
@@ -98,7 +108,7 @@ def _parser() -> _Parser:
         help="directory of .front files (omit to use the bundled corpus)",
     )
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    sp.add_argument("--max-crossings", **limit)
     sp.add_argument("--jobs", type=int, default=4)
     return p
 

@@ -21,7 +21,9 @@ port, so from x it goes on to ``mate[ccw(x)]``, and the corner at x is the
 quadrant swept between x and ccw(x): ``CORNER_AT[x & 3]``.  Every port
 names exactly one corner, so a face lookup is a list indexed by port.
 Faces are traced from the rotation system, so the embedding is purely
-combinatorial (sphere compactification).
+combinatorial (sphere compactification).  The Tait graph (see ``tait``)
+keeps these names: its darts are ports, and each black face's walk is
+the rotation of that face's vertex.
 """
 
 from __future__ import annotations

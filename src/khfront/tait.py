@@ -4,8 +4,10 @@ The Tait graph has one vertex per black face and one signed edge per
 crossing.  Edge i is the edge of crossing i: its index is its crossing id
 and, on a front-built diagram (whose crossing ids follow x), the x-rank of
 its crossing, the edge order of the spanning-tree model.  Planarity is
-carried by a rotation system (cyclic order of edge-ends around each
-vertex), which is all that duality needs.
+carried by a rotation system, which is all that duality needs.  A dart
+(edge-end) is the diagram's packed port ``4c + p`` of its corner, and the
+rotation (cyclic order of darts) at a black face's vertex is that face's
+boundary walk.
 
 ``matched_to`` (same darts) and ``isomorphic_to`` (same edge ids, either
 orientation) are one linear matching: edges keep their identity, so each
@@ -16,16 +18,10 @@ same cyclic sequence, looked up by a canonical key, with no search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import CORNER_AT, LinkDiagram, _find
+from .diagram import CORNER_AT, SE, LinkDiagram, _find
 from .errors import ConventionError, NonplanarRotation
-
-#: edge ends of a crossing whose black quadrants are W and E (the corners
-#: at its even ports, merged by the A-smoothing: a positive edge), or N
-#: and S (its odd ports: a negative edge)
-_ENDS = (CORNER_AT[0::2], CORNER_AT[1::2])
 
 
 @dataclass(frozen=True)
@@ -85,14 +81,13 @@ def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
 
 
 class TaitEdge(NamedTuple):
-    """One signed edge; ``ends`` are the quadrants of its crossing carrying
-    the two edge-ends (equal endpoints give a loop).  The edge's crossing
-    and its order are its index in ``TaitGraph.edges``."""
+    """One signed edge; u is at its lower dart x and v at x ^ 2 (equal
+    endpoints give a loop).  The edge's crossing and its order are its
+    index in ``TaitGraph.edges``."""
 
     u: int
     v: int
     sign: int
-    ends: tuple[str, str]
 
 
 def _cyclic_key(seq: list) -> tuple:
@@ -107,15 +102,16 @@ def _cyclic_key(seq: list) -> tuple:
 class TaitGraph:
     """Signed, edge-ordered planar multigraph with rotation system.
 
-    Darts are (edge index, quadrant) pairs; ``rotation[v]`` lists the darts
-    around vertex v in cyclic order.
+    Darts are ports: edge i ends at ports 4i and 4i + 2 (its W and E
+    corners) or 4i + 1 and 4i + 3 (N and S); ``rotation[v]`` lists the
+    darts around vertex v in cyclic order.
     """
 
     def __init__(
         self,
         n_vertices: int,
         edges: list[TaitEdge],
-        rotation: list[list[tuple[int, str]]],
+        rotation: list[list[int]],
     ):
         self.n_vertices = n_vertices
         self.edges = edges
@@ -123,33 +119,27 @@ class TaitGraph:
         self._check()
 
     def _check(self) -> None:
-        where = self._dart_vertex
-        n_darts = sum(map(len, self.rotation))
-        if not n_darts == 2 * len(self.edges) == len(where):
+        """One rotation per vertex; every listed dart is a port of some
+        edge's crossing, listed once, and edge i lists exactly its ports x
+        and x ^ 2 (x = 4i or 4i + 1), at u and v."""
+        if len(self.rotation) != self.n_vertices:
+            raise ConventionError("rotation must have one cycle per vertex")
+        n_ports = 4 * len(self.edges)
+        if sum(map(len, self.rotation)) != n_ports // 2:
             raise ConventionError("rotation must list each dart exactly once")
-        for e_idx, e in enumerate(self.edges):
-            qa, qb = e.ends
-            at = (where.get((e_idx, qa)), where.get((e_idx, qb)))
-            if qa == qb or at != (e.u, e.v):
-                raise ConventionError(f"edge {e_idx}: ends disagree with rotation")
-
-    @cached_property
-    def _dart_vertex(self) -> dict[tuple[int, str], int]:
-        return {d: v for v, cyc in enumerate(self.rotation) for d in cyc}
-
-    def alpha(self, dart: tuple[int, str]) -> tuple[int, str]:
-        e_idx, q = dart
-        qa, qb = self.edges[e_idx].ends
-        return (e_idx, qb if q == qa else qa)
-
-    @cached_property
-    def _next_dart(self) -> dict[tuple[int, str], tuple[int, str]]:
-        return {
-            d: nxt for cyc in self.rotation for d, nxt in zip(cyc, cyc[1:] + cyc[:1])
-        }
-
-    def sigma(self, dart: tuple[int, str]) -> tuple[int, str]:
-        return self._next_dart[dart]
+        where = [-1] * n_ports  # port -> its vertex, -1 off the darts
+        for v, cyc in enumerate(self.rotation):
+            for x in cyc:
+                # an outside port would index from the end, or past it
+                if not 0 <= x < n_ports or where[x] >= 0:
+                    raise ConventionError(
+                        f"rotation lists port {x} twice or off every crossing"
+                    )
+                where[x] = v
+        for i, (u, v, _) in enumerate(self.edges):
+            x = 4 * i | (where[4 * i] < 0)
+            if (where[x], where[x ^ 2], where[x ^ 1], where[x ^ 3]) != (u, v, -1, -1):
+                raise ConventionError(f"edge {i}: ends disagree with rotation")
 
     def is_connected(self) -> bool:
         """True when uniting the edge ends takes V - 1 successful unions
@@ -163,23 +153,24 @@ class TaitGraph:
                 unions += 1
         return unions == self.n_vertices - 1
 
-    def face_orbits(self) -> list[list[tuple[int, str]]]:
-        """Orbits of sigma∘alpha; the faces of the embedded graph."""
+    def face_orbits(self) -> list[list[int]]:
+        """Orbits of x -> the dart after x ^ 2 (across the edge, then on
+        around its other end); the faces of the embedded graph."""
+        nxt = [-1] * (4 * len(self.edges))  # port -> the next dart around
+        for cyc in self.rotation:
+            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                nxt[x] = y
+        seen = [False] * len(nxt)
         orbits = []
-        seen: set[tuple[int, str]] = set()
-        for v_cyc in self.rotation:
-            for d0 in v_cyc:
-                if d0 in seen:
-                    continue
+        for cyc in self.rotation:
+            for x in cyc:
                 orbit = []
-                d = d0
-                while True:
-                    seen.add(d)
-                    orbit.append(d)
-                    d = self.sigma(self.alpha(d))
-                    if d == d0:
-                        break
-                orbits.append(orbit)
+                while not seen[x]:
+                    seen[x] = True
+                    orbit.append(x)
+                    x = nxt[x ^ 2]
+                if orbit:
+                    orbits.append(orbit)
         return orbits
 
     def euler_ok(self) -> bool:
@@ -228,11 +219,11 @@ class TaitGraph:
         """Isomorphism respecting edge identity: a vertex bijection under
         which every edge keeps its endpoints and every rotation keeps its
         cyclic order of edge indices, in either global orientation.
-        Signs must agree edgewise.  (Unlike ``matched_to``, dart quadrants
-        may differ: the dual of one coloring's graph carries the other
-        coloring's quadrants, and face boundaries are traced against the
+        Signs must agree edgewise.  (Unlike ``matched_to``, darts may
+        differ: the dual of one coloring's graph carries the other
+        coloring's corners, and face boundaries are traced against the
         vertex orientation, so the mirror must be allowed.)"""
-        return self._match(other, lambda dart: dart[0], mirror=True)
+        return self._match(other, lambda dart: dart >> 2, mirror=True)
 
     def __repr__(self) -> str:
         return f"TaitGraph(V={self.n_vertices}, E={len(self.edges)})"
@@ -242,8 +233,10 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
     """Build the signed Tait graph of a colored diagram.
 
     Crossing c contributes edge c, between the black faces at its two
-    black quadrants; the edge is positive exactly when the black quadrants
-    are the pair swept counterclockwise from the over-strand.
+    black corners; the edge is positive exactly when the black corners
+    are the pair swept counterclockwise from the over-strand, W and E at
+    the even ports.  The vertex of the v-th black face has that face's
+    boundary walk for its rotation.
     """
     if diagram.n == 0:
         return TaitGraph(1, [], [[]])
@@ -258,29 +251,22 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
         ns_black = n >= 0
         if ns_black != (s >= 0) or ns_black == (w >= 0):
             raise ConventionError(f"crossing {c}: quadrants are not checkerboard")
-        if ns_black:
-            edges.append(TaitEdge(n, s, -1, _ENDS[1]))
-        else:
-            edges.append(TaitEdge(w, e, 1, _ENDS[0]))
-    rotation: list[list[tuple[int, str]]] = []
-    for f in black_faces:
-        cyc = []
-        for x in diagram.face_walks[f]:
-            # a positive edge ends at the corners of even ports, a negative
-            # one at those of odd ports
-            c = x >> 2
-            if x & 1 != (edges[c].sign < 0):
-                raise ConventionError(
-                    f"crossing {c}: black corner {CORNER_AT[x & 3]} is no edge end"
-                )
-            cyc.append((c, CORNER_AT[x & 3]))
-        rotation.append(cyc)
-    return TaitGraph(len(black_faces), edges, rotation)
+        if ns_black and e >= 0:
+            # E passes the check above but is no end of the N-S edge (a
+            # white E leaves a W-E edge's dart unlisted, which TaitGraph
+            # refuses)
+            raise ConventionError(
+                f"crossing {c}: black corner {CORNER_AT[SE]} is no edge end"
+            )
+        edges.append(TaitEdge(n, s, -1) if ns_black else TaitEdge(w, e, 1))
+    walks = diagram.face_walks
+    return TaitGraph(len(black_faces), edges, [walks[f] for f in black_faces])
 
 
 def dual_graph(g: TaitGraph) -> TaitGraph:
     """Geometric dual through the rotation system: same darts, vertices
-    become the faces, every sign flips, edge indices persist."""
+    become the faces (numbered by least dart), every sign flips, edge
+    indices persist."""
     if not g.euler_ok():
         raise NonplanarRotation(
             "rotation system does not satisfy Euler's formula"
@@ -289,15 +275,13 @@ def dual_graph(g: TaitGraph) -> TaitGraph:
         # a lone vertex on the sphere has a single face
         return TaitGraph(1, [], [[]])
     orbits = g.face_orbits()
-    orbits.sort(key=lambda orb: min(orb))
-    dart_orbit = {d: i for i, orb in enumerate(orbits) for d in orb}
-    edges = [
-        TaitEdge(
-            dart_orbit[(e_idx, e.ends[0])],
-            dart_orbit[(e_idx, e.ends[1])],
-            -e.sign,
-            e.ends,
-        )
-        for e_idx, e in enumerate(g.edges)
-    ]
-    return TaitGraph(len(orbits), edges, [list(orb) for orb in orbits])
+    orbits.sort(key=min)
+    face = [-1] * (4 * len(g.edges))  # port -> its orbit, -1 off the darts
+    for i, orb in enumerate(orbits):
+        for x in orb:
+            face[x] = i
+    edges = []
+    for i, e in enumerate(g.edges):
+        x = 4 * i | (face[4 * i] < 0)
+        edges.append(TaitEdge(face[x], face[x ^ 2], -e.sign))
+    return TaitGraph(len(orbits), edges, orbits)

@@ -431,7 +431,7 @@ def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
     parent = list(range(g.n_vertices))
     edges = g.edges
     for e_idx in tree:
-        a, b, _, _ = edges[e_idx]
+        a, b, _ = edges[e_idx]
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:

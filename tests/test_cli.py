@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -375,6 +376,20 @@ class TestExitCodes:
         assert str(EVENT_LIMIT) in err
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize(
+        "command", ["analyze", "certify", "homology", "jones", "corpus"]
+    )
+    def test_negative_max_crossings_is_a_usage_error(self, capsys, command):
+        front = [] if command == "corpus" else [HOPF]
+        code, out, err = run(capsys, command, *front, "--max-crossings", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("error:") == 1 and "--max-crossings" in err
+
+    def test_zero_max_crossings_is_a_limit(self, capsys):
+        assert run(capsys, "homology", "L1 R1", "--max-crossings", "0")[0] == EXIT_OK
+        code, _, err = run(capsys, "homology", HOPF, "--max-crossings", "0")
+        assert code == EXIT_INVALID and "exceeds" in err
+
     def test_convention_exit_code_value(self):
         assert EXIT_CONVENTION == 2
 
@@ -464,6 +479,27 @@ class TestParser:
         fresh = run_python("-m", "khfront.cli", "homology", HOPF)
         assert fresh.returncode == EXIT_OK, fresh.stderr
         assert plain == fresh.stdout != flipped
+
+
+class TestRuntime:
+    def test_imports_stay_in_the_standard_library(self):
+        # every top-level module that importing the package and its CLI
+        # loads into a fresh interpreter is khfront's own or stdlib
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import khfront, khfront.cli\n"
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(loaded)))\n"
+        )
+        proc = run_python("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "khfront" in loaded
+        foreign = [
+            m for m in loaded if m != "khfront" and m not in sys.stdlib_module_names
+        ]
+        assert foreign == []
 
 
 class TestDemos:

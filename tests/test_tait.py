@@ -32,6 +32,15 @@ def graphs_of(word):
     return d, tait_graph(d, canonical), tait_graph(d, rev)
 
 
+def edge_darts(g):
+    """Each edge's listed darts, lower port first, read off the rotation
+    by crossing (port x is on crossing x >> 2)."""
+    darts = [[] for _ in g.edges]
+    for x in sorted(x for cyc in g.rotation for x in cyc):
+        darts[x >> 2].append(x)
+    return darts
+
+
 def brute_force_match(g, h, item, mirror):
     """Reference for ``matched_to`` (``item`` is the dart, no mirror) and
     ``isomorphic_to`` (``item`` is the edge id, mirror allowed): try every
@@ -84,7 +93,7 @@ def matching_outcomes(pairs):
         assert a.n_vertices <= 6
         matched, iso = a.matched_to(b), a.isomorphic_to(b)
         assert matched == brute_force_match(a, b, lambda dart: dart, False)
-        assert iso == brute_force_match(a, b, lambda dart: dart[0], True)
+        assert iso == brute_force_match(a, b, lambda dart: dart >> 2, True)
         out.append((matched, iso))
     return out
 
@@ -154,18 +163,47 @@ class TestTaitGraph:
         assert [e.sign for e in g.edges] == [-1, -1, -1]
 
     def test_edge_order_is_crossing_order(self):
-        # edge i joins the black faces at crossing i's two ``ends`` corners
+        # edge i joins the black faces at crossing i's W and E corners
+        # (ports 4i, 4i + 2) when positive, at N and S (4i + 1, 4i + 3)
+        # when negative
         d = parse_front(TREFOIL).desingularize()
         for coloring in checkerboard(d):
             g = tait_graph(d, coloring)
             vertex = {f: v for v, f in enumerate(sorted(coloring.black))}
             assert len(g.edges) == d.n
             for i, e in enumerate(g.edges):
-                qa, qb = e.ends
+                x = 4 * i + (e.sign < 0)
                 assert (e.u, e.v) == (
-                    vertex[d.face_of_corner[4 * i + CORNER_AT.index(qa)]],
-                    vertex[d.face_of_corner[4 * i + CORNER_AT.index(qb)]],
+                    vertex[d.face_of_corner[x]],
+                    vertex[d.face_of_corner[x + 2]],
                 )
+
+    def test_trefoil_rotation_is_in_ports(self):
+        d = parse_front(TREFOIL).desingularize()
+        canonical, _ = checkerboard(d)
+        assert tait_graph(d, canonical).rotation == [[4, 2], [8, 6], [10, 0]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(front_words())
+    def test_darts_are_the_diagrams_ports(self, front):
+        # the v-th vertex turns like the v-th black face's walk, and edge
+        # i's darts x, x ^ 2 sit at its u and v; the dual keeps every
+        # edge's darts and flips every sign
+        d = front.desingularize()
+        for diagram in (d, LinkDiagram.from_pd(d.to_pd())):
+            for coloring in checkerboard(diagram):
+                g = tait_graph(diagram, coloring)
+                if diagram.n:
+                    walks = diagram.face_walks
+                    assert g.rotation == [walks[f] for f in sorted(coloring.black)]
+                gd = dual_graph(g)
+                assert edge_darts(gd) == edge_darts(g)
+                assert [e.sign for e in gd.edges] == [-e.sign for e in g.edges]
+                for h in (g, gd):
+                    vertex = {x: v for v, cyc in enumerate(h.rotation) for x in cyc}
+                    for (x, y), e in zip(edge_darts(h), h.edges):
+                        assert y == x ^ 2
+                        assert (vertex[x], vertex[y]) == (e.u, e.v)
 
     def test_non_checkerboard_quadrants(self):
         d = parse_front(TREFOIL).desingularize()
@@ -229,9 +267,8 @@ class TestDuality:
         _, g, _ = graphs_of(TREFOIL)
         gd = dual_graph(g)
         assert len(gd.edges) == len(g.edges)
-        for e, ed in zip(g.edges, gd.edges):
-            assert ed.sign == -e.sign
-            assert ed.ends == e.ends
+        assert [ed.sign for ed in gd.edges] == [-e.sign for e in g.edges]
+        assert edge_darts(gd) == edge_darts(g)
 
     def test_dual_of_canonical_matches_reversed_coloring(self):
         _, g, gr = graphs_of(TREFOIL)
@@ -251,8 +288,8 @@ class TestDuality:
     def test_interleaved_loops_have_no_dual(self):
         # two loops whose ends alternate around the one vertex: V - E + F
         # is 1 - 2 + 1 = 0, so the rotation is not planar
-        loop = TaitEdge(0, 0, 1, ("W", "E"))
-        g = TaitGraph(1, [loop] * 2, [[(0, "W"), (1, "W"), (0, "E"), (1, "E")]])
+        loop = TaitEdge(0, 0, 1)
+        g = TaitGraph(1, [loop] * 2, [[0, 4, 2, 6]])
         with pytest.raises(NonplanarRotation):
             dual_graph(g)
 
@@ -372,15 +409,23 @@ class TestTripwires:
         assert proc.returncode == 0, proc.stderr
 
     def test_rotation_checks_survive_optimize(self):
-        # a rotation missing a dart, and an edge end at the wrong vertex
+        # a rotation missing a dart, an edge end at the wrong vertex, the
+        # ports -1 (which would index the last slot) and 4E (past the
+        # end), a port listed twice, darts 0, 1 that are no pair x, x ^ 2,
+        # and a vertex with no rotation
         code = (
             "from khfront import ConventionError, TaitGraph\n"
             "from khfront.tait import TaitEdge\n"
-            "loop = TaitEdge(0, 0, 1, ('N', 'S'))\n"
-            "edge = TaitEdge(0, 1, 1, ('N', 'S'))\n"
+            "loop = TaitEdge(0, 0, 1)\n"
+            "edge = TaitEdge(0, 1, 1)\n"
             "checks = (\n"
-            "    lambda: TaitGraph(1, [loop], [[(0, 'N')]]),\n"
-            "    lambda: TaitGraph(2, [edge], [[(0, 'S')], [(0, 'N')]]),\n"
+            "    lambda: TaitGraph(1, [loop], [[1]]),\n"
+            "    lambda: TaitGraph(2, [edge], [[3], [1]]),\n"
+            "    lambda: TaitGraph(1, [loop], [[-1, 1]]),\n"
+            "    lambda: TaitGraph(1, [loop], [[1, 4]]),\n"
+            "    lambda: TaitGraph(1, [loop], [[1, 1]]),\n"
+            "    lambda: TaitGraph(1, [loop], [[0, 1]]),\n"
+            "    lambda: TaitGraph(2, [loop], [[0, 2]]),\n"
             ")\n"
             "for check in checks:\n"
             "    try:\n"
