@@ -1,8 +1,9 @@
 """Planar duality of Tait graphs and the activity label swap.
 
-The dual graph flips every sign and keeps edge order; the complement of
-a spanning tree is a spanning tree of the dual, and each edge's activity
-label swaps L <-> l-bar, D <-> d-bar, l <-> L-bar, d <-> D-bar.
+The dual graph flips every sign and keeps edge order, and it is the
+other coloring's Tait graph, dart for dart; the complement of a spanning
+tree is a spanning tree of the dual, and each edge's activity label
+swaps L <-> l-bar, D <-> d-bar, l <-> L-bar, d <-> D-bar.
 
 Run:  python demos/02_duality.py
 """
@@ -27,8 +28,8 @@ print(f"canonical graph : {graph}  signs {[e.sign for e in graph.edges]}")
 print(f"dual graph      : {dual}  signs {[e.sign for e in dual.edges]}")
 print(f"double dual     : matches original = "
       f"{dual_graph(dual).matched_to(graph)}")
-print(f"dual == other coloring's graph (up to mirror) = "
-      f"{dual.isomorphic_to(tait_graph(diagram, reversed_coloring))}")
+print(f"dual == other coloring's graph, dart for dart = "
+      f"{dual.matched_to(tait_graph(diagram, reversed_coloring))}")
 
 print("\ntree <-> complementary dual tree, with label swaps:")
 every_edge = frozenset(range(len(graph.edges)))

@@ -45,15 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _crossing_limit(text: str) -> int:
-    """A ``--max-crossings`` value: a whole number, 0 or more."""
-    try:
-        limit = int(text)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"needs a count of 0 or more, not {text!r}")
-    return limit
+def _count(least: int):
+    """The type of a count option: a whole number, ``least`` or more."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = least - 1
+        if count < least:
+            raise argparse.ArgumentTypeError(
+                f"needs a count of {least} or more, not {text!r}"
+            )
+        return count
+
+    return parse
 
 
 @cache
@@ -62,7 +68,7 @@ def _parser() -> _Parser:
     of ``main`` in the process."""
     p = _Parser(prog="khfront", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    limit = {"type": _crossing_limit, "default": DEFAULT_MAX_CROSSINGS}
+    limit = {"type": _count(0), "default": DEFAULT_MAX_CROSSINGS}
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -109,7 +115,7 @@ def _parser() -> _Parser:
     )
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--max-crossings", **limit)
-    sp.add_argument("--jobs", type=int, default=4)
+    sp.add_argument("--jobs", type=_count(1), default=4)
     return p
 
 
@@ -299,7 +305,7 @@ def _cmd_corpus(args) -> _Output:
         if not items:
             print(f"error: no .front files in {args.directory}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(run_one, items))
 
     violations = sum(tb is not None and r.tb != tb for _, r, tb in results)

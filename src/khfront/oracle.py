@@ -136,20 +136,14 @@ class BigradedTable:
         return "\n".join(lines) or "  (empty)"
 
 
-def _port_arc(d: LinkDiagram) -> dict[int, int]:
-    out = {}
-    for idx, (a, b) in enumerate(d.arcs):
-        out[a] = idx
-        out[b] = idx
-    return out
-
-
 def _circle() -> LaurentPoly:
     """q + 1/q, the unknot's value."""
     return LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
 
 
 def _check_oracle_input(d: LinkDiagram, max_crossings: int) -> None:
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings must be 0 or more, not {max_crossings}")
     if d.n > max_crossings:
         raise TooLarge(
             f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
@@ -308,10 +302,11 @@ class _Complex:
 
     # -- one crossing -------------------------------------------------------
 
-    def add_crossing(self, d: LinkDiagram, port_arc, c: int) -> None:
+    def add_crossing(self, d: LinkDiagram, c: int) -> None:
         """Replace the complex by that of this tangle with crossing c
-        added, every closed loop delooped."""
-        arcs = [port_arc[4 * c + p] for p in range(4)]
+        added, every closed loop delooped.  An arc is labelled by its
+        lower port."""
+        arcs = [min(x, d.mate[x]) for x in range(4 * c, 4 * c + 4)]
         old: dict[int, int] = {}  # boundary arc at c -> its port
         new: dict[int, int] = {}  # arc from c to a later crossing -> port
         mate: list[Optional[int]] = [None] * 4  # other port of an arc c -> c
@@ -538,10 +533,9 @@ def khovanov_homology(
         )
 
     n_plus, n_minus = d.positive_negative(flips)
-    port_arc = _port_arc(d)
     cx = _Complex([((), 0, 0)], [{}])
     for c in range(d.n):
-        cx.add_crossing(d, port_arc, c)
+        cx.add_crossing(d, c)
         cx.check_d_squared_zero()
         cx.eliminate()
 
@@ -587,7 +581,6 @@ def kauffman_jones(
     a crossing, and ConventionError unless the sweep ends on the empty
     matching."""
     _check_oracle_input(d, max_crossings)
-    port_arc = _port_arc(d)
     # q-exponent -> coefficient of (1 or -q) (q + 1/q)^k, by smoothing and k
     weight = [
         [
@@ -596,8 +589,9 @@ def kauffman_jones(
         ]
         for s in (0, 1)
     ]
-    # the open arc-ends are labelled by arc; a matching is a sorted tuple
-    # of pairs of labels, each pair joined by a strand of the tangle swept
+    # the open arc-ends are labelled by arc, an arc by its lower port; a
+    # matching is a sorted tuple of pairs of labels, each pair joined by a
+    # strand of the tangle swept
     states: dict[Matching, dict[int, int]] = {(): {0: 1}}
     for c in range(d.n):
         # each port's end at c: its arc if that arc is open, else -1 - port,
@@ -605,13 +599,14 @@ def kauffman_jones(
         label = [0] * 4
         fresh = []
         for p in range(4):
-            other_c, other_p = divmod(d.mate[4 * c + p], 4)
+            y = d.mate[4 * c + p]
+            other_c, other_p = divmod(y, 4)
             if other_c < c:
-                label[p] = port_arc[4 * c + p]
+                label[p] = y  # the lower port of an arc from an earlier c
                 continue
             label[p] = -1 - p
             if other_c > c:
-                fresh.append((port_arc[4 * c + p], -1 - p))
+                fresh.append((4 * c + p, -1 - p))
             elif p < other_p:
                 fresh.append((-1 - p, -1 - other_p))
         swept: dict[Matching, dict[int, int]] = {}

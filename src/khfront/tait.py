@@ -9,10 +9,12 @@ carried by a rotation system, which is all that duality needs.  A dart
 rotation (cyclic order of darts) at a black face's vertex is that face's
 boundary walk.
 
-``matched_to`` (same darts) and ``isomorphic_to`` (same edge ids, either
-orientation) are one linear matching: edges keep their identity, so each
-vertex can only go to the vertex of the other graph whose rotation is the
-same cyclic sequence, looked up by a canonical key, with no search.
+The dual graph's darts are the white corners, each the port clockwise
+from a black one, so the dual of one coloring's graph is the other
+coloring's graph with the same darts.  ``matched_to`` compares two graphs
+dart for dart: a dart lies at one vertex, so each vertex can only go to
+the vertex of the other graph whose rotation is the same cyclic sequence,
+looked up by a canonical key, with no search.
 """
 
 from __future__ import annotations
@@ -90,13 +92,11 @@ class TaitEdge(NamedTuple):
     sign: int
 
 
-def _cyclic_key(seq: list) -> tuple:
-    """The least rotation of ``seq`` that starts at its least element:
-    equal exactly for sequences that are equal up to cyclic shift."""
-    if not seq:
-        return ()
-    low = min(seq)
-    return min(tuple(seq[k:] + seq[:k]) for k, x in enumerate(seq) if x == low)
+def _cyclic_key(seq: list[int]) -> tuple[int, ...]:
+    """``seq`` turned to start at its least dart: equal exactly for
+    sequences of distinct darts that are equal up to cyclic shift."""
+    k = seq.index(min(seq)) if seq else 0
+    return tuple(seq[k:] + seq[:k])
 
 
 class TaitGraph:
@@ -155,7 +155,8 @@ class TaitGraph:
 
     def face_orbits(self) -> list[list[int]]:
         """Orbits of x -> the dart after x ^ 2 (across the edge, then on
-        around its other end); the faces of the embedded graph."""
+        around its other end); the faces of the embedded graph.  With no
+        edge, the one face has no dart."""
         nxt = [-1] * (4 * len(self.edges))  # port -> the next dart around
         for cyc in self.rotation:
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
@@ -171,59 +172,18 @@ class TaitGraph:
                     x = nxt[x ^ 2]
                 if orbit:
                     orbits.append(orbit)
-        return orbits
-
-    def euler_ok(self) -> bool:
-        if not self.edges:
-            return self.n_vertices == 1
-        return self.n_vertices - len(self.edges) + len(self.face_orbits()) == 2
-
-    def _match(self, other: "TaitGraph", item, mirror: bool) -> bool:
-        """True when some vertex bijection keeps every edge's endpoints and
-        takes each rotation, read as the ``item`` of each dart (or read
-        backwards too, when ``mirror``), to the same cyclic sequence; signs
-        must agree edgewise.  Edges keep their identity, so two vertices
-        share a sequence only when they carry the same edges (a 2-vertex
-        component) or none.  Either image is then as good as the other:
-        each vertex takes a free one, without search."""
-        if self.n_vertices != other.n_vertices or [e.sign for e in self.edges] != [
-            e.sign for e in other.edges
-        ]:
-            return False
-        images: dict[tuple, list[int]] = {}
-        for w, cyc in enumerate(other.rotation):
-            images.setdefault(_cyclic_key([item(d) for d in cyc]), []).append(w)
-        mine = [[item(d) for d in cyc] for cyc in self.rotation]
-        for cycles in (mine, [cyc[::-1] for cyc in mine]) if mirror else (mine,):
-            free = {key: ws[:] for key, ws in images.items()}
-            vmap = []
-            for cyc in cycles:
-                ws = free.get(_cyclic_key(cyc))
-                if not ws:
-                    break
-                vmap.append(ws.pop())
-            if len(vmap) == len(cycles) and all(
-                {vmap[e.u], vmap[e.v]} == {oe.u, oe.v}
-                for e, oe in zip(self.edges, other.edges)
-            ):
-                return True
-        return False
+        return orbits or [[]]
 
     def matched_to(self, other: "TaitGraph") -> bool:
-        """Structural equality under the dart-set correspondence: vertices
-        match when they carry the same darts in the same cyclic order;
-        signs and endpoints must agree edgewise."""
-        return self._match(other, lambda dart: dart, mirror=False)
-
-    def isomorphic_to(self, other: "TaitGraph") -> bool:
-        """Isomorphism respecting edge identity: a vertex bijection under
-        which every edge keeps its endpoints and every rotation keeps its
-        cyclic order of edge indices, in either global orientation.
-        Signs must agree edgewise.  (Unlike ``matched_to``, darts may
-        differ: the dual of one coloring's graph carries the other
-        coloring's corners, and face boundaries are traced against the
-        vertex orientation, so the mirror must be allowed.)"""
-        return self._match(other, lambda dart: dart >> 2, mirror=True)
+        """Structural equality under the dart-set correspondence: some
+        vertex bijection takes each rotation to the same cyclic sequence
+        of darts, and signs agree edgewise.  A dart lies at one vertex
+        only, so the rotations' keys say which vertex goes where, without
+        search, and each edge's ends follow its darts."""
+        return [e.sign for e in self.edges] == [e.sign for e in other.edges] and (
+            sorted(map(_cyclic_key, self.rotation))
+            == sorted(map(_cyclic_key, other.rotation))
+        )
 
     def __repr__(self) -> str:
         return f"TaitGraph(V={self.n_vertices}, E={len(self.edges)})"
@@ -264,24 +224,22 @@ def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
 
 
 def dual_graph(g: TaitGraph) -> TaitGraph:
-    """Geometric dual through the rotation system: same darts, vertices
-    become the faces (numbered by least dart), every sign flips, edge
-    indices persist."""
-    if not g.euler_ok():
-        raise NonplanarRotation(
-            "rotation system does not satisfy Euler's formula"
-        )
-    if not g.edges:
-        # a lone vertex on the sphere has a single face
-        return TaitGraph(1, [], [[]])
+    """Geometric dual through the rotation system: vertices become the
+    faces, in the order they are traced, every sign flips, and edge
+    indices persist.  Dart x becomes the port clockwise from it, the white
+    corner next to its black one, and each face orbit is read backwards,
+    so the dual of one coloring's Tait graph is the other coloring's,
+    dart for dart, up to vertex numbering."""
     orbits = g.face_orbits()
-    orbits.sort(key=min)
-    face = [-1] * (4 * len(g.edges))  # port -> its orbit, -1 off the darts
-    for i, orb in enumerate(orbits):
-        for x in orb:
-            face[x] = i
+    if g.n_vertices - len(g.edges) + len(orbits) != 2:
+        raise NonplanarRotation("rotation system does not satisfy Euler's formula")
+    rotation = [[(x & ~3) | ((x + 1) & 3) for x in reversed(orb)] for orb in orbits]
+    face = [-1] * (4 * len(g.edges))  # dual dart -> its vertex, -1 off them
+    for v, cyc in enumerate(rotation):
+        for x in cyc:
+            face[x] = v
     edges = []
     for i, e in enumerate(g.edges):
         x = 4 * i | (face[4 * i] < 0)
         edges.append(TaitEdge(face[x], face[x ^ 2], -e.sign))
-    return TaitGraph(len(orbits), edges, orbits)
+    return TaitGraph(len(rotation), edges, rotation)

@@ -19,8 +19,16 @@ import heapq
 
 from khfront.diagram import A_PAIRS, B_PAIRS, _find
 from khfront.laurent import LaurentPoly
-from khfront.oracle import BigradedTable, _circle, _port_arc
+from khfront.oracle import BigradedTable, _circle
 from khfront.snf import invariant_factors as dense_invariant_factors
+
+
+def _port_arc(d) -> list[int]:
+    """Port -> the index of its arc in ``d.arcs``."""
+    out = [0] * (4 * d.n)
+    for k, (a, b) in enumerate(d.arcs):
+        out[a] = out[b] = k
+    return out
 
 
 class _StateLoops:

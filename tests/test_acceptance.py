@@ -123,8 +123,9 @@ def test_5_max_tb_fronts_certified_sharp():
 
 
 def test_6_duality_suite():
-    """Double dual is the identity; the label-swap table holds for every
-    tree of every corpus graph; the tree counts by (u, v), and so the
+    """Double dual is the identity; the dual is the other coloring's
+    graph, dart for dart; the label-swap table holds for every tree of
+    every corpus graph; the tree counts by (u, v), and so the
     census, invariant under coloring reversal."""
     for entry in BUNDLED:
         front = entry.front()
@@ -133,7 +134,7 @@ def test_6_duality_suite():
         g, gr = tait_graph(d, canonical), tait_graph(d, rev)
         gd = dual_graph(g)
         assert dual_graph(gd).matched_to(g), entry.name
-        assert gd.isomorphic_to(gr), entry.name
+        assert gd.matched_to(gr), entry.name
         for rec in labelled_trees(g):
             dual_tree(g, rec.tree)  # raises unless every label swaps
         assert bigrading_counts(g) == bigrading_counts(gr), entry.name

@@ -385,6 +385,12 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.count("error:") == 1 and "--max-crossings" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_corpus_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "corpus", "--jobs", jobs)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("error:") == 1 and "--jobs" in err
+
     def test_zero_max_crossings_is_a_limit(self, capsys):
         assert run(capsys, "homology", "L1 R1", "--max-crossings", "0")[0] == EXIT_OK
         code, _, err = run(capsys, "homology", HOPF, "--max-crossings", "0")

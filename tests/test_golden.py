@@ -5,7 +5,8 @@ bundled corpus under ``corpus --oracle --json``, and ``homology --json``,
 ``jones --json`` and the ``trees --coloring both`` listing, as JSON and
 as text, for every bundled front word; and ``homology --json`` on the
 scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented; and
-the demo scripts, whose keys are ``python demos/<script>``.  A change that
+the demo scripts, whose keys are ``python demos/<script>``; and the
+README's Library example, under ``README.md Library``.  A change that
 means to alter one of these outputs regenerates the file and says why::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -82,6 +83,17 @@ def demo_stdout(script: str) -> str:
     return "".join(lines[: len(lines) - DEMO_SCRIPTS[script]])
 
 
+def readme_stdout() -> str:
+    """The stdout of the README's Library example, run in this process."""
+    readme = DEMOS.with_name("README.md")
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(code, str(readme), "exec"), {"__name__": "__main__"})
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("argv", golden_commands(), ids=" ".join)
 def test_output_is_byte_identical(argv):
     expected = json.loads(GOLDEN.read_text())[" ".join(argv)]
@@ -94,9 +106,14 @@ def test_demo_output_is_byte_identical(script):
     assert demo_stdout(script) == expected
 
 
+def test_readme_output_is_byte_identical():
+    assert readme_stdout() == json.loads(GOLDEN.read_text())["README.md Library"]
+
+
 if __name__ == "__main__":
     outputs = {" ".join(argv): stdout_of(argv) for argv in golden_commands()}
     outputs.update(
         {f"python demos/{script}": demo_stdout(script) for script in DEMO_SCRIPTS}
     )
+    outputs["README.md Library"] = readme_stdout()
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")

@@ -124,6 +124,15 @@ class TestKhovanov:
         with pytest.raises(TooLarge):
             kauffman_jones(d, max_crossings=2)
 
+    @pytest.mark.parametrize("oracle_fn", [khovanov_homology, kauffman_jones])
+    def test_negative_limit_is_a_bad_argument(self, oracle_fn):
+        # the limit is at fault, not the diagram: a plain ValueError that
+        # names the argument, even on the crossing-free unknot
+        d = parse_front("L1 R1").desingularize()
+        with pytest.raises(ValueError, match="max_crossings") as err:
+            oracle_fn(d, max_crossings=-1)
+        assert not isinstance(err.value, TooLarge)
+
     def test_empty_table_min_delta(self):
         from khfront.oracle import BigradedTable
 
