@@ -1,7 +1,8 @@
 """Planar link diagrams as combinatorial maps on packed integer ports.
 
-A diagram is a 4-valent plane graph: one node per crossing, with the four
-arc-ends at a crossing in fixed geometric ports
+A diagram is a desingularized front, built by the front sweep
+(``front.desingularize``): a 4-valent plane graph with one node per
+crossing, and the four arc-ends at a crossing in fixed geometric ports
 
     0 = NW (upper left)   1 = NE (upper right)
     3 = SW (lower left)   2 = SE (lower right)
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 #: the four places of a port, x & 3
 NW, NE, SE, SW = range(4)
@@ -55,9 +56,9 @@ def _find(parent: list[int], x: int) -> int:
 
 
 class LinkDiagram:
-    """A connected-or-not planar diagram.  At every crossing the NW-SE
-    strand is over: fronts put the smaller-slope strand on top, and PD
-    imports are read into that position.
+    """A connected-or-not planar diagram, as the front sweep builds it.
+    At every crossing the NW-SE strand is over: fronts put the
+    smaller-slope strand on top.
 
     Parameters
     ----------
@@ -66,13 +67,10 @@ class LinkDiagram:
     arcs : arc endpoints, each a pair of ports; every port of every
         crossing appears exactly once.  Their order seeds the face walks.
     free_loops : closed curves that meet no crossing.
-    attach_log : optional list of in-ports that fixes the canonical
-        component order and orientation: each component is walked from
-        the first of its ports listed.  The front sweep records its
-        attachments in order; a PD import lists one port per component.
-    white_corner : optional corner (its arriving port) recorded by the
-        front sweep; its face has the color of the unbounded face, so the
-        canonical checkerboard coloring is seeded there.
+    white_corner : corner (its arriving port) whose face has the color of
+        the unbounded face, so the canonical checkerboard coloring is
+        seeded there.  The front sweep records one; a diagram with
+        crossings cannot be colored without it.
     """
 
     def __init__(
@@ -80,13 +78,11 @@ class LinkDiagram:
         n: int,
         arcs: Sequence[tuple[int, int]],
         free_loops: int = 0,
-        attach_log: Optional[Sequence[int]] = None,
         white_corner: Optional[int] = None,
     ):
         self.n = n
         self.arcs = list(arcs)
         self.free_loops = free_loops
-        self.attach_log = list(attach_log) if attach_log is not None else None
         self.white_corner = white_corner
         if len(self.arcs) != 2 * n:
             raise ValueError(f"expected {2 * n} arcs, got {len(self.arcs)}")
@@ -113,16 +109,17 @@ class LinkDiagram:
         """Closed curves through crossings, as lists of in-ports in
         traversal order.  Crossing-free loops are not listed.
 
-        Traversal direction is canonical: sweep-built diagrams start each
-        component rightward into its chronologically first left-side port,
-        and PD imports as their code orients it (see ``from_pd``);
-        otherwise the lowest unvisited port seeds the walk.
+        Order and direction are canonical: the components come in the
+        order of their lowest left ports (NW or SW), and each is walked
+        from that port, rightward into its crossing.  Every passage has
+        exactly one left port, so on a front this is the order in which
+        the sweep meets the components, each entered from the left.
         """
         mate = self.mate
         passed = [False] * len(mate)  # both ports of each passage walked
         comps: list[list[int]] = []
-        for x0 in chain(self.attach_log or (), range(len(mate))):
-            if passed[x0]:
+        for x0 in range(len(mate)):
+            if passed[x0] or x0 & 3 in (NE, SE):
                 continue
             steps: list[int] = []
             x = x0
@@ -212,72 +209,6 @@ class LinkDiagram:
     def face_of_corner(self) -> list[int]:
         """Port -> index of the face whose corner it names."""
         return self._face_trace[0]
-
-    # -- PD codes ----------------------------------------------------------
-
-    @classmethod
-    def from_pd(cls, code: Iterable[Sequence[int]]) -> "LinkDiagram":
-        """Build a diagram from a planar-diagram code.
-
-        Each crossing is a 4-tuple of arc labels, listed counterclockwise
-        starting at the incoming under-strand.  Tuple slots map to ports
-        (SW, SE, NE, NW), so the under-strand runs SW-NE and the over-strand
-        NW-SE at every crossing.  Each component is oriented as the code
-        orients it: into its SW ports, or along increasing labels when it
-        never passes under.  Components are walked in the order of their
-        least labels, each from the passage that leaves along that label.
-        """
-        code = [tuple(x) for x in code]
-        ends_by_label: dict[int, list[int]] = {}
-        label_at: dict[int, int] = {}
-        for c, quad in enumerate(code):
-            if len(quad) != 4:
-                raise ValueError("PD crossing must have 4 arc labels")
-            for p, label in zip((SW, SE, NE, NW), quad):
-                ends_by_label.setdefault(label, []).append(4 * c + p)
-                label_at[4 * c + p] = label
-        arcs = []
-        for label, ends in sorted(ends_by_label.items()):
-            if len(ends) != 2:
-                raise ValueError(f"arc label {label} appears {len(ends)} times")
-            arcs.append((ends[0], ends[1]))
-        seeds = []
-        for steps in cls(n=len(code), arcs=arcs).components:
-            # the under-strand's ports SW and NE are the odd ones
-            under = [x for x in steps if x & 1]
-            if under:
-                forward = under[0] & 3 == SW
-            else:
-                rises = sum(label_at[x ^ 2] > label_at[x] for x in steps)
-                falls = sum(label_at[x ^ 2] < label_at[x] for x in steps)
-                forward = rises >= falls
-            ins = steps if forward else [x ^ 2 for x in steps]
-            seeds.append(min(ins, key=lambda x: label_at[x ^ 2]))
-        seeds.sort(key=lambda x: label_at[x ^ 2])
-        return cls(n=len(code), arcs=arcs, attach_log=seeds)
-
-    def to_pd(self) -> list[tuple[int, int, int, int]]:
-        """Export a PD code: labels count up along the canonical
-        traversal, and each crossing is listed counterclockwise from its
-        incoming under-strand, which enters at SW or at NE."""
-        mate = self.mate
-        label = [0] * len(mate)
-        under_from_ne = [False] * self.n
-        count = 0
-        for steps in self.components:
-            for x in steps:
-                out = x ^ 2
-                if not label[out]:
-                    count += 1
-                    label[out] = label[mate[out]] = count
-                if x & 3 == NE:
-                    under_from_ne[x >> 2] = True
-        return [
-            (label[x + NE], label[x + NW], label[x + SW], label[x + SE])
-            if under_from_ne[x >> 2]
-            else (label[x + SW], label[x + SE], label[x + NE], label[x + NW])
-            for x in range(0, len(mate), 4)
-        ]
 
     # -- misc --------------------------------------------------------------
 

@@ -29,10 +29,6 @@ class NonplanarRotation(KhfrontError, ValueError):
     """A rotation system fails the Euler-formula planarity check."""
 
 
-class NotASpanningTree(KhfrontError, ValueError):
-    """An edge set is not a spanning tree of the graph it was used with."""
-
-
 class ParityViolation(KhfrontError, ValueError):
     """Crossing count and writhe have different parities."""
 
@@ -55,3 +51,8 @@ class ConventionError(KhfrontError, RuntimeError):
     This is the designated tripwire for sign or ordering convention bugs;
     it should never fire on a correct build.
     """
+
+
+class NotASpanningTree(ConventionError):
+    """An edge set is not a spanning tree of the graph it was used with:
+    a listed tree that fails its spanning check is a convention bug."""

@@ -115,10 +115,9 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
 
     Cusps become smooth turning arcs; every crossing keeps its x-order and
     has the smaller-slope (NW-SE) branch on top.  The returned diagram
-    carries an attach log fixing the canonical orientation and a white
-    corner: the gap below the k-th strand is white exactly when k is even,
-    so the first crossing ``X p`` has its N corner white when p is odd and
-    its W corner white when p is even.
+    carries a white corner: the gap below the k-th strand is white exactly
+    when k is even, so the first crossing ``X p`` has its N corner white
+    when p is odd and its W corner white when p is even.
 
     The sweep validates the word as it applies it: each event is checked
     before it is applied (MalformedToken for a position below 1 or an
@@ -133,12 +132,10 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
     far: list[int] = []
     arcs: list[tuple[int, int]] = []
     free_loops = 0
-    attach_log: list[int] = []
     white_corner: Optional[int] = None
     n = 0
 
     def attach(s: int, x: int) -> None:
-        attach_log.append(x)
         f = s if s >= 0 else far[~s]
         if f < 0:
             far[~f] = x
@@ -193,10 +190,4 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
 
     if strands:
         raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
-    return LinkDiagram(
-        n=n,
-        arcs=arcs,
-        free_loops=free_loops,
-        attach_log=attach_log,
-        white_corner=white_corner,
-    )
+    return LinkDiagram(n, arcs, free_loops=free_loops, white_corner=white_corner)

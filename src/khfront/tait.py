@@ -41,27 +41,19 @@ class Coloring:
         return Coloring(self.diagram, all_faces - self.black, not self.canonical)
 
 
-def _white_face(diagram: LinkDiagram) -> int:
-    """A face colored like the unbounded one: the sweep's white corner for
-    front-built diagrams; PD imports carry no corner, and on the sphere any
-    face may play the unbounded one, so the longest boundary walk is chosen
-    deterministically."""
-    if diagram.white_corner is not None:
-        return diagram.face_of_corner[diagram.white_corner]
-    walks = diagram.face_walks
-    return max(range(len(walks)), key=lambda f: (len(walks[f]), -f))
-
-
 def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     """Both checkerboard colorings; the canonical one (unbounded face
-    white) comes first.  One search over the faces, crossing each arc from
-    the corner it arrives at, colors sweep-built diagrams and PD imports
-    alike."""
+    white) comes first.  One search over the faces, seeded white at the
+    diagram's ``white_corner``, crosses each arc from the corner it
+    arrives at.  A diagram with crossings and no white corner raises
+    ValueError."""
     if diagram.n == 0:
         canonical = Coloring(diagram, frozenset({1}), True)
         return canonical, canonical.reversed()
+    if diagram.white_corner is None:
+        raise ValueError("a diagram with crossings needs a white_corner")
     face, walks, mate = diagram.face_of_corner, diagram.face_walks, diagram.mate
-    white = _white_face(diagram)
+    white = face[diagram.white_corner]
     color = [-1] * len(walks)
     color[white] = 0
     stack = [white]

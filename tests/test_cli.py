@@ -132,6 +132,18 @@ class TestTrees:
         assert code == EXIT_OK, err
         assert out.count("[canonical]") == 3 and out.count("[reversed]") == 3
 
+    def test_a_listed_non_tree_is_a_convention_tripwire(self, capsys, monkeypatch):
+        # every edge coded as a loop: a listing of edge sets with no tree
+        # edge, which the spanning check refuses
+        import khfront.trees
+
+        monkeypatch.setattr(
+            khfront.trees, "_tree_codes", lambda g: [bytes([4]) * len(g.edges)]
+        )
+        code, out, err = run(capsys, "trees", TREFOIL)
+        assert (code, out) == (EXIT_CONVENTION, "")
+        assert err == "convention tripwire: 0 edges for 3 vertices\n"
+
     @settings(max_examples=60, deadline=None)
     @given(front_words(max_crossings=12))
     @example(parse_front("L1 " + "L2 X1 X1 X1 R2 " * 4 + "R1"))

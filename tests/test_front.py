@@ -1,7 +1,7 @@
 """Front parsing, validation, desingularization, and tb."""
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 
 from khfront import (
     BUNDLED,
@@ -21,6 +21,7 @@ from khfront import (
 from khfront.front import EVENT_LIMIT
 
 from conftest import front_words
+from pd_codec import from_pd, to_pd
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -130,34 +131,44 @@ class TestDesingularization:
 
     @settings(max_examples=60, deadline=None)
     @given(front_words(max_crossings=8))
+    # a two-arc component that passes over only: as many rising labels as
+    # falling, so the code alone does not say which way it runs
+    @example(parse_front("L1 X1 L1 X2 X1 L1 R2 R2 R1"))
     def test_pd_round_trip(self, front):
         # the re-import orders its arcs by PD label and seeds its coloring
-        # at the longest face, so its face walks start elsewhere.  It
-        # orients and orders its components as the code does, so the
-        # writhe and the exported code are the same
+        # at the longest face, so its face walks start elsewhere.  A
+        # crossing listed from NE is turned half way round, which keeps
+        # every passage's left port, so the re-import walks its components
+        # in the same order from the same passages; the flips orient them
+        # as the code does, so the writhe and the exported code are the
+        # same
         d = front.desingularize()
         assume(d.n > 0)  # a PD code holds no crossing-free loop
-        d2 = LinkDiagram.from_pd(d.to_pd())
+        d2, flips = from_pd(to_pd(d))
         assert d2.n == d.n
         assert d2.component_count() == d.component_count()
         assert sorted(map(len, d2.face_walks)) == sorted(map(len, d.face_walks))
-        assert d2.writhe() == d.writhe()
-        assert d2.to_pd() == d.to_pd()
+        assert d2.writhe(flips) == d.writhe()
+        assert to_pd(d2, flips) == to_pd(d)
         assert census_of_both_colorings(d2) == census_of_both_colorings(d)
 
     def test_pd_round_trip_keeps_the_hopf_link_positive(self):
         # each component passes under once; one of them enters its under
         # passage from the right, so the code lists that crossing from NE
         d = parse_front("L1 L1 X2 X2 R1 R1").desingularize()
-        d2 = LinkDiagram.from_pd(d.to_pd())
-        assert d.writhe() == d2.writhe() == 2
-        assert khovanov_homology(d2).groups == khovanov_homology(d).groups
+        d2, flips = from_pd(to_pd(d))
+        assert d.writhe() == d2.writhe(flips) == 2
+        assert (
+            khovanov_homology(d2, flips=flips).groups
+            == khovanov_homology(d).groups
+        )
         # a code in the usual convention, read as it orients the link
         for code, writhe in (
             ([(1, 3, 2, 4), (3, 1, 4, 2)], 2),
             ([(1, 4, 2, 3), (3, 2, 4, 1)], -2),
         ):
-            assert LinkDiagram.from_pd(code).writhe() == writhe
+            e, flips = from_pd(code)
+            assert e.writhe(flips) == writhe
 
 
 class TestDiagramChecks:

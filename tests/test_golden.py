@@ -5,9 +5,11 @@ bundled corpus under ``corpus --oracle --json``, and ``homology --json``,
 ``jones --json`` and the ``trees --coloring both`` listing, as JSON and
 as text, for every bundled front word; and ``homology --json`` on the
 scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented; and
-the demo scripts, whose keys are ``python demos/<script>``; and the
-README's Library example, under ``README.md Library``.  A change that
-means to alter one of these outputs regenerates the file and says why::
+``analyze --oracle --json``, ``jones --json`` and a reoriented
+``homology --json`` on ``THREE_COMPONENTS``; and the demo scripts, whose
+keys are ``python demos/<script>``; and the README's Library example,
+under ``README.md Library``.  A change that means to alter one of these
+outputs regenerates the file and says why::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -47,6 +49,11 @@ SCAN_HARD = (
     "L1 L2 X1 X1 X1 R2 L2 X1 X1 X3 X3 R2 L2 X1 R2 R1",
 )
 
+#: a three-component link with writhe 0 as oriented, and -4 or +4 when its
+#: first or last component is reversed: its outputs pin the direction in
+#: which each component is walked
+THREE_COMPONENTS = "L1 L1 L3 X2 X2 X4 X4 R3 R1 R1"
+
 
 def golden_commands() -> list[list[str]]:
     commands = [["corpus", "--oracle", "--json"]]
@@ -61,6 +68,9 @@ def golden_commands() -> list[list[str]]:
     commands.append(
         ["homology", "--json", "--max-crossings", "15", "--orient", "-,+", link]
     )
+    commands.append(["analyze", "--oracle", "--json", THREE_COMPONENTS])
+    commands.append(["jones", "--json", THREE_COMPONENTS])
+    commands.append(["homology", "--json", "--orient", "-,+,+", THREE_COMPONENTS])
     return commands
 
 

@@ -11,7 +11,6 @@ from khfront import (
     BigradedTable,
     EmptyTable,
     LaurentPoly,
-    LinkDiagram,
     TooLarge,
     kauffman_jones,
     khovanov_homology,
@@ -21,6 +20,7 @@ from khfront import oracle
 from khfront.snf import invariant_factors
 
 from conftest import front_words, run_optimized
+from pd_codec import from_pd, to_pd
 from khovanov_reference import (
     reference_homology,
     reference_invariant_factors,
@@ -229,7 +229,7 @@ class TestReference:
         # scan adds them in an order unrelated to the front's x-order
         d = front.desingularize()
         assume(d.n > 0)
-        e = LinkDiagram.from_pd(data.draw(st.permutations(d.to_pd())))
+        e, _ = from_pd(data.draw(st.permutations(to_pd(d))))
         n_comp = e.component_count()
         orientations = ([True] * n_comp, [k == 0 for k in range(n_comp)])
         for flips, want in zip(orientations, reference_homology(e, orientations)):
@@ -251,7 +251,7 @@ class TestReference:
         # so its matchings need not be planar along any line
         d = front.desingularize()
         assume(d.n > 0)
-        e = LinkDiagram.from_pd(data.draw(st.permutations(d.to_pd())))
+        e, _ = from_pd(data.draw(st.permutations(to_pd(d))))
         n_comp = e.component_count()
         for flips in ([True] * n_comp, [k == 0 for k in range(n_comp)]):
             assert kauffman_jones(e, flips) == reference_jones(e, flips)

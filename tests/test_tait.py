@@ -22,6 +22,7 @@ from khfront.diagram import CORNER_AT
 from khfront.tait import TaitEdge
 
 from conftest import front_words, run_optimized
+from pd_codec import from_pd, to_pd
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
@@ -139,9 +140,15 @@ class TestColoring:
     def test_faces_that_are_not_two_colorable(self):
         # one crossing whose two strands close up across each other: the
         # map lies on a torus, with one face on both sides of every arc
-        d = LinkDiagram.from_pd([(1, 2, 1, 2)])
+        d = LinkDiagram(1, [(1, 3), (0, 2)], white_corner=0)
         assert len(d.face_walks) == 1
         with pytest.raises(ConventionError, match="not 2-colorable"):
+            checkerboard(d)
+
+    def test_crossings_without_a_white_corner(self):
+        # a kink whose diagram records no corner to seed the coloring at
+        d = LinkDiagram(1, [(0, 3), (1, 2)])
+        with pytest.raises(ValueError, match="white_corner"):
             checkerboard(d)
 
 
@@ -190,7 +197,7 @@ class TestTaitGraph:
         # ports clockwise from them, the white corners, so it is the other
         # coloring's graph dart for dart
         d = front.desingularize()
-        for diagram in (d, LinkDiagram.from_pd(d.to_pd())):
+        for diagram in (d, from_pd(to_pd(d))[0]):
             colorings = checkerboard(diagram)
             graphs = [tait_graph(diagram, col) for col in colorings]
             for coloring, g, other in zip(colorings, graphs, graphs[::-1]):
@@ -241,10 +248,10 @@ class TestTaitGraph:
     @settings(max_examples=50, deadline=None)
     @given(front_words())
     def test_pd_import_coloring(self, front):
-        # PD imports carry no white corner from the sweep: the search
-        # colors from the face with the longest boundary walk
+        # PD imports carry no white corner from the sweep: the codec seeds
+        # the search at a corner of the longest boundary walk
         d = front.desingularize()
-        d2 = LinkDiagram.from_pd(d.to_pd())
+        d2, _ = from_pd(to_pd(d))
         canonical, rev = checkerboard(d2)
         for a, b in d2.arcs:
             fa, fb = d2.face_of_corner[a], d2.face_of_corner[b]
@@ -289,7 +296,7 @@ class TestDuality:
         # is the other coloring's graph, both ways, and the double dual
         # the graph itself
         d = front.desingularize()
-        for diagram in (d, LinkDiagram.from_pd(d.to_pd())):
+        for diagram in (d, from_pd(to_pd(d))[0]):
             g, gr = (tait_graph(diagram, col) for col in checkerboard(diagram))
             for a, b in ((g, gr), (gr, g)):
                 ad = dual_graph(a)
@@ -383,16 +390,18 @@ class TestTripwires:
         assert proc.returncode == 0, proc.stderr
 
     def test_diagram_and_coloring_checks_survive_optimize(self):
-        # a port used twice, a port on no arc, a wrong arc count, and
-        # faces that are not 2-colorable
+        # a port used twice, a port on no arc, a wrong arc count, faces
+        # that are not 2-colorable, and a kink with no white corner
         code = (
             "from khfront import ConventionError, LinkDiagram, checkerboard\n"
+            "torus = LinkDiagram(1, [(1, 3), (0, 2)], white_corner=0)\n"
+            "kink = LinkDiagram(1, [(0, 3), (1, 2)])\n"
             "checks = (\n"
             "    (lambda: LinkDiagram(1, [(0, 1), (0, 2)]), ValueError),\n"
             "    (lambda: LinkDiagram(1, [(0, 1), (2, 7)]), ValueError),\n"
             "    (lambda: LinkDiagram(1, [(0, 1)]), ValueError),\n"
-            "    (lambda: checkerboard(LinkDiagram.from_pd([(1, 2, 1, 2)])),\n"
-            "     ConventionError),\n"
+            "    (lambda: checkerboard(torus), ConventionError),\n"
+            "    (lambda: checkerboard(kink), ValueError),\n"
             ")\n"
             "for check, expected in checks:\n"
             "    try:\n"
