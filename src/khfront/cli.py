@@ -21,8 +21,9 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bounds import sharpness_report
 from .corpus import BUNDLED, _read_front_file, read_corpus_file
@@ -30,7 +31,15 @@ from .errors import ConventionError, KhfrontError
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
 from .tait import checkerboard, tait_graph
-from .trees import PRETTY, generator_ij, labelled_trees
+from .trees import (
+    _CLASS,
+    _LABEL_OF_CODE,
+    _ON_TREE,
+    PRETTY,
+    _bigrading,
+    generator_ij,
+    sorted_tree_codes,
+)
 
 EXIT_OK = 0
 EXIT_CONVENTION = 2
@@ -202,60 +211,77 @@ _TREE_RECORD = """\
       "v": {}
     }}"""
 
-#: label -> its JSON string, with a \u escape for the bar
-_LABEL_JSON = {lab: json.dumps(pretty) for lab, pretty in PRETTY.items()}
+
+def _tree_fields(rows: list, n: int, w: int, cusp_count: int) -> Iterator[tuple]:
+    """Per row (coloring, label codes) of a diagram with n crossings and
+    writhe w on a front with ``cusp_count`` cusp pairs: its coloring, its
+    codes, its edge ids as strings, u, v, its class and its generators'
+    (i, j) pairs, each read off the codes."""
+    ids = [str(k) for k in range(n)]
+    for col, codes in rows:
+        u, v = _bigrading(codes)
+        yield (
+            col,
+            codes,
+            list(compress(ids, codes.translate(_ON_TREE))),
+            u,
+            v,
+            _CLASS.get(u + cusp_count, "neither"),
+            generator_ij(u, v, n, w),
+        )
 
 
-def _trees_json(rows: list, n: int) -> str:
-    """The ``trees --json`` text of ``rows`` on a diagram with n crossings:
-    byte for byte ``_dumps({"schema": 1, "trees": [...]})`` of the records,
-    written from ``_TREE_RECORD`` without building them as dicts."""
+def _trees_json(trees: Iterable[tuple], n: int) -> str:
+    """The ``trees --json`` text of the ``_tree_fields`` of a diagram with
+    n crossings: byte for byte ``_dumps({"schema": 1, "trees": [...]})``
+    of the records, written from ``_TREE_RECORD`` without building them
+    as dicts."""
+    label_json = [json.dumps(PRETTY[lab]) for lab in _LABEL_OF_CODE]
     # the labels object with field k for edge k, in JSON's key order, which
     # compares keys as strings: "10" comes before "2"
     labels = "{{}}" if n == 0 else "{{\n" + ",\n".join(
         f'        "{k}": {{{k}}}' for k in sorted(range(n), key=str)
     ) + "\n      }}"
     records = []
-    for col, rec, ij in rows:
-        (i0, j0), (i1, j1) = ij
-        edges = ",\n        ".join(map(str, sorted(rec.tree)))
+    for col, codes, edges, u, v, cls, ((i0, j0), (i1, j1)) in trees:
         records.append(_TREE_RECORD.format(
-            rec.class_,
+            cls,
             col,
-            f"[\n        {edges}\n      ]" if edges else "[]",
+            "[\n        " + ",\n        ".join(edges) + "\n      ]" if edges else "[]",
             i0, j0, i1, j1,
-            labels.format(*[_LABEL_JSON[rec.labels[k]] for k in range(n)]),
-            rec.u,
-            rec.v,
+            labels.format(*map(label_json.__getitem__, codes)),
+            u,
+            v,
         ))
     return '{\n  "schema": 1,\n  "trees": [\n' + ",\n".join(records) + "\n  ]\n}"
 
 
 def _cmd_trees(args) -> _Output:
+    """``trees``: the listed label codes of each tree, written as JSON or
+    text with no record built in between."""
     front = _load_front(args.front)
     d = front.desingularize()
-    w = d.writhe()
     canonical, rev = checkerboard(d)
     colorings = {"canonical": [canonical], "reversed": [rev], "both": [canonical, rev]}
     rows = [
-        (
-            "canonical" if coloring.canonical else "reversed",
-            rec,
-            generator_ij(rec.u, rec.v, d.n, w),
-        )
+        ("canonical" if coloring.canonical else "reversed", codes)
         for coloring in colorings[args.coloring]
-        for rec in labelled_trees(tait_graph(d, coloring), front)
+        for codes in sorted_tree_codes(tait_graph(d, coloring))
     ]
 
+    def trees() -> Iterator[tuple]:
+        return _tree_fields(rows, d.n, d.writhe(), front.cusp_count)
+
     def text() -> str:
+        pretty = [PRETTY[lab] for lab in _LABEL_OF_CODE]
         return "\n".join(
-            f"[{col}] edges={sorted(rec.tree)} labels="
-            + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
-            + f" u={rec.u} v={rec.v} class={rec.class_} generators={ij}"
-            for col, rec, ij in rows
+            f"[{col}] edges=[{', '.join(edges)}] labels="
+            + "".join(map(pretty.__getitem__, codes))
+            + f" u={u} v={v} class={cls} generators={ij}"
+            for col, codes, edges, u, v, cls, ij in trees()
         )
 
-    return lambda: _trees_json(rows, d.n), text
+    return lambda: _trees_json(trees(), d.n), text
 
 
 def _cmd_homology(args) -> _Output:

@@ -69,8 +69,9 @@ class LinkDiagram:
     free_loops : closed curves that meet no crossing.
     white_corner : corner (its arriving port) whose face has the color of
         the unbounded face, so the canonical checkerboard coloring is
-        seeded there.  The front sweep records one; a diagram with
-        crossings cannot be colored without it.
+        seeded there: a port from 0 to 4n - 1, or None.  The front sweep
+        records one; a diagram with crossings cannot be colored without
+        it.
     """
 
     def __init__(
@@ -98,6 +99,10 @@ class LinkDiagram:
         if None in mate:
             raise ValueError(
                 f"port {divmod(mate.index(None), 4)} not attached to an arc"
+            )
+        if white_corner is not None and not 0 <= white_corner < size:
+            raise ValueError(
+                f"white_corner {white_corner} is no port of {n} crossings"
             )
         #: port -> port at the other end of its arc
         self.mate = mate

@@ -21,8 +21,11 @@ sign:
 One frontier sweep runs that recursion (Sekine, Imai and Tani,
 *Computing the Tutte polynomial of a graph of moderate size*, 1995), and
 both tree paths read it: ``bigrading_counts`` counts the trees at each
-(u, v) for ``analyze``, ``certify`` and ``corpus``, and ``labelled_trees``
-lists every tree with its labels for ``trees``.
+(u, v) for ``analyze``, ``certify`` and ``corpus``, and
+``sorted_tree_codes`` lists every tree's label codes, sorted and checked
+to span.  The listing is shared: ``labelled_trees`` makes a record of
+each tree, and the ``trees`` command writes each tree straight from its
+codes.
 
 * Reduce first.  A bridge of G stays a bridge, and a loop stays a loop,
   in every minor of the recursion, so each is labelled alike in every
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .diagram import _find
 from .errors import (
@@ -81,8 +84,8 @@ class SpanningTreeRecord:
         return sum(1 for lab in self.labels.values() if lab == label)
 
 
-#: labels by code in the byte strings that ``_record`` reads: tree labels
-#: take codes 0-3, non-tree labels 4-7, and a negative edge adds 1
+#: labels by code in the byte strings of the listing: tree labels take
+#: codes 0-3, non-tree labels 4-7, and a negative edge adds 1
 _LABEL_OF_CODE = ("L", "Lb", "D", "Db", "l", "lb", "d", "db")
 _L, _D, _LOOP, _DEL = 0, 2, 4, 6
 #: code -> the (u, v) it adds to its tree's bigrading
@@ -92,8 +95,8 @@ _SHIFT = ((1, 1), (-1, 0), (0, 1), (0, 0), (-1, 0), (1, 1), (0, 0), (0, 1))
 _ON_TREE = bytes.maketrans(bytes(range(8)), bytes([1, 1, 1, 1, 0, 0, 0, 0]))
 #: u + C -> class of a tree on a front with C cusp pairs
 _CLASS = {1: "good", 2: "bad"}
-#: most spanning trees ``labelled_trees`` lists; the listing is sorted, so
-#: every tree is held in memory before the first is yielded
+#: most spanning trees ``sorted_tree_codes`` lists; the listing is sorted,
+#: so every tree is held in memory before the first is yielded
 LISTING_LIMIT = 100_000
 
 
@@ -403,6 +406,24 @@ def _record(codes: bytes, cusp_count: Optional[int]) -> SpanningTreeRecord:
     )
 
 
+def sorted_tree_codes(g: TaitGraph) -> list[bytes]:
+    """Every spanning tree's label codes, indexed by edge id, in
+    lexicographic order of the sorted edge-id lists, each checked to span.
+
+    This is the one listing of the trees: ``labelled_trees`` makes a
+    record of each, and the ``trees`` command writes each straight from
+    its codes.  A graph with more than ``LISTING_LIMIT`` trees raises
+    TooLarge before any tree is listed; a listed edge set that does not
+    span raises NotASpanningTree.
+    """
+    found = _tree_codes(g)
+    found.sort(key=lambda c: c.translate(_ON_TREE), reverse=True)
+    ids = range(len(g.edges))
+    for codes in found:
+        _validate_tree(g, list(compress(ids, codes.translate(_ON_TREE))))
+    return found
+
+
 def labelled_trees(
     g: TaitGraph, front: Optional[FrontDiagram] = None
 ) -> Iterator[SpanningTreeRecord]:
@@ -410,20 +431,18 @@ def labelled_trees(
     good/bad class when a front is attached), each exactly once, in
     lexicographic order of the sorted edge-id lists.
 
-    The trees are the paths of the frontier sweep, listed by
-    ``_tree_codes``; each is checked to span.  A graph with more than
-    ``LISTING_LIMIT`` trees raises TooLarge before any tree is listed.
+    The trees are the paths of the frontier sweep, listed and checked to
+    span by ``sorted_tree_codes``, which the ``trees`` command reads too.
+    A graph with more than ``LISTING_LIMIT`` trees raises TooLarge before
+    any tree is listed.
     """
     cusp_count = front.cusp_count if front is not None else None
-    found = _tree_codes(g)
-    found.sort(key=lambda c: c.translate(_ON_TREE), reverse=True)
-    for codes in found:
-        rec = _record(codes, cusp_count)
-        _validate_tree(g, rec.tree)
-        yield rec
+    for codes in sorted_tree_codes(g):
+        yield _record(codes, cusp_count)
 
 
-def _validate_tree(g: TaitGraph, tree: frozenset[int]) -> None:
+def _validate_tree(g: TaitGraph, tree: Collection[int]) -> None:
+    """Raise NotASpanningTree unless the edge ids ``tree`` span g."""
     if len(tree) != g.n_vertices - 1:
         raise NotASpanningTree(f"{len(tree)} edges for {g.n_vertices} vertices")
     # V - 1 edges without a cycle span the graph; the roots are found with

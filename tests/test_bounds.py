@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from khfront import (
     FrontDiagram,
+    LaurentPoly,
+    bigrading_counts,
     checkerboard,
     kauffman_jones,
     khovanov_homology,
     parse_front,
     sharpness_report,
     tait_graph,
+    tree_euler_characteristic,
 )
 
 from conftest import front_words, matrix_tree_count, run_optimized
@@ -166,6 +170,94 @@ class TestStabilization:
         front = parse_front("L1 L2 L3 " + "X1 X2 " * 20 + "R3 R2 R1")
         assert sharpness_report(front).verdict == "sharp_certified"
         self.check(front, self.seeded(front, seed), max_crossings=40)
+
+
+def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
+    """The Legendrian connected sum of two fronts that start with L1 and
+    end with R1: F1 without its last R1, then F2 without its first L1.
+    The two strands that F1 leaves open take F2's place."""
+    assert f1.events[-1] == ("R", 1) and f2.events[0] == ("L", 1)
+    return FrontDiagram(f1.events[:-1] + f2.events[1:])
+
+
+def census(front: FrontDiagram) -> list[dict]:
+    """The (u, v) tree counts of the front on both colorings."""
+    d = front.desingularize()
+    return [bigrading_counts(tait_graph(d, coloring)) for coloring in checkerboard(d)]
+
+
+def convolve(a: dict, b: dict) -> dict:
+    """The (u, v) counts of the pairs of a tree counted in a and a tree
+    counted in b, whose u and v add."""
+    out: Counter = Counter()
+    for (u1, v1), c1 in a.items():
+        for (u2, v2), c2 in b.items():
+            out[u1 + u2, v1 + v2] += c1 * c2
+    return dict(out)
+
+
+def jones(front: FrontDiagram) -> LaurentPoly:
+    d = front.desingularize()
+    return kauffman_jones(d, max_crossings=d.n)
+
+
+def tree_euler(front: FrontDiagram) -> LaurentPoly:
+    """The graded Euler characteristic of the canonical coloring's trees."""
+    d = front.desingularize()
+    g = tait_graph(d, checkerboard(d)[0])
+    return tree_euler_characteristic(g, d.n, d.writhe())
+
+
+class TestConnectedSum:
+    """Known answers with no oracle.  The Tait graphs of a connected sum
+    are the one-point unions of its factors', so its trees are the pairs
+    of the factors' trees, and their u and v add with no shift.  The sum
+    has one cusp pair fewer than its factors, so for knots
+    tb(F1 # F2) = tb1 + tb2 + 1, and the unreduced Jones polynomials
+    satisfy J(F1 # F2) (q + 1/q) = J(F1) J(F2).  The sum's census is tied
+    to the Jones sweep by its Euler characteristic, so a census that
+    errs alike on every factor is caught too."""
+
+    UNKNOT = LaurentPoly({-1: 1, 1: 1})
+
+    def check(self, f1, f2):
+        s = connected_sum(f1, f2)
+        for c1, c2, c in zip(census(f1), census(f2), census(s)):
+            assert c == convolve(c1, c2)
+        assert tree_euler(s) == jones(s)
+        if all(f.desingularize().component_count() == 1 for f in (f1, f2)):
+            assert s.tb() == f1.tb() + f2.tb() + 1
+            assert jones(s) * self.UNKNOT == jones(f1) * jones(f2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(front_words(max_crossings=8), front_words(max_crossings=8))
+    def test_random_pairs(self, f1, f2):
+        self.check(f1, f2)
+
+    def test_bundled_pairs(self, corpus_fronts):
+        # 100 ordered pairs, the Hopf link's among them
+        for _, f1 in corpus_fronts:
+            for _, f2 in corpus_fronts:
+                self.check(f1, f2)
+
+    def test_powers_of_the_bundled_knots(self, corpus_fronts):
+        # a sum of 40 copies of each bundled knot, or as many as fit in 160
+        # crossings; counts, tb and Jones all follow from one copy's
+        for entry, front in corpus_fronts:
+            if front.desingularize().component_count() != 1:
+                continue
+            k = min(40, 160 // max(front.crossing_count, 1))
+            power = front
+            for _ in range(k - 1):
+                power = connected_sum(power, front)
+            for c1, c in zip(census(front), census(power)):
+                expected = {(0, 0): 1}
+                for _ in range(k):
+                    expected = convolve(expected, c1)
+                assert c == expected, entry.name
+            assert tree_euler(power) == jones(power)
+            assert power.tb() == k * front.tb() + k - 1
+            assert jones(power) * self.UNKNOT ** (k - 1) == jones(front) ** k
 
 
 class TestReportShape:

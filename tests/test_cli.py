@@ -144,6 +144,55 @@ class TestTrees:
         assert (code, out) == (EXIT_CONVENTION, "")
         assert err == "convention tripwire: 0 edges for 3 vertices\n"
 
+    def test_a_listed_non_tree_is_refused_under_optimize(self):
+        # the spanning check on the listing the command writes from must
+        # raise on its own, since -O strips asserts
+        code = (
+            "import khfront.trees\n"
+            "from khfront.cli import main\n"
+            "khfront.trees._tree_codes = lambda g: [bytes([4]) * len(g.edges)]\n"
+            f"raise SystemExit(main(['trees', {TREFOIL!r}]))\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_CONVENTION, ""), proc.stderr
+        assert proc.stderr == "convention tripwire: 0 edges for 3 vertices\n"
+
+    @pytest.mark.parametrize("flags", [["--json"], []])
+    def test_builds_no_record(self, capsys, monkeypatch, flags):
+        # both writers read the listed label codes, not records
+        import khfront.trees
+
+        def refuse(*args):
+            raise AssertionError("a record built for the trees command")
+
+        monkeypatch.setattr(khfront.trees, "_record", refuse)
+        code, out, err = run(capsys, "trees", TREFOIL, "--coloring", "both", *flags)
+        assert code == EXIT_OK, err
+        assert out.count("canonical") == 3 and out.count("reversed") == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(front_words(max_crossings=12))
+    @example(parse_front("L1 R1"))
+    @example(parse_front("L1 " + "L2 X1 X1 X1 R2 " * 4 + "R1"))
+    def test_text_equals_the_lines_of_the_records(self, front):
+        # the text writer reads label codes; the reference formats the
+        # records.  L1 R1 has no crossing, so no edges and no labels
+        d = front.desingularize()
+        w = d.writhe()
+        lines = [
+            f"[{'canonical' if coloring.canonical else 'reversed'}] "
+            f"edges={sorted(rec.tree)} labels="
+            + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
+            + f" u={rec.u} v={rec.v} class={rec.class_} "
+            f"generators={generator_ij(rec.u, rec.v, d.n, w)}"
+            for coloring in checkerboard(d)
+            for rec in labelled_trees(tait_graph(d, coloring), front)
+        ]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["trees", "--coloring", "both", front.word()]) == EXIT_OK
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+
     @settings(max_examples=60, deadline=None)
     @given(front_words(max_crossings=12))
     @example(parse_front("L1 " + "L2 X1 X1 X1 R2 " * 4 + "R1"))

@@ -151,6 +151,13 @@ class TestColoring:
         with pytest.raises(ValueError, match="white_corner"):
             checkerboard(d)
 
+    @pytest.mark.parametrize("corner", [7, -1])
+    def test_white_corner_must_be_a_port(self, corner):
+        # a kink has ports 0-3: port 7 would index past the face list, and
+        # -1 would seed the coloring at port 3
+        with pytest.raises(ValueError, match=f"white_corner {corner} is no port"):
+            LinkDiagram(1, [(0, 3), (1, 2)], white_corner=corner)
+
 
 class TestTaitGraph:
     def test_trefoil_canonical_is_positive_triangle(self):
@@ -390,8 +397,9 @@ class TestTripwires:
         assert proc.returncode == 0, proc.stderr
 
     def test_diagram_and_coloring_checks_survive_optimize(self):
-        # a port used twice, a port on no arc, a wrong arc count, faces
-        # that are not 2-colorable, and a kink with no white corner
+        # a port used twice, a port on no arc, a wrong arc count, a white
+        # corner that is no port, faces that are not 2-colorable, and a
+        # kink with no white corner
         code = (
             "from khfront import ConventionError, LinkDiagram, checkerboard\n"
             "torus = LinkDiagram(1, [(1, 3), (0, 2)], white_corner=0)\n"
@@ -400,6 +408,8 @@ class TestTripwires:
             "    (lambda: LinkDiagram(1, [(0, 1), (0, 2)]), ValueError),\n"
             "    (lambda: LinkDiagram(1, [(0, 1), (2, 7)]), ValueError),\n"
             "    (lambda: LinkDiagram(1, [(0, 1)]), ValueError),\n"
+            "    (lambda: LinkDiagram(1, [(0, 3), (1, 2)], white_corner=-1),\n"
+            "     ValueError),\n"
             "    (lambda: checkerboard(torus), ConventionError),\n"
             "    (lambda: checkerboard(kink), ValueError),\n"
             ")\n"
