@@ -137,11 +137,11 @@ def _load_front(arg: str) -> FrontDiagram:
 
 
 def _flips(front: FrontDiagram, orient: Optional[str]) -> Optional[list[bool]]:
-    if not orient:
+    if orient is None:
         return None
     signs = [s.strip() for s in orient.split(",")]
     n_comp = front.desingularize().component_count()
-    if len(signs) != n_comp or any(s not in "+-" for s in signs):
+    if len(signs) != n_comp or any(s not in ("+", "-") for s in signs):
         raise KhfrontError(
             f"--orient needs {n_comp} comma-separated +/- signs"
         )

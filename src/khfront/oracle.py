@@ -39,7 +39,10 @@ triple for the whole scan, as arcs keep their ids from one crossing to
 the next.
 
 After the last crossing the boundary is empty and every morphism is an
-integer; each residual (i, j) block goes through Smith normal form.
+integer.  Each residual (i, j) block, large and sparse on torsion-heavy
+links (hundreds of rows of +-2 entries), goes through the sparse Smith
+reduction of ``snf``, which works on the block's own row and column
+dicts.
 
 The Jones polynomial is the state sum in Khovanov's normalisation (D.
 Bar-Natan, "On Khovanov's categorification of the Jones polynomial", AGT 2

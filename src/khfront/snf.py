@@ -2,86 +2,65 @@
 
 Matrices are sparse dicts {(row, col): value}.  The Khovanov oracle
 cancels every +-identity entry of its complex while it scans the diagram
-crossing by crossing (see ``oracle``), so only the small integer blocks
-left after the last crossing get here, and a textbook dense Smith
-reduction finishes them.
+crossing by crossing (see ``oracle``), so only the integer blocks left
+after the last crossing get here.  They are large but sparse, and one
+sparse reduction finishes them on their own row and column dicts: pivot
+on an entry of least |value|, clear its column and then its row by floor
+division, and record |pivot| once both are clear; a nonzero remainder is
+smaller than the pivot, so the least entry keeps falling until one does
+clear.  The recorded diagonal becomes invariant factors by gcd/lcm
+pairs, since diag(a, b) ~ diag(gcd(a, b), lcm(a, b)).
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 
 def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, each positive,
     each dividing the next; zero rows and columns contribute none, so the
     matrix's size is not needed."""
-    live = {key: val for key, val in entries.items() if val}
-    ri = {r: i for i, r in enumerate(sorted({r for r, _ in live}))}
-    ci = {c: i for i, c in enumerate(sorted({c for _, c in live}))}
-    core = [[0] * len(ci) for _ in ri]
-    for (r, c), val in live.items():
-        core[ri[r]][ci[c]] = val
-    return _dense_smith(core)
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), val in entries.items():
+        if val:
+            rows.setdefault(r, {})[c] = val
+            cols.setdefault(c, set()).add(r)
 
+    def put(r: int, c: int, val: int) -> None:
+        if val:
+            rows[r][c] = val
+            cols[c].add(r)
+        else:
+            rows[r].pop(c, None)
+            cols[c].discard(r)
 
-def _dense_smith(m: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of a small dense integer matrix."""
-    m = [row[:] for row in m]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    out: list[int] = []
-    t = 0
-    while True:
-        # find a nonzero entry at position >= (t, t)
-        piv = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                if m[i][j]:
-                    if piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # reduce column t
-            dirty = False
-            for i in range(t + 1, n_rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, n_cols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            if dirty:
-                continue
-            # reduce row t
-            for j in range(t + 1, n_cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, n_rows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of later entries by the pivot
-        p = abs(m[t][t])
-        bad = None
-        for i in range(t + 1, n_rows):
-            for j in range(t + 1, n_cols):
-                if m[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(t, n_cols):
-                m[t][j] += m[bad][j]
-            continue  # redo pivot t with the mixed-in row
-        out.append(p)
-        t += 1
-    return out
+    diag: list[int] = []
+    while rows:
+        # least |value|, then the fewest entries in its row and column
+        _, _, r, c = min(
+            (abs(val), len(row) + len(cols[c]), r, c)
+            for r, row in rows.items()
+            for c, val in row.items()
+        )
+        p, prow = rows[r][c], rows[r]
+        for r2 in cols[c] - {r}:
+            q = rows[r2][c] // p
+            for c2, val in prow.items():
+                put(r2, c2, rows[r2].get(c2, 0) - q * val)
+            if not rows[r2]:
+                del rows[r2]
+        if len(cols[c]) > 1:
+            continue
+        # column c holds p alone, so a column operation moves row r only
+        for c2 in [c2 for c2 in prow if c2 != c]:
+            put(r, c2, prow[c2] % p)
+        if len(prow) > 1:
+            continue
+        diag.append(abs(p))
+        del rows[r], cols[c]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag

@@ -5,22 +5,25 @@ the Jones polynomial as a sum over all 2^n states.
 It builds the differential of the cube of resolutions as one matrix per
 bidegree (i, j) -> (i + 1, j), keyed by generator positions within each
 bidegree, and reduces each matrix on its own: unit (+-1) pivots first,
-sparsest rows first, then a dense Smith reduction of what is left.  It
-shares only the dense Smith reduction (``snf.invariant_factors``) with the
-oracle it checks, which never builds the cube: it scans the diagram one
-crossing at a time over dotted cobordisms and cancels +-identity entries
-as it goes.  The Jones reference enumerates the states with an arc
-union-find; the oracle sweeps matchings of the open arc-ends instead.
+sparsest rows first, then sympy's Smith normal form of what is left.  It
+shares no reduction with the oracle it checks, which never builds the
+cube: it scans the diagram one crossing at a time over dotted cobordisms,
+cancels +-identity entries as it goes, and finishes the residual blocks
+with its own sparse Smith reduction (``snf.invariant_factors``).  The
+Jones reference enumerates the states with an arc union-find; the oracle
+sweeps matchings of the open arc-ends instead.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
 from khfront.diagram import A_PAIRS, B_PAIRS, _find
 from khfront.laurent import LaurentPoly
 from khfront.oracle import BigradedTable, _circle
-from khfront.snf import invariant_factors as dense_invariant_factors
 
 
 def _port_arc(d) -> list[int]:
@@ -156,7 +159,7 @@ def reference_homology(d, orientations) -> list[BigradedTable]:
 
 def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     """Invariant factors of a sparse matrix: eliminate unit pivots, sparsest
-    rows first, then reduce the dense core."""
+    rows first, then reduce the core that is left with sympy."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), val in entries.items():
@@ -208,8 +211,20 @@ def reference_invariant_factors(entries: dict[tuple[int, int], int]) -> list[int
             unit_pivots += 1
             progress = True
 
-    core = {(r, c): val for r, rowd in rows.items() for c, val in rowd.items()}
-    return [1] * unit_pivots + dense_invariant_factors(core)
+    return [1] * unit_pivots + sympy_factors(
+        {(r, c): val for r, rowd in rows.items() for c, val in rowd.items()}
+    )
+
+
+def sympy_factors(entries: dict[tuple[int, int], int]) -> list[int]:
+    """Nonzero invariant factors of a sparse matrix by sympy."""
+    live = {key: val for key, val in entries.items() if val}
+    ri = {r: i for i, r in enumerate(sorted({r for r, _ in live}))}
+    ci = {c: i for i, c in enumerate(sorted({c for _, c in live}))}
+    m = Matrix.zeros(len(ri), len(ci))
+    for (r, c), val in live.items():
+        m[ri[r], ci[c]] = val
+    return [int(f) for f in sympy_invariant_factors(m, domain=ZZ) if f]
 
 
 def reference_jones(d, flips=None) -> LaurentPoly:

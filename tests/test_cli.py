@@ -267,6 +267,25 @@ class TestOracleCommands:
         assert code == EXIT_OK, err
         assert spaced == joined
 
+    @pytest.mark.parametrize("command", ["homology", "jones"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--orient="],
+            ["--orient", ""],
+            ["--orient", "+"],
+            ["--orient", "+,-,+"],
+            ["--orient", "+,"],
+            ["--orient", "+-"],
+        ],
+    )
+    def test_orient_needs_one_sign_per_component(self, capsys, command, argv):
+        # an empty value is refused, not taken as no option
+        code, out, err = run(capsys, command, HOPF, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--orient needs 2 comma-separated +/- signs" in err
+
     def test_max_crossings(self, capsys):
         code, _, err = run(capsys, "homology", TREFOIL, "--max-crossings", "2")
         assert code == EXIT_INVALID

@@ -61,9 +61,17 @@ class TestParsing:
         with pytest.raises(MalformedToken):
             parse_front("L0 R1")
 
-    def test_strand_underflow(self):
-        with pytest.raises(StrandUnderflow):
-            parse_front("L1 X2 R1")
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("L1 X2 R1", "X2 needs strands 2,3 but only 2 exist"),
+            ("L2 R1", "left cusp at position 2 with 0 strands"),
+            ("L1 R2", "R2 needs strands 2,3 but only 2 exist"),
+        ],
+    )
+    def test_strand_underflow(self, word, message):
+        with pytest.raises(StrandUnderflow, match=message):
+            parse_front(word)
 
     def test_nonzero_end_state(self):
         with pytest.raises(NonzeroEndState):

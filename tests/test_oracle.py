@@ -1,10 +1,11 @@
 """Khovanov homology and Jones polynomial oracles."""
 
+import json
 import time
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from khfront import (
@@ -17,6 +18,7 @@ from khfront import (
     parse_front,
 )
 from khfront import oracle
+from khfront.cli import main
 from khfront.snf import invariant_factors
 
 from conftest import front_words, run_optimized
@@ -25,6 +27,7 @@ from khovanov_reference import (
     reference_homology,
     reference_invariant_factors,
     reference_jones,
+    sympy_factors,
 )
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
@@ -98,6 +101,22 @@ class TestKhovanov:
         elapsed = time.monotonic() - start
         v = LaurentPoly({2: 1, 6: 1, 8: -1})
         assert table.graded_euler() == UNKNOT_POLY * v**5
+        assert elapsed < 10, f"{elapsed:.1f}s"
+
+    def test_homology_of_eight_trefoil_sum_within_ten_seconds(self, capsys):
+        # 24 crossings whose residual blocks reach 728 rows of +-2 entries,
+        # so the run tests the reach of the Smith reduction, not only the scan
+        trefoil = "L2 X1 X1 X1 R2"
+        word = f"L1 {' '.join([trefoil] * 8)} R1"
+        start = time.monotonic()
+        code = main(["homology", "--json", "--max-crossings", "24", word])
+        elapsed = time.monotonic() - start
+        assert code == 0
+        euler = LaurentPoly.zero()
+        for g in json.loads(capsys.readouterr().out)["groups"]:
+            euler = euler + LaurentPoly.monomial(g["j"], (-1) ** g["i"] * g["rank"])
+        v = LaurentPoly({2: 1, 6: 1, 8: -1})
+        assert euler == UNKNOT_POLY * v**8
         assert elapsed < 10, f"{elapsed:.1f}s"
 
     def test_scan_builds_each_surface_once_per_matching(self, monkeypatch):
@@ -209,6 +228,39 @@ class TestTripwires:
         assert proc.returncode == 0, proc.stderr
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices of at most 8 x 8, keyed by sparse row and column
+    ids and holding zero rows, columns and entries: either random entries,
+    or a diagonal of torsion orders, coprime ones among them, hidden by
+    unimodular row and column operations."""
+    ids = st.lists(st.integers(-100, 100), max_size=8, unique=True)
+    row_ids, col_ids = draw(ids), draw(ids)
+    n_rows, n_cols = len(row_ids), len(col_ids)
+    m = [[0] * n_cols for _ in range(n_rows)]
+    if draw(st.booleans()):
+        entry = st.sampled_from((0, 0, 0, 2, -2, 3)) | st.integers(-12, 12)
+        m = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    else:
+        for k in range(min(n_rows, n_cols)):
+            m[k][k] = draw(st.sampled_from((0, 1, 2, 3, 4, 5, 6, 9, -2, -3)))
+        for _ in range(draw(st.integers(0, 12))):
+            on_rows = draw(st.booleans())
+            size = n_rows if on_rows else n_cols
+            if size < 2:
+                continue
+            a, b = draw(st.permutations(range(size)))[:2]
+            k = draw(st.integers(-3, 3))
+            if on_rows:
+                m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+            else:
+                for row in m:
+                    row[a] += k * row[b]
+    return {
+        (r, c): m[i][j] for i, r in enumerate(row_ids) for j, c in enumerate(col_ids)
+    }
+
+
 class TestReference:
     """The oracles against their references: the cube with a separate
     Smith normal form per bidegree, and the sum over all 2^n states."""
@@ -260,13 +312,22 @@ class TestReference:
         "entries, factors",
         [
             ({(0, 0): 2, (1, 1): 3}, [1, 6]),
+            ({(10, -4): 3, (-7, 30): -2, (-7, 8): 0}, [1, 6]),
             ({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}, [2, 4]),
+            ({(5, 7): -4}, [4]),
             ({(0, 0): 0, (1, 1): 0}, []),
         ],
     )
     def test_invariant_factors(self, entries, factors):
         assert invariant_factors(entries) == factors
         assert reference_invariant_factors(entries) == factors
+        assert sympy_factors(entries) == factors
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    @example({(10, -4): 2, (-7, 30): 3})  # Z/2 + Z/3 = Z/6
+    def test_invariant_factors_match_sympy(self, entries):
+        assert invariant_factors(entries) == sympy_factors(entries)
 
 
 class TestJones:
