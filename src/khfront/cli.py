@@ -396,6 +396,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             try:
                 tmp.write_text(body + "\n")
                 tmp.replace(args.out)
+            except OSError as exc:
+                raise KhfrontError(
+                    f"cannot write --out {args.out}: {exc.strerror or exc}"
+                ) from exc
             finally:
                 tmp.unlink(missing_ok=True)
         else:

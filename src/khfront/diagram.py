@@ -163,12 +163,18 @@ class LinkDiagram:
         """Orientation sign of each crossing.
 
         ``flips[i]`` reverses the traversal orientation of component i (in
-        canonical component order).
+        canonical component order, the free loops last); it holds one
+        entry per component.
         """
+        if flips is not None and len(flips) != self.component_count():
+            raise ValueError(
+                f"flips has {len(flips)} entries for "
+                f"{self.component_count()} components"
+            )
         # +-1 at the port by which each passage is entered, 0 at the other
         e = [0] * (4 * self.n)
         for ci, steps in enumerate(self.components):
-            s = -1 if flips and ci < len(flips) and flips[ci] else 1
+            s = -1 if flips and flips[ci] else 1
             for x in steps:
                 e[x] = s
         return [

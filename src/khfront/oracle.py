@@ -30,19 +30,20 @@ for the tangle of the crossings added so far:
 
 Every object with the same matching meets the crossing the same way, so
 the scan works per matching, not per object: each crossing glues each
-matching to each smoothing once, and builds the surface of each tensor
-entry a -> b once per (a, b, smoothings), with its evaluation per dot
-mask already split into summand offsets and terms; these live for one
-crossing.  Composites, which serve the d∘d check and the elimination,
-keep their surface and their evaluation per dot mask per matching
-triple for the whole scan, as arcs keep their ids from one crossing to
-the next.
+matching to each smoothing once, by one splice of two strands per pair
+of the smoothing, and builds the surface of each tensor entry a -> b
+once per (a, b, smoothings), with its evaluation per dot mask already
+split into summand offsets and terms; these live for one crossing.
+Composites, which serve the d∘d check and the elimination, keep their
+surface and their evaluation per dot mask per matching triple for the
+whole scan, as arcs keep their ids from one crossing to the next.
 
 After the last crossing the boundary is empty and every morphism is an
 integer.  Each residual (i, j) block, large and sparse on torsion-heavy
 links (hundreds of rows of +-2 entries), goes through the sparse Smith
 reduction of ``snf``, which works on the block's own row and column
-dicts.
+dicts.  Crossing-free loops never enter the scan: by the Künneth formula
+each one tensors the table with the unknot's, a free group, in one step.
 
 The Jones polynomial is the state sum in Khovanov's normalisation (D.
 Bar-Natan, "On Khovanov's categorification of the Jones polynomial", AGT 2
@@ -85,11 +86,6 @@ JONES_STATE_LIMIT = 2**11
 Matching = tuple[tuple[int, int], ...]  # sorted pairs (u, v), u < v, of arc ids
 Morphism = dict[int, int]  # dotted-circle bitmask -> coefficient
 
-#: port -> partner port in the A- and B-smoothing
-_PARTNER = tuple(
-    tuple(sum(pair) - p for p in range(4) for pair in pairs if p in pair)
-    for pairs in (A_PAIRS, B_PAIRS)
-)
 #: port -> disk of the identity cobordism on the A- or B-smoothing
 _STRIP = tuple(
     tuple(k for p in range(4) for k, pair in enumerate(pairs) if p in pair)
@@ -151,8 +147,15 @@ def _check_oracle_input(d: LinkDiagram, max_crossings: int) -> None:
         raise TooLarge(
             f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
         )
-    if d.n and d.free_loops:
-        raise ConventionError("crossing-free loops alongside crossings")
+
+
+def _partner(a) -> dict[int, int]:
+    """Each end of the pairs ``a`` -> the other end of its pair."""
+    got = {}
+    for u, v in a:
+        got[u] = v
+        got[v] = u
+    return got
 
 
 def _surface(n_disks: int, seams, circle_disk) -> list[tuple[int, int, int]]:
@@ -233,7 +236,8 @@ class _Complex:
     per matching pair, and the surface of a composite a -> b -> c with its
     evaluation per dot mask per matching triple, for the life of the
     complex, which is the whole scan since arcs keep their ids from one
-    crossing to the next.  ``add_crossing`` caches its gluings per
+    crossing to the next; partner dicts are not cached, each numbering
+    builds the two it needs.  ``add_crossing`` caches its gluings per
     (matching, smoothing) and its tensor surfaces and their split
     evaluations per (a, b, smoothings) for that crossing only.
     """
@@ -241,20 +245,10 @@ class _Complex:
     def __init__(self, objs: list[tuple[Matching, int, int]], out: list[dict]):
         self.objs = objs
         self.out = out
-        self._partners: dict[Matching, dict[int, int]] = {}
         self._circles: dict[tuple[Matching, Matching], tuple[dict, int]] = {}
         #: (a, b, c) -> (circle count of a and b, surface of the composite,
         #: {dotted-disk mask: its evaluation})
         self._composites: dict[tuple[Matching, Matching, Matching], tuple] = {}
-
-    def partner(self, a: Matching) -> dict[int, int]:
-        got = self._partners.get(a)
-        if got is None:
-            got = self._partners[a] = {}
-            for u, v in a:
-                got[u] = v
-                got[v] = u
-        return got
 
     def circles(self, a: Matching, b: Matching) -> tuple[dict[int, int], int]:
         """Circles of a and the mirror of b: arc -> circle number, with
@@ -262,7 +256,7 @@ class _Complex:
         key = (a, b)
         got = self._circles.get(key)
         if got is None:
-            pa, pb = self.partner(a), self.partner(b)
+            pa, pb = _partner(a), _partner(b)
             num: dict[int, int] = {}
             k = 0
             for u in sorted(pa):
@@ -309,59 +303,31 @@ class _Complex:
         """Replace the complex by that of this tangle with crossing c
         added, every closed loop delooped.  An arc is labelled by its
         lower port."""
-        arcs = [min(x, d.mate[x]) for x in range(4 * c, 4 * c + 4)]
-        old: dict[int, int] = {}  # boundary arc at c -> its port
-        new: dict[int, int] = {}  # arc from c to a later crossing -> port
-        mate: list[Optional[int]] = [None] * 4  # other port of an arc c -> c
-        for p in range(4):
-            other_c, other_p = divmod(d.mate[4 * c + p], 4)
-            if other_c < c:
-                old[arcs[p]] = p
-            elif other_c == c:
-                mate[p] = other_p
-            else:
-                new[arcs[p]] = p
+        # each port's end at c: its arc if the arc comes from an earlier
+        # crossing, else -1 - port, joined first to the arc's other end (a
+        # later crossing's arc 4c + port, or the other end of a self-arc)
+        x0 = 4 * c
+        ends = list(enumerate(d.mate[x0 : x0 + 4]))
+        label = [y if y < x0 else -1 - p for p, y in ends]
+        fresh = [(x0 + p, -1 - p) for p, y in ends if y >= x0 + 4]
+        fresh += [(-1 - p, -1 - (y & 3)) for p, y in ends if x0 + p < y < x0 + 4]
 
         def glue(a: Matching, s: int) -> tuple[Matching, list[int]]:
             """Matching a with smoothing s at c: the new matching, and one
             port on each closed loop."""
-            pa, ps = self.partner(a), _PARTNER[s]
-            seen = [False] * 4
-
-            def walk(p: int) -> Optional[int]:
-                # through the smoothing from port p until the strand leaves
-                # the tangle; None when it closes up first
-                while True:
-                    seen[p] = True
-                    q = ps[p]
-                    seen[q] = True
-                    if arcs[q] in new:
-                        return arcs[q]
-                    if mate[q] is not None:
-                        p = mate[q]
-                    else:
-                        u = pa[arcs[q]]
-                        if u not in old:
-                            return u
-                        p = old[u]
-                    if seen[p]:
-                        return None
-
-            pair: dict[int, int] = {}
-            for u, v in pa.items():
-                if u not in old and u not in pair:
-                    w = walk(old[v]) if v in old else v
-                    pair[u], pair[w] = w, u
-            for u, p in new.items():
-                if not seen[p]:
-                    w = walk(p)
-                    pair[u], pair[w] = w, u
+            mate = _partner((*a, *fresh))
             loops = []
-            for p in range(4):
-                if not seen[p]:
-                    walk(p)
+            for p, q in (A_PAIRS, B_PAIRS)[s]:
+                x, y = label[p], label[q]
+                mx = mate.pop(x)
+                if mx == y:
+                    del mate[y]
                     loops.append(p)
-            return tuple(sorted((u, v) for u, v in pair.items() if u < v)), loops
+                else:
+                    my = mate.pop(y)
+                    mate[mx] = my
+                    mate[my] = mx
+            return tuple(sorted((u, v) for u, v in mate.items() if u < v)), loops
 
         glued: dict[tuple[Matching, int], tuple[Matching, list[int]]] = {}
         objs: list[tuple[Matching, int, int]] = []
@@ -390,16 +356,12 @@ class _Complex:
             b2, tgt_loops = glued[(b, t)]
             num_ab, n_ab = self.circles(a, b)
             disk = [n_ab + k for k in (_STRIP[s] if s == t else _SADDLE)]
-            seams = []
-            for p in range(4):
-                if arcs[p] in old:
-                    seams.append((num_ab[arcs[p]], disk[p]))
-                elif mate[p] is not None and p < mate[p]:
-                    seams.append((disk[p], disk[mate[p]]))
+            seams = [(num_ab[y], disk[p]) for p, y in enumerate(label) if y >= 0]
+            seams += [(disk[~u], disk[~v]) for u, v in fresh if u < 0]
             num2, n2 = self.circles(a2, b2)
             owner = [0] * n2
             for u, k in num2.items():
-                owner[k] = disk[new[u]] if u in new else num_ab[u]
+                owner[k] = disk[u & 3] if u >> 2 == c else num_ab[u]
             owner += [disk[p] for p in src_loops + tgt_loops]
             comps = _surface(n_ab + (2 if s == t else 1), seams, owner)
             return comps, n2, len(src_loops), (1 << len(tgt_loops)) - 1
@@ -524,17 +486,12 @@ def khovanov_homology(
 
     The square of the differential is verified to vanish on every partial
     complex, before its +-identity entries are cancelled; each residual
-    bidegree block goes through Smith normal form.
+    bidegree block goes through Smith normal form.  The k crossing-free
+    loops then tensor the table with (Z(0, 1) + Z(0, -1))^k (Künneth), so
+    a crossing-free diagram has (q + 1/q)^k at i = 0, the empty one Z at
+    (0, 0).
     """
     _check_oracle_input(d, max_crossings)
-    if d.n == 0:
-        # k disjoint unknotted circles: (q + 1/q)^k at i = 0
-        if d.free_loops == 0:
-            return BigradedTable({})
-        return BigradedTable(
-            {(0, j): (c, ()) for j, c in (_circle() ** d.free_loops).items()}
-        )
-
     n_plus, n_minus = d.positive_negative(flips)
     cx = _Complex([((), 0, 0)], [{}])
     for c in range(d.n):
@@ -553,13 +510,19 @@ def khovanov_homology(
         for y, f in row.items():
             blocks.setdefault(deg[x], {})[(y, x)] = f[0]
     factors = {ij: invariant_factors(mat) for ij, mat in blocks.items()}
+    # Z(0, 1) + Z(0, -1) is free, so there is no Tor term: the group at
+    # (i, j) lands at (i, j + e) c times for each term c q^e of (q + 1/q)^k
+    shifts = (_circle() ** d.free_loops).items()
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, jq), dim in dims.items():
         f_in = factors.get((i - 1, jq), ())
         free = dim - len(factors.get((i, jq), ())) - len(f_in)
         if free < 0:
             raise ConventionError(f"negative free rank at (i, j) = ({i}, {jq})")
-        groups[(i, jq)] = (free, tuple(sorted(t for t in f_in if t > 1)))
+        torsion = tuple(t for t in f_in if t > 1)
+        for e, c in shifts:
+            rank, tors = groups.get((i, jq + e), (0, ()))
+            groups[(i, jq + e)] = (rank + c * free, tuple(sorted(tors + torsion * c)))
     return BigradedTable(groups)
 
 

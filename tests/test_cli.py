@@ -519,7 +519,16 @@ class TestFileErrors:
 
         monkeypatch.setattr(Path, "replace", refuse)
         target = tmp_path / "report.txt"
-        self.refused(capsys, "certify", TREFOIL, "--out", str(target))
+        err = self.refused(capsys, "certify", TREFOIL, "--out", str(target))
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_names_the_out_path(self, capsys, tmp_path):
+        # the temporary file is the program's own: the message names the
+        # path that was given and the reason, not the .tmp beside it
+        target = tmp_path / "missing" / "x.json"
+        err = self.refused(capsys, "analyze", TREFOIL, "--out", str(target))
+        assert err == f"error: cannot write --out {target}: No such file or directory\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_corpus_entry_is_a_directory(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from khfront import (
     BigradedTable,
     EmptyTable,
     LaurentPoly,
+    LinkDiagram,
     TooLarge,
     kauffman_jones,
     khovanov_homology,
@@ -21,7 +22,7 @@ from khfront import oracle
 from khfront.cli import main
 from khfront.snf import invariant_factors
 
-from conftest import front_words, run_optimized
+from conftest import front_words, quick_entries, run_optimized
 from pd_codec import from_pd, to_pd
 from khovanov_reference import (
     reference_homology,
@@ -167,6 +168,75 @@ class TestBigradedTable:
         assert table.groups == {(1, 1): (1, ())}
 
 
+def with_a_circle(groups: dict) -> dict:
+    """The Künneth product with the unknot's table Z(0, 1) + Z(0, -1): each
+    group copied one step up and one step down in j."""
+    out: dict = {}
+    for (i, j), (rank, torsion) in groups.items():
+        for jj in (j - 1, j + 1):
+            r, t = out.get((i, jj), (0, ()))
+            out[(i, jj)] = (r + rank, tuple(sorted(t + torsion)))
+    return out
+
+
+class TestFreeLoops:
+    """Crossing-free loops enter the table by the Künneth formula, a loop
+    at a time, beside crossings or alone."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "entry",
+        [e for e in quick_entries() if e.front().desingularize().n],
+        ids=lambda e: e.name,
+    )
+    def test_loops_beside_crossings(self, entry, k):
+        d = entry.front().desingularize()
+        e = LinkDiagram(d.n, d.arcs, free_loops=k, white_corner=d.white_corner)
+        want = khovanov_homology(d).groups
+        for _ in range(k):
+            want = with_a_circle(want)
+        table = khovanov_homology(e)
+        assert table.groups == want
+        assert table.graded_euler() == kauffman_jones(e)
+        flips = [True] * e.component_count()
+        assert khovanov_homology(e, flips).graded_euler() == kauffman_jones(e, flips)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_crossing_free_loops(self, k):
+        d = LinkDiagram(0, [], free_loops=k)
+        want = {(0, 0): (1, ())}  # the empty diagram: Z at (0, 0)
+        for _ in range(k):
+            want = with_a_circle(want)
+        table = khovanov_homology(d)
+        assert table.groups == want
+        assert table.graded_euler() == kauffman_jones(d) == UNKNOT_POLY**k
+
+
+class TestFlips:
+    @pytest.mark.parametrize("flips", [[True], [True, False, True]])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda d, flips: d.writhe(flips),
+            lambda d, flips: khovanov_homology(d, flips),
+            lambda d, flips: kauffman_jones(d, flips),
+        ],
+        ids=["writhe", "khovanov_homology", "kauffman_jones"],
+    )
+    def test_one_entry_per_component(self, fn, flips):
+        d = parse_front(TWO_COMPONENTS[0]).desingularize()
+        with pytest.raises(ValueError, match="flips"):
+            fn(d, flips)
+
+    def test_free_loops_count_as_components(self):
+        assert parse_front("L1 R1").desingularize().writhe([True]) == 0
+        d = parse_front(TREFOIL).desingularize()
+        e = LinkDiagram(d.n, d.arcs, free_loops=1, white_corner=d.white_corner)
+        assert e.writhe([True, False]) == 3
+        with pytest.raises(ValueError, match="flips"):
+            e.writhe([True])
+
+
 class TestTripwires:
     def test_d_squared_check_survives_optimize(self):
         # over the empty boundary, Z -> Z^2 -> Z with d0 = (1, 1)^T and
@@ -191,22 +261,6 @@ class TestTripwires:
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
-    def test_free_loop_check_survives_optimize(self):
-        # crossings alongside crossing-free loops break both state sums
-        code = (
-            "from types import SimpleNamespace\n"
-            "from khfront import ConventionError, kauffman_jones, khovanov_homology\n"
-            "d = SimpleNamespace(n=1, free_loops=1)\n"
-            "for oracle in (khovanov_homology, kauffman_jones):\n"
-            "    try:\n"
-            "        oracle(d)\n"
-            "    except ConventionError:\n"
-            "        continue\n"
-            "    raise SystemExit(1)\n"
-        )
-        proc = run_optimized("-c", code, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
     def test_jones_end_state_check_survives_optimize(self):
         # a crossing whose four arcs lead to a crossing that never comes:
         # the sweep ends on an open matching
@@ -226,6 +280,22 @@ class TestTripwires:
         )
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_jones_sweep_shares_no_code_with_the_scan(self):
+        # the Euler-characteristic checks compare two computations only as
+        # long as the sweep names nothing of the scan
+        scan = {
+            "_Complex", "_surface", "_evaluate", "_add_into", "_partner",
+            "_STRIP", "_SADDLE", "invariant_factors", "khovanov_homology",
+        }
+        names = set()
+        codes = [kauffman_jones.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [k for k in code.co_consts if isinstance(k, type(code))]
+        assert "_check_oracle_input" in names  # the walk reached the body
+        assert not names & scan
 
 
 @st.composite
