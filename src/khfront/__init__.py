@@ -21,7 +21,7 @@ from .errors import (
 from .front import FrontDiagram, parse_front
 from .laurent import LaurentPoly
 from .oracle import BigradedTable, kauffman_jones, khovanov_homology
-from .tait import Coloring, TaitGraph, checkerboard, dual_graph, tait_graph
+from .tait import TaitGraph, checkerboard, dual_graph, tait_graph
 from .trees import (
     SpanningTreeRecord,
     bigrading_counts,
@@ -37,7 +37,6 @@ __all__ = [
     "BigradedTable",
     "BoundReport",
     "BUNDLED",
-    "Coloring",
     "ConventionError",
     "CorpusEntry",
     "Disconnected",

@@ -261,12 +261,11 @@ def _cmd_trees(args) -> _Output:
     text with no record built in between."""
     front = _load_front(args.front)
     d = front.desingularize()
-    canonical, rev = checkerboard(d)
-    colorings = {"canonical": [canonical], "reversed": [rev], "both": [canonical, rev]}
     rows = [
-        ("canonical" if coloring.canonical else "reversed", codes)
-        for coloring in colorings[args.coloring]
-        for codes in sorted_tree_codes(tait_graph(d, coloring))
+        (name, codes)
+        for name, black in zip(("canonical", "reversed"), checkerboard(d))
+        if args.coloring in (name, "both")
+        for codes in sorted_tree_codes(tait_graph(d, black))
     ]
 
     def trees() -> Iterator[tuple]:

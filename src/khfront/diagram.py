@@ -66,7 +66,7 @@ class LinkDiagram:
         diagram comes from a front.
     arcs : arc endpoints, each a pair of ports; every port of every
         crossing appears exactly once.  Their order seeds the face walks.
-    free_loops : closed curves that meet no crossing.
+    free_loops : closed curves that meet no crossing; not negative.
     white_corner : corner (its arriving port) whose face has the color of
         the unbounded face, so the canonical checkerboard coloring is
         seeded there: a port from 0 to 4n - 1, or None.  The front sweep
@@ -100,6 +100,8 @@ class LinkDiagram:
             raise ValueError(
                 f"port {divmod(mate.index(None), 4)} not attached to an arc"
             )
+        if free_loops < 0:
+            raise ValueError(f"free_loops {free_loops} is negative")
         if white_corner is not None and not 0 <= white_corner < size:
             raise ValueError(
                 f"white_corner {white_corner} is no port of {n} crossings"

@@ -1,13 +1,15 @@
 """Checkerboard colorings, signed Tait graphs and planar duality.
 
-The Tait graph has one vertex per black face and one signed edge per
-crossing.  Edge i is the edge of crossing i: its index is its crossing id
-and, on a front-built diagram (whose crossing ids follow x), the x-rank of
-its crossing, the edge order of the spanning-tree model.  Planarity is
-carried by a rotation system, which is all that duality needs.  A dart
-(edge-end) is the diagram's packed port ``4c + p`` of its corner, and the
-rotation (cyclic order of darts) at a black face's vertex is that face's
-boundary walk.
+A coloring is its set of black faces.  The Tait graph has one vertex per
+black face and one signed edge per crossing, and it is nothing but its
+rotation system: a dart (edge-end) is the diagram's packed port ``4c + p``
+of its corner, and the rotation (cyclic order of darts) at a black face's
+vertex is that face's boundary walk.  Edge i is crossing i's pair of
+darts x, x ^ 2 (x = 4i or 4i + 1): its ends are their vertices, and its
+sign is +1 at the W and E corners (even ports), -1 at N and S.  On a
+front-built diagram (whose crossing ids follow x) the edge order is the
+x-order of the spanning-tree model; renumbering the darts' crossings
+reorders the edges.
 
 The dual graph's darts are the white corners, each the port clockwise
 from a black one, so the dual of one coloring's graph is the other
@@ -19,37 +21,21 @@ looked up by a canonical key, with no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagram import CORNER_AT, SE, LinkDiagram, _find
+from .diagram import LinkDiagram, _find
 from .errors import ConventionError, NonplanarRotation
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A checkerboard 2-coloring of the faces of a diagram."""
-
-    diagram: LinkDiagram
-    black: frozenset[int]
-    canonical: bool  # True when the unbounded face is white
-
-    def reversed(self) -> "Coloring":
-        # a crossing-free diagram has the two faces of the sphere
-        n_faces = len(self.diagram.face_walks) if self.diagram.n else 2
-        all_faces = frozenset(range(n_faces))
-        return Coloring(self.diagram, all_faces - self.black, not self.canonical)
-
-
-def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
-    """Both checkerboard colorings; the canonical one (unbounded face
-    white) comes first.  One search over the faces, seeded white at the
-    diagram's ``white_corner``, crosses each arc from the corner it
-    arrives at.  A diagram with crossings and no white corner raises
-    ValueError."""
+def checkerboard(diagram: LinkDiagram) -> tuple[frozenset[int], frozenset[int]]:
+    """The black faces of both checkerboard colorings; the canonical one
+    (unbounded face white) comes first.  One search over the faces,
+    seeded white at the diagram's ``white_corner``, crosses each arc from
+    the corner it arrives at.  A diagram with crossings and no white
+    corner raises ValueError."""
     if diagram.n == 0:
-        canonical = Coloring(diagram, frozenset({1}), True)
-        return canonical, canonical.reversed()
+        # a crossing-free diagram has the two faces of the sphere
+        return frozenset({1}), frozenset({0})
     if diagram.white_corner is None:
         raise ValueError("a diagram with crossings needs a white_corner")
     face, walks, mate = diagram.face_of_corner, diagram.face_walks, diagram.mate
@@ -70,8 +56,7 @@ def checkerboard(diagram: LinkDiagram) -> tuple[Coloring, Coloring]:
     if -1 in color:
         raise ConventionError("faces are not 2-colorable")
     black = frozenset(f for f, col in enumerate(color) if col)
-    canonical = Coloring(diagram, black, True)
-    return canonical, canonical.reversed()
+    return black, frozenset(range(len(walks))) - black
 
 
 class TaitEdge(NamedTuple):
@@ -92,35 +77,22 @@ def _cyclic_key(seq: list[int]) -> tuple[int, ...]:
 
 
 class TaitGraph:
-    """Signed, edge-ordered planar multigraph with rotation system.
-
-    Darts are ports: edge i ends at ports 4i and 4i + 2 (its W and E
-    corners) or 4i + 1 and 4i + 3 (N and S); ``rotation[v]`` lists the
-    darts around vertex v in cyclic order.
+    """Signed, edge-ordered planar multigraph, given by its rotation
+    system: ``rotation[v]`` lists the darts around vertex v in cyclic
+    order.  Darts are ports: edge i ends at ports 4i and 4i + 2 (its W
+    and E corners, sign +1) or 4i + 1 and 4i + 3 (N and S, sign -1), and
+    ``edges`` is read off them.  ConventionError unless every dart is a
+    port of some edge, listed once, and each edge lists one full pair.
     """
 
-    def __init__(
-        self,
-        n_vertices: int,
-        edges: list[TaitEdge],
-        rotation: list[list[int]],
-    ):
-        self.n_vertices = n_vertices
-        self.edges = edges
+    def __init__(self, rotation: list[list[int]]):
         self.rotation = rotation
-        self._check()
-
-    def _check(self) -> None:
-        """One rotation per vertex; every listed dart is a port of some
-        edge's crossing, listed once, and edge i lists exactly its ports x
-        and x ^ 2 (x = 4i or 4i + 1), at u and v."""
-        if len(self.rotation) != self.n_vertices:
-            raise ConventionError("rotation must have one cycle per vertex")
-        n_ports = 4 * len(self.edges)
-        if sum(map(len, self.rotation)) != n_ports // 2:
-            raise ConventionError("rotation must list each dart exactly once")
+        self.n_vertices = len(rotation)
+        n_ports = 2 * sum(map(len, rotation))
+        if n_ports % 4:
+            raise ConventionError("rotation lists an odd number of darts")
         where = [-1] * n_ports  # port -> its vertex, -1 off the darts
-        for v, cyc in enumerate(self.rotation):
+        for v, cyc in enumerate(rotation):
             for x in cyc:
                 # an outside port would index from the end, or past it
                 if not 0 <= x < n_ports or where[x] >= 0:
@@ -128,10 +100,13 @@ class TaitGraph:
                         f"rotation lists port {x} twice or off every crossing"
                     )
                 where[x] = v
-        for i, (u, v, _) in enumerate(self.edges):
-            x = 4 * i | (where[4 * i] < 0)
-            if (where[x], where[x ^ 2], where[x ^ 1], where[x ^ 3]) != (u, v, -1, -1):
-                raise ConventionError(f"edge {i}: ends disagree with rotation")
+        # each edge lists both of x, x ^ 2, so by count it lists no other
+        self.edges: list[TaitEdge] = []
+        for x in range(0, n_ports, 4):
+            x |= where[x] < 0
+            if min(where[x], where[x ^ 2]) < 0:
+                raise ConventionError(f"edge {x >> 2}: darts are no pair x, x ^ 2")
+            self.edges.append(TaitEdge(where[x], where[x ^ 2], 1 - 2 * (x & 1)))
 
     def is_connected(self) -> bool:
         """True when uniting the edge ends takes V - 1 successful unions
@@ -169,69 +144,50 @@ class TaitGraph:
     def matched_to(self, other: "TaitGraph") -> bool:
         """Structural equality under the dart-set correspondence: some
         vertex bijection takes each rotation to the same cyclic sequence
-        of darts, and signs agree edgewise.  A dart lies at one vertex
-        only, so the rotations' keys say which vertex goes where, without
-        search, and each edge's ends follow its darts."""
-        return [e.sign for e in self.edges] == [e.sign for e in other.edges] and (
-            sorted(map(_cyclic_key, self.rotation))
-            == sorted(map(_cyclic_key, other.rotation))
+        of darts.  A dart lies at one vertex only, so the rotations' keys
+        say which vertex goes where, without search, and each edge's ends
+        and sign follow its darts."""
+        return sorted(map(_cyclic_key, self.rotation)) == sorted(
+            map(_cyclic_key, other.rotation)
         )
 
     def __repr__(self) -> str:
         return f"TaitGraph(V={self.n_vertices}, E={len(self.edges)})"
 
 
-def tait_graph(diagram: LinkDiagram, coloring: Coloring) -> TaitGraph:
-    """Build the signed Tait graph of a colored diagram.
+def tait_graph(diagram: LinkDiagram, black: frozenset[int]) -> TaitGraph:
+    """The signed Tait graph of the coloring with black faces ``black``.
 
-    Crossing c contributes edge c, between the black faces at its two
-    black corners; the edge is positive exactly when the black corners
+    The vertex of the v-th black face, in index order, has that face's
+    boundary walk for its rotation, so crossing c gives edge c between
+    the black faces at its two black corners, positive exactly when they
     are the pair swept counterclockwise from the over-strand, W and E at
-    the even ports.  The vertex of the v-th black face has that face's
-    boundary walk for its rotation.
+    the even ports.  A set that is no checkerboard coloring lists some
+    crossing's corners other than as one opposite pair, which TaitGraph
+    refuses, or lists too few crossings, which this refuses.
     """
     if diagram.n == 0:
-        return TaitGraph(1, [], [[]])
-    black_faces = sorted(coloring.black)
-    vid = [-1] * len(diagram.face_walks)  # -1 on white faces
-    for v, f in enumerate(black_faces):
-        vid[f] = v
-    at = [vid[f] for f in diagram.face_of_corner]  # vertex at each corner
-    edges: list[TaitEdge] = []
-    # a crossing's corners at ports 4c .. 4c + 3 are its W, N, E and S
-    for c, (w, n, e, s) in enumerate(zip(at[0::4], at[1::4], at[2::4], at[3::4])):
-        ns_black = n >= 0
-        if ns_black != (s >= 0) or ns_black == (w >= 0):
-            raise ConventionError(f"crossing {c}: quadrants are not checkerboard")
-        if ns_black and e >= 0:
-            # E passes the check above but is no end of the N-S edge (a
-            # white E leaves a W-E edge's dart unlisted, which TaitGraph
-            # refuses)
-            raise ConventionError(
-                f"crossing {c}: black corner {CORNER_AT[SE]} is no edge end"
-            )
-        edges.append(TaitEdge(n, s, -1) if ns_black else TaitEdge(w, e, 1))
+        return TaitGraph([[]])
     walks = diagram.face_walks
-    return TaitGraph(len(black_faces), edges, [walks[f] for f in black_faces])
+    g = TaitGraph([walks[f] for f in sorted(black)])
+    if len(g.edges) != diagram.n:
+        raise ConventionError(
+            f"black faces give {len(g.edges)} edges for {diagram.n} crossings"
+        )
+    return g
 
 
 def dual_graph(g: TaitGraph) -> TaitGraph:
     """Geometric dual through the rotation system: vertices become the
-    faces, in the order they are traced, every sign flips, and edge
-    indices persist.  Dart x becomes the port clockwise from it, the white
-    corner next to its black one, and each face orbit is read backwards,
-    so the dual of one coloring's Tait graph is the other coloring's,
-    dart for dart, up to vertex numbering."""
+    faces, in the order they are traced.  Dart x becomes the port
+    clockwise from it, the white corner next to its black one, and each
+    face orbit is read backwards, so edge indices persist, every sign
+    flips (the clockwise port has the other parity), and the dual of one
+    coloring's Tait graph is the other coloring's, dart for dart, up to
+    vertex numbering."""
     orbits = g.face_orbits()
     if g.n_vertices - len(g.edges) + len(orbits) != 2:
         raise NonplanarRotation("rotation system does not satisfy Euler's formula")
-    rotation = [[(x & ~3) | ((x + 1) & 3) for x in reversed(orb)] for orb in orbits]
-    face = [-1] * (4 * len(g.edges))  # dual dart -> its vertex, -1 off them
-    for v, cyc in enumerate(rotation):
-        for x in cyc:
-            face[x] = v
-    edges = []
-    for i, e in enumerate(g.edges):
-        x = 4 * i | (face[4 * i] < 0)
-        edges.append(TaitEdge(face[x], face[x ^ 2], -e.sign))
-    return TaitGraph(len(rotation), edges, rotation)
+    return TaitGraph(
+        [[(x & ~3) | ((x + 1) & 3) for x in reversed(orb)] for orb in orbits]
+    )

@@ -33,6 +33,8 @@ from conftest import front_words, run_optimized, run_python
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 HOPF = "L1 L2 X1 X1 R2 R1"
+#: the names of ``checkerboard``'s two colorings, in its order
+COLORINGS = ("canonical", "reversed")
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -180,13 +182,13 @@ class TestTrees:
         d = front.desingularize()
         w = d.writhe()
         lines = [
-            f"[{'canonical' if coloring.canonical else 'reversed'}] "
+            f"[{name}] "
             f"edges={sorted(rec.tree)} labels="
             + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
             + f" u={rec.u} v={rec.v} class={rec.class_} "
             f"generators={generator_ij(rec.u, rec.v, d.n, w)}"
-            for coloring in checkerboard(d)
-            for rec in labelled_trees(tait_graph(d, coloring), front)
+            for name, black in zip(COLORINGS, checkerboard(d))
+            for rec in labelled_trees(tait_graph(d, black), front)
         ]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -204,12 +206,12 @@ class TestTrees:
         w = d.writhe()
         payload = {"schema": 1, "trees": [
             {
-                "coloring": "canonical" if coloring.canonical else "reversed",
+                "coloring": name,
                 **record_json_dict(rec),
                 "generators": list(generator_ij(rec.u, rec.v, d.n, w)),
             }
-            for coloring in checkerboard(d)
-            for rec in labelled_trees(tait_graph(d, coloring), front)
+            for name, black in zip(COLORINGS, checkerboard(d))
+            for rec in labelled_trees(tait_graph(d, black), front)
         ]}
         argv = ["trees", "--json", "--coloring", "both", front.word()]
         buf = io.StringIO()

@@ -8,7 +8,8 @@ scan-hard fronts of ``SCAN_HARD``, the last of them also reoriented; and
 ``analyze --oracle --json``, ``jones --json`` and a reoriented
 ``homology --json`` on ``THREE_COMPONENTS``; and the demo scripts, whose
 keys are ``python demos/<script>``; and the README's Library example,
-under ``README.md Library``.  A change that means to alter one of these
+under ``README.md Library``.  The package's public names are pinned
+here too, in ``PUBLIC_NAMES``.  A change that means to alter one of these
 outputs regenerates the file and says why::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import khfront
 from khfront import BUNDLED
 from khfront.cli import EXIT_OK, main
 
@@ -53,6 +55,21 @@ SCAN_HARD = (
 #: first or last component is reversed: its outputs pin the direction in
 #: which each component is walked
 THREE_COMPONENTS = "L1 L1 L3 X2 X2 X4 X4 R3 R1 R1"
+
+
+#: ``khfront.__all__``, sorted: adding, dropping or renaming a public name
+#: is an edit of this list
+PUBLIC_NAMES = [
+    "BUNDLED", "BigradedTable", "BoundReport", "ConventionError",
+    "CorpusEntry", "Disconnected", "EmptyTable", "FrontDiagram",
+    "KhfrontError", "LaurentPoly", "LinkDiagram", "MalformedToken",
+    "NonplanarRotation", "NonzeroEndState", "NotASpanningTree",
+    "ParityViolation", "SpanningTreeRecord", "StrandUnderflow", "TaitGraph",
+    "TooLarge", "bigrading_counts", "checkerboard", "dual_graph",
+    "generator_ij", "kauffman_jones", "khovanov_homology", "labelled_trees",
+    "parse_front", "sharpness_report", "splice_front", "tait_graph",
+    "tree_euler_characteristic",
+]
 
 
 def golden_commands() -> list[list[str]]:
@@ -118,6 +135,11 @@ def test_demo_output_is_byte_identical(script):
 
 def test_readme_output_is_byte_identical():
     assert readme_stdout() == json.loads(GOLDEN.read_text())["README.md Library"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(khfront.__all__) == PUBLIC_NAMES
+    assert all(hasattr(khfront, name) for name in PUBLIC_NAMES)
 
 
 if __name__ == "__main__":

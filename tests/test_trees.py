@@ -110,7 +110,7 @@ class TestEnumeration:
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
-            trees_of(TaitGraph(2, [], [[], []]))
+            trees_of(TaitGraph([[], []]))
 
     def test_not_a_spanning_tree(self):
         _, _, g = setup(TREFOIL)
@@ -150,7 +150,7 @@ class TestBigradingCounts:
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
-            bigrading_counts(TaitGraph(2, [], [[], []]))
+            bigrading_counts(TaitGraph([[], []]))
 
 
 class TestActivities:
