@@ -4,7 +4,6 @@ Run:  python demos/01_trefoil_walkthrough.py
 """
 
 from khfront import (
-    checkerboard,
     generator_ij,
     kauffman_jones,
     khovanov_homology,
@@ -28,12 +27,11 @@ diagram = front.desingularize()
 print(f"\ndesingularized  : {diagram}")
 print(f"writhe          : {diagram.writhe()}")
 print(f"tb = w - C      : {front.tb()}")
-n_faces = len(diagram.face_walks) + diagram.free_loops
+# each face is a vertex of one coloring's Tait graph
+graph = tait_graph(front)
+n_faces = graph.n_vertices + tait_graph(front, reverse=True).n_vertices
 print(f"faces (sphere)  : {n_faces}  "
       f"(Euler: {diagram.n} - {2 * diagram.n} + {n_faces} = 2)")
-
-canonical, _ = checkerboard(diagram)
-graph = tait_graph(diagram, canonical)
 print(f"\nTait graph      : {graph}")
 print(f"edge signs      : {[e.sign for e in graph.edges]}")
 

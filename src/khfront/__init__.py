@@ -11,7 +11,6 @@ from .errors import (
     EmptyTable,
     KhfrontError,
     MalformedToken,
-    NonplanarRotation,
     NonzeroEndState,
     NotASpanningTree,
     ParityViolation,
@@ -21,7 +20,7 @@ from .errors import (
 from .front import FrontDiagram, parse_front
 from .laurent import LaurentPoly
 from .oracle import BigradedTable, kauffman_jones, khovanov_homology
-from .tait import TaitGraph, checkerboard, dual_graph, tait_graph
+from .tait import TaitGraph, tait_graph
 from .trees import (
     SpanningTreeRecord,
     bigrading_counts,
@@ -46,7 +45,6 @@ __all__ = [
     "LaurentPoly",
     "LinkDiagram",
     "MalformedToken",
-    "NonplanarRotation",
     "NonzeroEndState",
     "NotASpanningTree",
     "ParityViolation",
@@ -55,8 +53,6 @@ __all__ = [
     "TaitGraph",
     "TooLarge",
     "bigrading_counts",
-    "checkerboard",
-    "dual_graph",
     "generator_ij",
     "kauffman_jones",
     "khovanov_homology",

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import ConventionError
 from .front import FrontDiagram
 from .oracle import DEFAULT_MAX_CROSSINGS, khovanov_homology
-from .tait import checkerboard, tait_graph
+from .tait import tait_graph
 from .trees import bigrading_counts, generator_ij
 
 VERDICTS = ("sharp_certified", "not_sharp_certified", "inconclusive")
@@ -109,7 +109,7 @@ def sharpness_report(
     d = front.desingularize()
     w = d.writhe()
     c = front.cusp_count
-    counts = bigrading_counts(tait_graph(d, checkerboard(d)[0]))
+    counts = bigrading_counts(tait_graph(front))
     min_u = min(u for u, _ in counts)
     if min_u < 1 - c:
         raise ConventionError(

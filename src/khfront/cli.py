@@ -30,7 +30,7 @@ from .corpus import BUNDLED, _read_front_file, read_corpus_file
 from .errors import ConventionError, KhfrontError
 from .front import FrontDiagram, parse_front
 from .oracle import DEFAULT_MAX_CROSSINGS, kauffman_jones, khovanov_homology
-from .tait import checkerboard, tait_graph
+from .tait import tait_graph
 from .trees import (
     _CLASS,
     _LABEL_OF_CODE,
@@ -263,9 +263,9 @@ def _cmd_trees(args) -> _Output:
     d = front.desingularize()
     rows = [
         (name, codes)
-        for name, black in zip(("canonical", "reversed"), checkerboard(d))
+        for name, reverse in (("canonical", False), ("reversed", True))
         if args.coloring in (name, "both")
-        for codes in sorted_tree_codes(tait_graph(d, black))
+        for codes in sorted_tree_codes(tait_graph(front, reverse))
     ]
 
     def trees() -> Iterator[tuple]:

@@ -10,35 +10,18 @@ crossing, and the four arc-ends at a crossing in fixed geometric ports
 Port p of crossing c is the integer x = 4c + p, so x >> 2 is its crossing
 and x & 3 its place.  Arcs join ports and may pass smoothly through cusps
 of a front; cusps are never nodes.  ``mate[x]`` is the port at the other
-end of x's arc, and two rules of arithmetic give the rest of the geometry:
-
-    x ^ 2                        the port reached passing straight through
-    (x & ~3) | ((x - 1) & 3)     the next port counterclockwise,
-                                 NW -> SW -> SE -> NE -> NW
-
-A face corner is named by the port at which the face's boundary walk
-arrives.  The walk turns counterclockwise there and leaves by the next
-port, so from x it goes on to ``mate[ccw(x)]``, and the corner at x is the
-quadrant swept between x and ccw(x): ``CORNER_AT[x & 3]``.  Every port
-names exactly one corner, so a face lookup is a list indexed by port.
-Faces are traced from the rotation system, so the embedding is purely
-combinatorial (sphere compactification).  The Tait graph (see ``tait``)
-keeps these names: its darts are ports, and each black face's walk is
-the rotation of that face's vertex.
+end of x's arc, and ``x ^ 2`` is the port reached passing straight
+through x's crossing.  Faces are not traced here: the Tait graph's sweep
+(see ``tait``) reads them off the front word.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence
 
 #: the four places of a port, x & 3
 NW, NE, SE, SW = range(4)
-
-#: quadrant of the corner at which a face walk arrives through place p:
-#: arriving at NW it sweeps W on its way to SW, and so on
-CORNER_AT = ("W", "N", "E", "S")
 
 #: port pairings of the A- and B-smoothings.  The NW-SE strand is always
 #: over, so the A-smoothing (the one merging the two regions swept
@@ -65,26 +48,14 @@ class LinkDiagram:
     n : number of crossings; crossing ids 0..n-1 are in x-order when the
         diagram comes from a front.
     arcs : arc endpoints, each a pair of ports; every port of every
-        crossing appears exactly once.  Their order seeds the face walks.
+        crossing appears exactly once.
     free_loops : closed curves that meet no crossing; not negative.
-    white_corner : corner (its arriving port) whose face has the color of
-        the unbounded face, so the canonical checkerboard coloring is
-        seeded there: a port from 0 to 4n - 1, or None.  The front sweep
-        records one; a diagram with crossings cannot be colored without
-        it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        arcs: Sequence[tuple[int, int]],
-        free_loops: int = 0,
-        white_corner: Optional[int] = None,
-    ):
+    def __init__(self, n: int, arcs: Sequence[tuple[int, int]], free_loops: int = 0):
         self.n = n
         self.arcs = list(arcs)
         self.free_loops = free_loops
-        self.white_corner = white_corner
         if len(self.arcs) != 2 * n:
             raise ValueError(f"expected {2 * n} arcs, got {len(self.arcs)}")
         size = 4 * n
@@ -102,10 +73,6 @@ class LinkDiagram:
             )
         if free_loops < 0:
             raise ValueError(f"free_loops {free_loops} is negative")
-        if white_corner is not None and not 0 <= white_corner < size:
-            raise ValueError(
-                f"white_corner {white_corner} is no port of {n} crossings"
-            )
         #: port -> port at the other end of its arc
         self.mate = mate
 
@@ -190,38 +157,6 @@ class LinkDiagram:
     def positive_negative(self, flips=None) -> tuple[int, int]:
         signs = self.crossing_signs(flips)
         return signs.count(1), signs.count(-1)
-
-    # -- faces -------------------------------------------------------------
-
-    @cached_property
-    def _face_trace(self) -> tuple[list[int], list[list[int]]]:
-        # each walk is seeded at the first arc end, in arc order, that no
-        # earlier walk has passed
-        mate = self.mate
-        face = [-1] * len(mate)
-        walks: list[list[int]] = []
-        for x0 in chain.from_iterable(self.arcs):
-            if face[x0] >= 0:
-                continue
-            walk: list[int] = []
-            x = x0
-            while face[x] < 0:
-                face[x] = len(walks)
-                walk.append(x)
-                x = mate[(x & ~3) | ((x - 1) & 3)]
-            walks.append(walk)
-        return face, walks
-
-    @property
-    def face_walks(self) -> list[list[int]]:
-        """Faces of the sphere compactification, each as the corners of
-        its boundary walk in order.  Empty for crossing-free diagrams."""
-        return self._face_trace[1]
-
-    @property
-    def face_of_corner(self) -> list[int]:
-        """Port -> index of the face whose corner it names."""
-        return self._face_trace[0]
 
     # -- misc --------------------------------------------------------------
 

@@ -25,10 +25,6 @@ class Disconnected(KhfrontError, ValueError):
     """The diagram is not connected as a subset of the plane."""
 
 
-class NonplanarRotation(KhfrontError, ValueError):
-    """A rotation system fails the Euler-formula planarity check."""
-
-
 class ParityViolation(KhfrontError, ValueError):
     """Crossing count and writhe have different parities."""
 

@@ -114,15 +114,14 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
     """Smooth all cusps of the front into a link diagram.
 
     Cusps become smooth turning arcs; every crossing keeps its x-order and
-    has the smaller-slope (NW-SE) branch on top.  The returned diagram
-    carries a white corner: the gap below the k-th strand is white exactly
-    when k is even, so the first crossing ``X p`` has its N corner white
-    when p is odd and its W corner white when p is even.
+    has the smaller-slope (NW-SE) branch on top.
 
     The sweep validates the word as it applies it: each event is checked
-    before it is applied (MalformedToken for a position below 1 or an
-    unknown kind, StrandUnderflow for too few strands), and strands left
-    open at the end raise NonzeroEndState.
+    before it is applied (MalformedToken for an event that is no pair of
+    a kind and an int position of at least 1, or for an unknown kind;
+    StrandUnderflow for too few strands), and strands left open at the
+    end raise NonzeroEndState.  The Tait graph's sweep (``tait``) relies
+    on these checks.
     """
     # An open strand is an int: a port x >= 0 when its partial arc runs
     # back to port x, else ~t for the cusp-born strand t.  far[t] is what
@@ -132,7 +131,6 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
     far: list[int] = []
     arcs: list[tuple[int, int]] = []
     free_loops = 0
-    white_corner: Optional[int] = None
     n = 0
 
     def attach(s: int, x: int) -> None:
@@ -142,9 +140,16 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
         else:
             arcs.append((f, x))
 
-    for i, (kind, pos) in enumerate(front.events):
-        if pos < 1:
-            raise MalformedToken(f"event {i}: position must be >= 1")
+    for i, event in enumerate(front.events):
+        try:
+            kind, pos = event
+        except (TypeError, ValueError):
+            pos = None
+        # ``type(pos) is int`` refuses True and False, which are ints too
+        if type(pos) is not int or pos < 1:
+            raise MalformedToken(
+                f"event {i}: {event!r} is no pair of a kind and a position >= 1"
+            )
         if kind == "L":
             if pos > len(strands) + 1:
                 raise StrandUnderflow(
@@ -180,9 +185,6 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             del strands[pos - 1 : pos + 1]
         else:  # crossing
             x = 4 * n
-            if n == 0:
-                # the N corner is named by its arriving port NE, W by NW
-                white_corner = x + (NE if pos % 2 else NW)
             n += 1
             attach(strands[pos - 1], x + NW)
             attach(strands[pos], x + SW)
@@ -190,4 +192,4 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
 
     if strands:
         raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
-    return LinkDiagram(n, arcs, free_loops=free_loops, white_corner=white_corner)
+    return LinkDiagram(n, arcs, free_loops=free_loops)

@@ -33,7 +33,9 @@ codes.
   the bridges and drops the loops, each with its fixed label.
 * The state before edge e is the contraction partition of the frontier:
   the vertices with edges both above e and at or below it.  On a front
-  the frontier is the set of black faces cut by the sweep line.
+  these are black faces that span the line between crossings e and
+  e + 1, and each holds one or more of the black gaps that ``tait``'s
+  sweep holds there.
 * Edge e is a loop when its ends share a class, and a bridge when its
   ends stay apart in the union of the classes and the components of the
   edges below e; otherwise both branches are kept.  That rule is decided

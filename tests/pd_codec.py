@@ -8,9 +8,11 @@ order) and to check a diagram against its re-import.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from khfront.diagram import NE, NW, SE, SW, LinkDiagram
+from tait_reference import face_of_corner
 
 
 def from_pd(code: Iterable[Sequence[int]]) -> tuple[LinkDiagram, list[bool]]:
@@ -24,8 +26,7 @@ def from_pd(code: Iterable[Sequence[int]]) -> tuple[LinkDiagram, list[bool]]:
     into NE ports, or, for a component that never passes under, along
     falling labels.  An over-only component with as many rising as
     falling labels (two arcs) leaves its first passage along the smaller
-    label.  The white corner is a corner of the longest face walk (the
-    first of them): on the sphere any face may play the unbounded one.
+    label.  ``white_corner`` seeds the re-import's coloring.
     """
     code = [tuple(x) for x in code]
     ends_by_label: dict[int, list[int]] = {}
@@ -55,9 +56,18 @@ def from_pd(code: Iterable[Sequence[int]]) -> tuple[LinkDiagram, list[bool]]:
             flips.append(label_at[steps[0] ^ 2] > label_at[steps[0]])
         else:
             flips.append(falls > rises)
-    walks = d.face_walks
-    corner = max(walks, key=len)[0] if walks else None
-    return LinkDiagram(len(code), arcs, white_corner=corner), flips
+    return d, flips
+
+
+def white_corner(d: LinkDiagram) -> Optional[int]:
+    """A corner of a face with the most corners, at which to seed the
+    coloring of a re-imported diagram (see
+    ``tait_reference.face_walk_graphs``): on the sphere any face may play
+    the unbounded one.  None without crossings."""
+    if d.n == 0:
+        return None
+    face = face_of_corner(d)
+    return face.index(Counter(face).most_common(1)[0][0])
 
 
 def to_pd(

@@ -9,8 +9,6 @@ import time
 from khfront import (
     BUNDLED,
     bigrading_counts,
-    checkerboard,
-    dual_graph,
     kauffman_jones,
     khovanov_homology,
     labelled_trees,
@@ -23,6 +21,7 @@ from khfront import (
 from khfront.cli import EXIT_OK, main
 
 from conftest import matrix_tree_count, quick_entries
+from tait_reference import face_walk_graphs, front_corner, renumbered
 from tree_reference import dual_tree
 
 ENTRIES = {e.name: e for e in BUNDLED}
@@ -32,11 +31,8 @@ def _report(name: str):
     print(f"ACCEPTANCE {name}: PASS")
 
 
-def _graph(front, coloring=None):
-    d = front.desingularize()
-    if coloring is None:
-        coloring, _ = checkerboard(d)
-    return d, tait_graph(d, coloring)
+def _graph(front):
+    return front.desingularize(), tait_graph(front)
 
 
 def test_1_euler_characteristic_identity():
@@ -123,22 +119,23 @@ def test_5_max_tb_fronts_certified_sharp():
 
 
 def test_6_duality_suite():
-    """Double dual is the identity; the dual is the other coloring's
-    graph, dart for dart; the label-swap table holds for every tree of
-    every corpus graph; the tree counts by (u, v), and so the
-    census, invariant under coloring reversal."""
+    """Both colorings' graphs equal the face-walk reference's; the two
+    are duals, with n + 2 vertices between them and every sign flipped;
+    the label-swap table holds for every tree of every corpus graph and
+    its complement in the other coloring's; the tree counts by (u, v),
+    and so the census, are invariant under coloring reversal."""
     for entry in BUNDLED:
         front = entry.front()
         d = front.desingularize()
-        canonical, rev = checkerboard(d)
-        g, gr = tait_graph(d, canonical), tait_graph(d, rev)
-        gd = dual_graph(g)
-        assert dual_graph(gd).matched_to(g), entry.name
-        assert gd.matched_to(gr), entry.name
+        g, gr = tait_graph(front), tait_graph(front, reverse=True)
+        reference = face_walk_graphs(d, front_corner(front))
+        assert [renumbered(g), renumbered(gr)] == list(map(renumbered, reference))
+        assert g.n_vertices + gr.n_vertices == d.n + 2, entry.name
+        assert [e.sign for e in gr.edges] == [-e.sign for e in g.edges]
         for rec in labelled_trees(g):
-            dual_tree(g, rec.tree)  # raises unless every label swaps
+            dual_tree(g, gr, rec.tree)  # raises unless every label swaps
         assert bigrading_counts(g) == bigrading_counts(gr), entry.name
-    _report("6 duality: involution, label swaps, census invariance")
+    _report("6 duality: face-walk reference, label swaps, census invariance")
 
 
 def test_7_oracle_self_checks():

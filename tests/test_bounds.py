@@ -12,7 +12,6 @@ from khfront import (
     FrontDiagram,
     LaurentPoly,
     bigrading_counts,
-    checkerboard,
     kauffman_jones,
     khovanov_homology,
     parse_front,
@@ -104,9 +103,7 @@ class TestKnownMaximalTb:
         r = sharpness_report(front)
         assert (r.tb, r.verdict, r.min_u) == (2 * m - 3, "sharp_certified", 1 - r.C)
         if m == 13:
-            d = front.desingularize()
-            g = tait_graph(d, checkerboard(d)[0])
-            assert r.tree_count == matrix_tree_count(g)
+            assert r.tree_count == matrix_tree_count(tait_graph(front))
 
     def test_twist_2001_within_a_second(self):
         start = time.perf_counter()
@@ -182,8 +179,7 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
 
 def census(front: FrontDiagram) -> list[dict]:
     """The (u, v) tree counts of the front on both colorings."""
-    d = front.desingularize()
-    return [bigrading_counts(tait_graph(d, coloring)) for coloring in checkerboard(d)]
+    return [bigrading_counts(tait_graph(front, reverse)) for reverse in (False, True)]
 
 
 def convolve(a: dict, b: dict) -> dict:
@@ -204,8 +200,7 @@ def jones(front: FrontDiagram) -> LaurentPoly:
 def tree_euler(front: FrontDiagram) -> LaurentPoly:
     """The graded Euler characteristic of the canonical coloring's trees."""
     d = front.desingularize()
-    g = tait_graph(d, checkerboard(d)[0])
-    return tree_euler_characteristic(g, d.n, d.writhe())
+    return tree_euler_characteristic(tait_graph(front), d.n, d.writhe())
 
 
 class TestConnectedSum:

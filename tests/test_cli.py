@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from khfront import (
-    checkerboard,
     generator_ij,
     labelled_trees,
     parse_front,
@@ -33,8 +32,8 @@ from conftest import front_words, run_optimized, run_python
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 HOPF = "L1 L2 X1 X1 R2 R1"
-#: the names of ``checkerboard``'s two colorings, in its order
-COLORINGS = ("canonical", "reversed")
+#: the names of the two colorings, and ``tait_graph``'s ``reverse`` for each
+COLORINGS = (("canonical", False), ("reversed", True))
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -187,8 +186,8 @@ class TestTrees:
             + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
             + f" u={rec.u} v={rec.v} class={rec.class_} "
             f"generators={generator_ij(rec.u, rec.v, d.n, w)}"
-            for name, black in zip(COLORINGS, checkerboard(d))
-            for rec in labelled_trees(tait_graph(d, black), front)
+            for name, reverse in COLORINGS
+            for rec in labelled_trees(tait_graph(front, reverse), front)
         ]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -210,8 +209,8 @@ class TestTrees:
                 **record_json_dict(rec),
                 "generators": list(generator_ij(rec.u, rec.v, d.n, w)),
             }
-            for name, black in zip(COLORINGS, checkerboard(d))
-            for rec in labelled_trees(tait_graph(d, black), front)
+            for name, reverse in COLORINGS
+            for rec in labelled_trees(tait_graph(front, reverse), front)
         ]}
         argv = ["trees", "--json", "--coloring", "both", front.word()]
         buf = io.StringIO()

@@ -1,5 +1,7 @@
 """Front parsing, validation, desingularization, and tb."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import Phase, assume, example, given, settings
 
@@ -13,7 +15,6 @@ from khfront import (
     StrandUnderflow,
     TooLarge,
     bigrading_counts,
-    checkerboard,
     khovanov_homology,
     parse_front,
     tait_graph,
@@ -21,22 +22,25 @@ from khfront import (
 from khfront.front import EVENT_LIMIT
 
 from conftest import front_words
-from pd_codec import from_pd, to_pd
+from pd_codec import from_pd, to_pd, white_corner
+from tait_reference import face_of_corner, face_walk_graphs
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
 
 def sphere_regions(d) -> int:
-    """Regions of the sphere: the traced faces and one more per free loop;
-    k disjoint circles alone make k + 1."""
-    return len(d.face_walks) + d.free_loops + (d.n == 0)
+    """Regions of the sphere: the faces traced by the reference and one
+    more per free loop; k disjoint circles alone make k + 1."""
+    return len(set(face_of_corner(d))) + d.free_loops + (d.n == 0)
 
 
-def census_of_both_colorings(d) -> list:
-    return sorted(
-        sorted(bigrading_counts(tait_graph(d, coloring)).items())
-        for coloring in checkerboard(d)
-    )
+def face_sizes(d) -> list[int]:
+    """The number of corners of each face, in ascending order."""
+    return sorted(Counter(face_of_corner(d)).values())
+
+
+def census_of_both_colorings(graphs) -> list:
+    return sorted(sorted(bigrading_counts(g).items()) for g in graphs)
 
 
 class TestParsing:
@@ -60,6 +64,23 @@ class TestParsing:
             parse_front("L1 Q3 R1")
         with pytest.raises(MalformedToken):
             parse_front("L0 R1")
+
+    @pytest.mark.parametrize(
+        "events, index",
+        [
+            ((("L", True), ("R", True)), 0),
+            ((("X", "1"),), 0),
+            ((("L", 1, 2),), 0),
+            ((("L", 1.5), ("R", 1)), 0),
+            ((("L", 1), ("R", 1), "R1"), 2),
+        ],
+        ids=["bool", "str", "triple", "float", "token"],
+    )
+    def test_event_that_is_no_kind_and_int_pair(self, events, index):
+        # each must name its event: a bool passes for an int, a float or
+        # a str fails with a bare TypeError, a triple with a ValueError
+        with pytest.raises(MalformedToken, match=f"event {index}: "):
+            FrontDiagram(events)
 
     @pytest.mark.parametrize(
         "word, message",
@@ -155,10 +176,12 @@ class TestDesingularization:
         d2, flips = from_pd(to_pd(d))
         assert d2.n == d.n
         assert d2.component_count() == d.component_count()
-        assert sorted(map(len, d2.face_walks)) == sorted(map(len, d.face_walks))
+        assert face_sizes(d2) == face_sizes(d)
         assert d2.writhe(flips) == d.writhe()
         assert to_pd(d2, flips) == to_pd(d)
-        assert census_of_both_colorings(d2) == census_of_both_colorings(d)
+        assert census_of_both_colorings(
+            face_walk_graphs(d2, white_corner(d2))
+        ) == census_of_both_colorings((tait_graph(front), tait_graph(front, True)))
 
     def test_pd_round_trip_keeps_the_hopf_link_positive(self):
         # each component passes under once; one of them enters its under

@@ -63,12 +63,11 @@ PUBLIC_NAMES = [
     "BUNDLED", "BigradedTable", "BoundReport", "ConventionError",
     "CorpusEntry", "Disconnected", "EmptyTable", "FrontDiagram",
     "KhfrontError", "LaurentPoly", "LinkDiagram", "MalformedToken",
-    "NonplanarRotation", "NonzeroEndState", "NotASpanningTree",
-    "ParityViolation", "SpanningTreeRecord", "StrandUnderflow", "TaitGraph",
-    "TooLarge", "bigrading_counts", "checkerboard", "dual_graph",
-    "generator_ij", "kauffman_jones", "khovanov_homology", "labelled_trees",
-    "parse_front", "sharpness_report", "splice_front", "tait_graph",
-    "tree_euler_characteristic",
+    "NonzeroEndState", "NotASpanningTree", "ParityViolation",
+    "SpanningTreeRecord", "StrandUnderflow", "TaitGraph", "TooLarge",
+    "bigrading_counts", "generator_ij", "kauffman_jones", "khovanov_homology",
+    "labelled_trees", "parse_front", "sharpness_report", "splice_front",
+    "tait_graph", "tree_euler_characteristic",
 ]
 
 

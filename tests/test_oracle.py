@@ -191,7 +191,7 @@ class TestFreeLoops:
     )
     def test_loops_beside_crossings(self, entry, k):
         d = entry.front().desingularize()
-        e = LinkDiagram(d.n, d.arcs, free_loops=k, white_corner=d.white_corner)
+        e = LinkDiagram(d.n, d.arcs, free_loops=k)
         want = khovanov_homology(d).groups
         for _ in range(k):
             want = with_a_circle(want)
@@ -231,7 +231,7 @@ class TestFlips:
     def test_free_loops_count_as_components(self):
         assert parse_front("L1 R1").desingularize().writhe([True]) == 0
         d = parse_front(TREFOIL).desingularize()
-        e = LinkDiagram(d.n, d.arcs, free_loops=1, white_corner=d.white_corner)
+        e = LinkDiagram(d.n, d.arcs, free_loops=1)
         assert e.writhe([True, False]) == 3
         with pytest.raises(ValueError, match="flips"):
             e.writhe([True])

@@ -14,7 +14,6 @@ from khfront import (
     ParityViolation,
     TaitGraph,
     bigrading_counts,
-    checkerboard,
     generator_ij,
     kauffman_jones,
     labelled_trees,
@@ -41,10 +40,11 @@ TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
 def setup(word):
     front = parse_front(word)
-    d = front.desingularize()
-    canonical, _ = checkerboard(d)
-    g = tait_graph(d, canonical)
-    return front, d, g
+    return front, front.desingularize(), tait_graph(front)
+
+
+def both_colorings(front):
+    return tait_graph(front), tait_graph(front, reverse=True)
 
 
 def trees_of(g):
@@ -72,9 +72,7 @@ class TestEnumeration:
     @settings(max_examples=40, deadline=None)
     @given(front_words())
     def test_count_matches_matrix_tree_random(self, front):
-        d = front.desingularize()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
+        g = tait_graph(front)
         assert len(trees_of(g)) == matrix_tree_count(g)
 
     @settings(max_examples=100, deadline=None)
@@ -82,9 +80,7 @@ class TestEnumeration:
     def test_lists_every_spanning_subset_once(self, front):
         # the listing against a search over all edge subsets, on both
         # colorings
-        d = front.desingularize()
-        for coloring in checkerboard(d):
-            g = tait_graph(d, coloring)
+        for g in both_colorings(front):
             listed = trees_of(g)
             assert len(set(listed)) == len(listed)
             assert set(listed) == brute_force_trees(g)
@@ -102,15 +98,14 @@ class TestEnumeration:
             "L1 L2 " + "X1 " * 20 + "R2 R1",
             "L1 " + "L2 X1 X1 X1 R2 L2 X1 R2 " * 3 + "R1",
         ):
-            _, d, _ = setup(word)
-            for coloring in checkerboard(d):
+            for g in both_colorings(parse_front(word)):
                 calls.clear()
-                assert len(trees_of(tait_graph(d, coloring))) > 1
+                assert len(trees_of(g)) > 1
                 assert len(calls) == 1
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
-            trees_of(TaitGraph([[], []]))
+            trees_of(TaitGraph(2, []))
 
     def test_not_a_spanning_tree(self):
         _, _, g = setup(TREFOIL)
@@ -131,9 +126,7 @@ class TestBigradingCounts:
     def test_counts_match_enumeration(self, front):
         # the counts summed over the sweep against the (u, v) of the
         # listed trees, on both colorings
-        d = front.desingularize()
-        for coloring in checkerboard(d):
-            g = tait_graph(d, coloring)
+        for g in both_colorings(front):
             enumerated = Counter((rec.u, rec.v) for rec in labelled_trees(g))
             assert bigrading_counts(g) == dict(enumerated)
 
@@ -142,15 +135,12 @@ class TestBigradingCounts:
     def test_colorings_give_one_distribution(self, front):
         # the dual swap L<->lb, D<->db, l<->Lb, d<->Db keeps u and v, and
         # the reversed coloring's graph is the dual: no enumeration needed
-        d = front.desingularize()
-        canonical, rev = checkerboard(d)
-        assert bigrading_counts(tait_graph(d, canonical)) == bigrading_counts(
-            tait_graph(d, rev)
-        )
+        g, gr = both_colorings(front)
+        assert bigrading_counts(g) == bigrading_counts(gr)
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
-            bigrading_counts(TaitGraph([[], []]))
+            bigrading_counts(TaitGraph(2, []))
 
 
 class TestActivities:
@@ -169,9 +159,7 @@ class TestActivities:
     def test_pass_matches_classify_activities(self, front):
         # the listing's labels against the per-edge union-find
         # reference, on both colorings
-        d = front.desingularize()
-        for coloring in checkerboard(d):
-            g = tait_graph(d, coloring)
+        for g in both_colorings(front):
             recs = list(labelled_trees(g, front))
             keys = [sorted(rec.tree) for rec in recs]
             assert keys == sorted(keys)
@@ -186,9 +174,7 @@ class TestActivities:
         # tree edge e, and e in the cycle of f outside T, exactly when
         # T - e + f is a spanning tree; an edge is active when it is the
         # lowest of its set
-        d = front.desingularize()
-        for coloring in checkerboard(d):
-            g = tait_graph(d, coloring)
+        for g in both_colorings(front):
             edges = range(len(g.edges))
             for tree in trees_of(g):
 
@@ -218,9 +204,7 @@ class TestActivities:
     @settings(max_examples=40, deadline=None)
     @given(front_words())
     def test_u_v_from_label_counts(self, front):
-        d = front.desingularize()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
+        g = tait_graph(front)
         for rec in labelled_trees(g):
             assert rec.u == (
                 rec.count("L") - rec.count("l") - rec.count("Lb") + rec.count("lb")
@@ -249,8 +233,7 @@ class TestBigradings:
         # each tree's generators sit at j - i = u + w -+ 1
         d = front.desingularize()
         w = d.writhe()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
+        g = tait_graph(front)
         for rec in labelled_trees(g):
             (i1, j1), (i2, j2) = generator_ij(rec.u, rec.v, d.n, w)
             assert j1 - i1 == rec.u + w - 1
@@ -265,20 +248,20 @@ class TestDualTrees:
     @settings(max_examples=40, deadline=None)
     @given(front_words())
     def test_label_swap_table(self, front):
-        d = front.desingularize()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
+        # the complement of a tree is a tree of the other coloring's
+        # graph, which is the dual
+        g, gr = both_colorings(front)
         for t in trees_of(g):
-            _, dual, pairs = dual_tree(g, t)  # raises unless labels swap
+            dual, pairs = dual_tree(g, gr, t)  # raises unless labels swap
             assert dual == frozenset(range(len(g.edges))) - t
             for lab, dlab in pairs.values():
                 assert dlab == DUAL_LABEL[lab]
 
     def test_label_swap_check_raises(self, monkeypatch):
-        _, _, g = setup(TREFOIL)
+        g, gr = both_colorings(parse_front(TREFOIL))
         monkeypatch.setattr(tree_reference, "DUAL_LABEL", {k: "d" for k in DUAL_LABEL})
         with pytest.raises(ConventionError):
-            dual_tree(g, frozenset({0, 1}))
+            dual_tree(g, gr, frozenset({0, 1}))
 
     def test_dual_label_involution(self):
         assert all(DUAL_LABEL[DUAL_LABEL[k]] == k for k in DUAL_LABEL)
@@ -290,9 +273,7 @@ class TestSplicing:
     def test_front_splice_cusp_count(self, front):
         # splicing the inactive crossings leaves a one-component unknot
         # whose writhe is -u, on knots and links alike
-        d = front.desingularize()
-        canonical, _ = checkerboard(d)
-        g = tait_graph(d, canonical)
+        g = tait_graph(front)
         for rec in labelled_trees(g, front):
             f_t, tb_t, c_t = splice_front(front, rec)
             unknot = f_t.desingularize()
@@ -311,17 +292,12 @@ class TestMinXTree:
 
     def test_alternating_min_x_is_good(self):
         # on an alternating front, the x-minimal tree of the all-negative
-        # checkerboard graph is good, and every tree has the same v
+        # Tait graph is good, and every tree has the same v
         word = "L1 L2 X1 X1 X1 R2 L2 X1 X1 X1 R2 R1"
         front = parse_front(word)
-        d = front.desingularize()
-        colorings = checkerboard(d)
-        negative = next(
-            c
-            for c in colorings
-            if all(e.sign < 0 for e in tait_graph(d, c).edges)
+        g = next(
+            g for g in both_colorings(front) if all(e.sign < 0 for e in g.edges)
         )
-        g = tait_graph(d, negative)
         assert classify_activities(g, min_x_tree(g), front).class_ == "good"
         assert len({rec.v for rec in labelled_trees(g)}) == 1
 

@@ -5,7 +5,8 @@ edge, and sums u and v from the labels; it is the reference for the
 labels that ``khfront.trees.labelled_trees`` lists.  ``brute_force_trees``
 is the reference for which trees it lists: it tries every edge subset of
 the right size.  ``dual_tree`` labels the complementary tree of the dual
-graph with ``classify_activities`` and checks the lemma's label swap.
+graph, which is the other coloring's Tait graph, with
+``classify_activities`` and checks the lemma's label swap.
 ``min_x_tree`` is Kruskal's tree of least x-ranks.
 """
 
@@ -20,7 +21,6 @@ from khfront import (
     FrontDiagram,
     SpanningTreeRecord,
     TaitGraph,
-    dual_graph,
 )
 from khfront.diagram import _find
 from khfront.trees import _validate_tree
@@ -73,18 +73,18 @@ def classify_activities(
 
 
 def dual_tree(
-    g: TaitGraph, tree: frozenset[int]
-) -> tuple[TaitGraph, frozenset[int], dict[int, tuple[str, str]]]:
-    """The complementary spanning tree of the dual graph.
+    g: TaitGraph, gd: TaitGraph, tree: frozenset[int]
+) -> tuple[frozenset[int], dict[int, tuple[str, str]]]:
+    """The complementary spanning tree of the dual graph ``gd``, the other
+    coloring's Tait graph, whose edge i crosses edge i of g.
 
-    Returns (dual graph, dual tree, per-edge label pair (label, dual
-    label)); ``classify_activities`` checks that the tree and its
-    complement in the dual span, and ConventionError is raised unless every
-    label swaps L<->lb, D<->db, l<->Lb, d<->Db.  It raises rather than
-    asserts, so the check survives ``python -O``.
+    Returns (dual tree, per-edge label pair (label, dual label));
+    ``classify_activities`` checks that the tree and its complement in the
+    dual span, and ConventionError is raised unless every label swaps
+    L<->lb, D<->db, l<->Lb, d<->Db.  It raises rather than asserts, so the
+    check survives ``python -O``.
     """
     rec = classify_activities(g, tree)
-    gd = dual_graph(g)
     dual = frozenset(range(len(g.edges))) - tree
     rec_d = classify_activities(gd, dual)
     pairs = {}
@@ -96,7 +96,7 @@ def dual_tree(
                 f"not {DUAL_LABEL[lab]}"
             )
         pairs[i] = (lab, dlab)
-    return gd, dual, pairs
+    return dual, pairs
 
 
 def min_x_tree(g: TaitGraph) -> frozenset[int]:
