@@ -109,23 +109,6 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
 
-    def is_connected(self) -> bool:
-        """Connected as a subset of the plane."""
-        if self.n == 0:
-            return self.component_count() == 1
-        if self.free_loops:
-            return False
-        mate = self.mate
-        reached = [True] + [False] * (self.n - 1)
-        stack = [0]
-        while stack:
-            x = 4 * stack.pop()
-            for y in mate[x : x + 4]:
-                if not reached[y >> 2]:
-                    reached[y >> 2] = True
-                    stack.append(y >> 2)
-        return all(reached)
-
     # -- orientation and writhe -------------------------------------------
 
     def crossing_signs(self, flips: Optional[Sequence[bool]] = None) -> list[int]:

@@ -20,13 +20,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import NE, NW, SE, SW, LinkDiagram
-from .errors import (
-    Disconnected,
-    MalformedToken,
-    NonzeroEndState,
-    StrandUnderflow,
-    TooLarge,
-)
+from .errors import MalformedToken, NonzeroEndState, StrandUnderflow, TooLarge
 
 Event = tuple[str, int]  # ("L" | "R" | "X", 1-based position)
 
@@ -41,24 +35,26 @@ _TOKEN = re.compile(r"([LRX])([0-9]+)\Z")
 
 @dataclass(frozen=True)
 class FrontDiagram:
-    """A validated front word.
+    """A validated front word, split or not.
 
-    Construction refuses more than ``EVENT_LIMIT`` events with TooLarge,
-    then runs the sweep, which checks every event's strand-count legality
-    as it applies it, and then checks connectivity; use ``parse_front``
-    for text input.
+    Construction refuses a word with no event (MalformedToken) or with
+    more than ``EVENT_LIMIT`` events (TooLarge), then runs the sweep,
+    which checks every event's strand-count legality as it applies it;
+    use ``parse_front`` for text input.  A split front is legal: the
+    oracle answers it, and ``tait.tait_graph`` refuses it.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self):
+        if not self.events:
+            raise MalformedToken("empty front word")
         if len(self.events) > EVENT_LIMIT:
             raise TooLarge(
                 f"{len(self.events)} events exceeds the front limit of "
                 f"{EVENT_LIMIT}"
             )
-        if not self.desingularize().is_connected():
-            raise Disconnected("diagram is not connected as a plane subset")
+        self.desingularize()  # the sweep checks the word
 
     @cached_property
     def _diagram(self) -> LinkDiagram:
@@ -94,9 +90,10 @@ class FrontDiagram:
 def parse_front(text: str) -> FrontDiagram:
     """Parse a whitespace-separated front word such as ``"L1 L3 X2 R2 R1"``.
 
-    Raises TooLarge for more than ``EVENT_LIMIT`` events, MalformedToken,
-    StrandUnderflow, NonzeroEndState, or Disconnected from the connectivity
-    check of the desingularized diagram.
+    Raises TooLarge for more than ``EVENT_LIMIT`` events, MalformedToken
+    (for a bad token or a word with none), StrandUnderflow or
+    NonzeroEndState.  A split front parses; whether it is connected is
+    decided by ``tait.tait_graph``, which refuses it.
     """
     tokens = text.split()
     # a word repeats few distinct tokens: match each one once

@@ -38,6 +38,9 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

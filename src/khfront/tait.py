@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import _find
-from .errors import ConventionError
+from .errors import Disconnected
 from .front import FrontDiagram
 
 
@@ -40,23 +40,12 @@ class TaitEdge(NamedTuple):
 
 class TaitGraph:
     """Signed, edge-ordered multigraph on the vertices 0 to
-    ``n_vertices`` - 1."""
+    ``n_vertices`` - 1.  Nothing is checked here: the census checks each
+    edge, and its bridge search refuses a graph that is not connected."""
 
     def __init__(self, n_vertices: int, edges: list[TaitEdge]):
         self.n_vertices = n_vertices
         self.edges = edges
-
-    def is_connected(self) -> bool:
-        """True when uniting the edge ends takes V - 1 successful unions
-        (never for a graph with no vertex)."""
-        parent = list(range(self.n_vertices))
-        unions = 0
-        for e in self.edges:
-            a, b = _find(parent, e.u), _find(parent, e.v)
-            if a != b:
-                parent[a] = b
-                unions += 1
-        return unions == self.n_vertices - 1
 
     def __repr__(self) -> str:
         return f"TaitGraph(V={self.n_vertices}, E={len(self.edges)})"
@@ -67,9 +56,10 @@ def tait_graph(front: FrontDiagram, reverse: bool = False) -> TaitGraph:
     reversed one, by one union-find sweep over its gaps.
 
     Vertices are numbered in order of first appearance in the edge list.
-    The word was validated when the front was built.  A connected front
-    has n + 2 faces for n crossings (Euler's formula), and any other count
-    raises ConventionError.
+    The word was validated when the front was built.  A front with n
+    crossings whose diagram has k pieces in the plane has n + 1 + k faces
+    (Euler's formula), so a split front has more than n + 2 and raises
+    Disconnected.  This count is the one connectivity test of a front.
     """
     parent = [0]  # union-find forest over the gaps made so far
     gaps = [0]  # gap k -> its node in the forest
@@ -90,10 +80,7 @@ def tait_graph(front: FrontDiagram, reverse: bool = False) -> TaitGraph:
                 ends.append((gaps[p - 1], gaps[p + 1], -1))
     faces = sum(parent[x] == x for x in range(len(parent)))
     if faces != len(ends) + 2:
-        raise ConventionError(
-            f"{faces} faces for {len(ends)} crossings; a connected front "
-            f"has {len(ends) + 2}"
-        )
+        raise Disconnected("diagram is not connected as a plane subset")
     vertex: dict[int, int] = {}
     edges = [
         TaitEdge(

@@ -30,7 +30,8 @@ codes.
 * Reduce first.  A bridge of G stays a bridge, and a loop stays a loop,
   in every minor of the recursion, so each is labelled alike in every
   tree and leaves the other labels alone.  One bridge search contracts
-  the bridges and drops the loops, each with its fixed label.
+  the bridges and drops the loops, each with its fixed label, and is
+  where a graph that is not connected is refused.
 * The state before edge e is the contraction partition of the frontier:
   the vertices with edges both above e and at or below it.  On a front
   these are black faces that span the line between crossings e and
@@ -102,55 +103,64 @@ _CLASS = {1: "good", 2: "bad"}
 LISTING_LIMIT = 100_000
 
 
-def _bridges(ends: list[tuple[int, int]]) -> set[int]:
-    """Bridges of the graph whose edges join the vertex pairs ``ends``
-    (iterative Tarjan)."""
-    adj: dict[int, list[tuple[int, int]]] = {}
+def _bridges(ends: list[tuple[int, int]], n_vertices: int) -> set[int]:
+    """Bridges of the graph on the vertices 0 to ``n_vertices`` - 1 whose
+    edges join the vertex pairs ``ends``, by one iterative Tarjan search
+    from vertex 0.  Raises Disconnected unless the search reaches every
+    vertex, so a graph with no vertex is refused too."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
     for e, (a, b) in enumerate(ends):
         if a != b:
-            adj.setdefault(a, []).append((b, e))
-            adj.setdefault(b, []).append((a, e))
+            adj[a].append((b, e))
+            adj[b].append((a, e))
     bridges: set[int] = set()
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, via, around = stack[-1]
-            for w, e in around:
-                if e == via:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    disc[w] = low[w] = len(disc)
-                    stack.append((w, e, iter(adj[w])))
-                    break
+    disc = {0: 0}
+    low = {0: 0}
+    stack = [(0, -1, iter(adj[0] if adj else ()))]
+    while stack:
+        v, via, around = stack[-1]
+        for w, e in around:
+            if e == via:
+                continue
+            if w in disc:
+                low[v] = min(low[v], disc[w])
             else:
-                stack.pop()
-                if stack:
-                    up = stack[-1][0]
-                    low[up] = min(low[up], low[v])
-                    if low[v] > disc[up]:
-                        bridges.add(via)
+                disc[w] = low[w] = len(disc)
+                stack.append((w, e, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                up = stack[-1][0]
+                low[up] = min(low[up], low[v])
+                if low[v] > disc[up]:
+                    bridges.add(via)
+    if len(disc) != n_vertices:
+        raise Disconnected("graph is not connected")
     return bridges
 
 
 def _reduce(g: TaitGraph) -> tuple[dict[int, int], list[int], list, list]:
-    """The bridge and loop reduction, by one bridge search.
+    """The bridge and loop reduction, by one bridge search, which also
+    refuses a graph that is not connected.
 
     Returns the label codes of the bridges and loops by edge id, the ids
     of the other edges in ascending order, their ends in the graph with
-    the bridges contracted, and whether each of them is negative.
+    the bridges contracted, and whether each of them is negative.  An
+    edge with an end outside 0 to V - 1 or a sign other than +-1 raises
+    ValueError.
     """
-    if not g.is_connected():
-        raise Disconnected("graph is not connected")
-    ends = [(e.u, e.v) for e in g.edges]
-    bridges = _bridges(ends)
-    parent = list(range(g.n_vertices))
+    vertices = range(g.n_vertices)
+    ends = []
+    for i, (a, b, sign) in enumerate(g.edges):
+        if a not in vertices or b not in vertices or sign not in (1, -1):
+            raise ValueError(
+                f"edge {i} {g.edges[i]!r} needs ends in 0..{g.n_vertices - 1} "
+                "and a sign of +1 or -1"
+            )
+        ends.append((a, b))
+    bridges = _bridges(ends, g.n_vertices)
+    parent = list(vertices)
     fixed: dict[int, int] = {}
     kept = []
     for i, e in enumerate(g.edges):

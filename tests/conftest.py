@@ -1,7 +1,9 @@
 """Shared fixtures and hypothesis strategies.
 
 Random fronts are generated by replaying a legal event word with random
-choices and then filtering for plane connectivity; sizes are kept small
+choices and, unless split ones are asked for, filtering for plane
+connectivity with ``tait_reference.plane_connected``, which shares no code
+with the Tait sweep that decides it in the package.  Sizes are kept small
 because every property test runs exact integer machinery downstream.
 """
 
@@ -18,7 +20,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import khfront
-from khfront import BUNDLED, CorpusEntry, FrontDiagram, KhfrontError
+from khfront import BUNDLED, CorpusEntry, FrontDiagram
+
+from tait_reference import plane_connected
 
 
 def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -58,8 +62,11 @@ def matrix_tree_count(g) -> int:
 
 
 @st.composite
-def front_words(draw, max_crossings: int = 4, max_cusp_pairs: int = 3):
-    """A random valid connected front word."""
+def front_words(
+    draw, max_crossings: int = 4, max_cusp_pairs: int = 3, connected: bool = True
+):
+    """A random legal front word: a connected one, or with ``connected``
+    False, any one, split ones included."""
     events = []
     k = 0  # current strand count
     l_left = draw(st.integers(min_value=1, max_value=max_cusp_pairs))
@@ -99,10 +106,9 @@ def front_words(draw, max_crossings: int = 4, max_cusp_pairs: int = 3):
         pos = draw(st.integers(min_value=1, max_value=k - 1))
         events.append(("R", pos))
         k -= 2
-    try:
-        return FrontDiagram(tuple(events))
-    except KhfrontError:
-        assume(False)
+    front = FrontDiagram(tuple(events))
+    assume(not connected or plane_connected(front.desingularize()))
+    return front
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,26 @@ from khfront.tait import TaitEdge
 CORNER_AT = ("W", "N", "E", "S")
 
 
+def plane_connected(d: LinkDiagram) -> bool:
+    """Whether the diagram is connected as a subset of the plane: one
+    crossing-free loop, or crossings that a search along the arcs from
+    crossing 0 reaches all of, with no free loop beside them."""
+    if d.n == 0:
+        return d.free_loops == 1
+    if d.free_loops:
+        return False
+    mate = d.mate
+    reached = [True] + [False] * (d.n - 1)
+    stack = [0]
+    while stack:
+        x = 4 * stack.pop()
+        for y in mate[x : x + 4]:
+            if not reached[y >> 2]:
+                reached[y >> 2] = True
+                stack.append(y >> 2)
+    return all(reached)
+
+
 def face_of_corner(d: LinkDiagram) -> list[int]:
     """Port -> index of the face whose corner it names.  Each walk is
     seeded at the first arc end, in arc order, that no earlier walk has

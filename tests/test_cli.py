@@ -428,6 +428,39 @@ class TestCorpus:
         assert not target.with_suffix(".json.tmp").exists()
 
 
+#: two unknots, side by side and nested
+SPLIT = ("L1 R1 L1 R1", "L1 L1 R1 R1")
+
+
+class TestSplitFronts:
+    """A split front is legal: the oracle commands answer it, and the
+    commands that need its Tait graph refuse it."""
+
+    @pytest.mark.parametrize("word", SPLIT)
+    def test_oracle_commands_answer(self, capsys, word):
+        assert run(capsys, "homology", word) == (
+            EXIT_OK,
+            "  (  0,  -2)  Z\n  (  0,   0)  Z + Z\n  (  0,   2)  Z\n",
+            "",
+        )
+        assert run(capsys, "jones", word) == (EXIT_OK, "q^-2 + 2 + q^2\n", "")
+
+    @pytest.mark.parametrize("word", SPLIT)
+    def test_tree_commands_refuse(self, capsys, tmp_path, word):
+        (tmp_path / "split.front").write_text(word + "\n")
+        for argv in (
+            ["analyze", word],
+            ["certify", word, "--oracle"],
+            ["trees", word, "--coloring", "both"],
+            ["corpus", str(tmp_path)],
+        ):
+            assert run(capsys, *argv) == (
+                EXIT_INVALID,
+                "",
+                "error: diagram is not connected as a plane subset\n",
+            ), argv
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(capsys, "bogus")[0] == EXIT_USAGE
@@ -442,6 +475,20 @@ class TestExitCodes:
 
     def test_disconnected_front(self, capsys):
         assert run(capsys, "analyze", "L1 R1 L1 R1")[0] == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "certify", "trees", "homology", "jones", "corpus"]
+    )
+    def test_empty_word(self, capsys, tmp_path, command):
+        # a word with no event, given as text or as a file of comments
+        (tmp_path / "empty.front").write_text("# tb=-1\n")
+        argvs = [[str(tmp_path)]] if command == "corpus" else [
+            [""], [f"@{tmp_path / 'empty.front'}"]
+        ]
+        for argv in argvs:
+            assert run(capsys, command, *argv) == (
+                EXIT_INVALID, "", "error: empty front word\n"
+            )
 
     def test_missing_file(self, capsys):
         assert run(capsys, "analyze", "@/no/such/file.front")[0] == EXIT_INVALID

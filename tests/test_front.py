@@ -17,6 +17,7 @@ from khfront import (
     bigrading_counts,
     khovanov_homology,
     parse_front,
+    sharpness_report,
     tait_graph,
 )
 from khfront.front import EVENT_LIMIT
@@ -108,11 +109,24 @@ class TestParsing:
             FrontDiagram(events)
 
     def test_disconnected(self):
-        # two stacked circles that never interact
-        with pytest.raises(Disconnected):
-            parse_front("L1 R1 L1 R1")
-        with pytest.raises(Disconnected):
-            parse_front("L1 L1 R1 R1")
+        # two circles side by side or nested that never interact: the word
+        # parses, and the Tait sweep refuses it, for the census too
+        for word in ("L1 R1 L1 R1", "L1 L1 R1 R1"):
+            front = parse_front(word)
+            assert front.desingularize().free_loops == 2
+            with pytest.raises(Disconnected):
+                tait_graph(front)
+            with pytest.raises(Disconnected):
+                sharpness_report(front)
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_front(""),
+        lambda: parse_front(" \n "),
+        lambda: FrontDiagram(()),
+    ])
+    def test_empty_word(self, make):
+        with pytest.raises(MalformedToken, match="empty front word"):
+            make()
 
 
 class TestMeasures:

@@ -3,13 +3,16 @@
 import json
 import time
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from khfront import (
     BigradedTable,
+    Disconnected,
     EmptyTable,
     LaurentPoly,
     LinkDiagram,
@@ -17,6 +20,7 @@ from khfront import (
     kauffman_jones,
     khovanov_homology,
     parse_front,
+    tait_graph,
 )
 from khfront import oracle
 from khfront.cli import main
@@ -210,6 +214,58 @@ class TestFreeLoops:
         table = khovanov_homology(d)
         assert table.groups == want
         assert table.graded_euler() == kauffman_jones(d) == UNKNOT_POLY**k
+
+
+def kunneth(g1: dict, g2: dict) -> dict:
+    """The integer Künneth product of two tables (Khovanov,
+    arXiv:math/9908171): A (x) B at (i1 + i2, j1 + j2) and Tor(A, B) at
+    (i1 + i2 - 1, j1 + j2), summand by summand from Z (x) Z = Z,
+    Z (x) Z/t = Z/t and Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t)."""
+    out: dict = {}
+
+    def add(ij, rank, torsion):
+        r, t = out.get(ij, (0, ()))
+        out[ij] = (r + rank, t + tuple(torsion))
+
+    for (i1, j1), (r1, t1) in g1.items():
+        for (i2, j2), (r2, t2) in g2.items():
+            tor = [gcd(s, t) for s in t1 for t in t2]
+            add((i1 + i2, j1 + j2), r1 * r2, [*t1] * r2 + [*t2] * r1 + tor)
+            add((i1 + i2 - 1, j1 + j2), 0, tor)
+    return out
+
+
+def primary(groups: dict) -> dict:
+    """Each nonzero group as its free rank and its torsion split into
+    sorted prime powers, so that two presentations of one group compare
+    equal (Z/6 and Z/2 + Z/3)."""
+    out = {}
+    for ij, (rank, torsion) in groups.items():
+        powers = sorted(p**k for t in torsion for p, k in factorint(t).items())
+        if rank or powers:
+            out[ij] = (rank, powers)
+    return out
+
+
+class TestSplitFronts:
+    """Two fronts side by side make a split front, which the oracle
+    answers and the Tait sweep refuses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(front_words(), front_words())
+    @example(parse_front(TREFOIL), parse_front(TREFOIL))  # Tor(Z/2, Z/2)
+    @example(parse_front(TREFOIL), parse_front(FIG8))
+    @example(parse_front("L1 R1"), parse_front(FIG8))
+    def test_side_by_side(self, f1, f2):
+        front = parse_front(f"{f1.word()} {f2.word()}")
+        d, d1, d2 = (f.desingularize() for f in (front, f1, f2))
+        h1, h2 = khovanov_homology(d1).groups, khovanov_homology(d2).groups
+        assert primary(khovanov_homology(d).groups) == primary(kunneth(h1, h2))
+        assert kauffman_jones(d) == kauffman_jones(d1) * kauffman_jones(d2)
+        assert front.tb() == f1.tb() + f2.tb()
+        for reverse in (False, True):
+            with pytest.raises(Disconnected):
+                tait_graph(front, reverse)
 
 
 class TestFlips:
@@ -434,6 +490,26 @@ class TestJones:
         got = kauffman_jones(d)
         mirror = LaurentPoly({-e: c for e, c in got.items()})
         assert mirror == kauffman_jones(parse_front(TREFOIL).desingularize())
+
+
+class TestLaurentPoly:
+    @pytest.mark.parametrize("poly, n", [
+        (LaurentPoly({0: 3}), 3),
+        (LaurentPoly({0: -2}), -2),
+        (LaurentPoly(), 0),
+        (LaurentPoly({0: 0}), 0),
+    ])
+    def test_a_constant_hashes_as_its_int(self, poly, n):
+        assert poly == n
+        assert hash(poly) == hash(n)
+        assert {n: "x"}.get(poly) == "x"
+        assert {poly: "x"}.get(n) == "x"
+
+    def test_polynomials_stay_apart(self):
+        keys = {LaurentPoly({0: 1}): 0, UNKNOT_POLY: 1, LaurentPoly({1: 1}): 2}
+        assert len(keys) == 3
+        assert keys[LaurentPoly({-1: 1, 1: 1})] == 1
+        assert 1 in keys and LaurentPoly({1: 1}) != 1
 
 
 class TestConsistency:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 import tait_reference
 from khfront import (
     BUNDLED,
-    ConventionError,
-    FrontDiagram,
+    Disconnected,
     LinkDiagram,
     TaitGraph,
     bigrading_counts,
@@ -27,6 +26,7 @@ from tait_reference import (
     face_of_corner,
     face_walk_graphs,
     front_corner,
+    plane_connected,
     renumbered,
 )
 
@@ -35,15 +35,6 @@ TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
 
 def graphs_of(front):
     return tait_graph(front), tait_graph(front, reverse=True)
-
-
-def unvalidated(word):
-    """A FrontDiagram of ``word`` built without ``__post_init__``, so
-    without its checks."""
-    front = object.__new__(FrontDiagram)
-    events = tuple((token[0], int(token[1:])) for token in word.split())
-    object.__setattr__(front, "events", events)
-    return front
 
 
 class TestReferenceColoring:
@@ -143,9 +134,30 @@ class TestTaitGraph:
     @pytest.mark.parametrize("word", ["L1 R1 L1 R1", "L1 L1 R1 R1"])
     def test_face_count_of_a_split_front(self, word):
         # two loops, side by side or nested, make three faces for no
-        # crossing
-        with pytest.raises(ConventionError, match="3 faces for 0 crossings"):
-            tait_graph(unvalidated(word))
+        # crossing, one more than a connected front has
+        front = parse_front(word)
+        for reverse in (False, True):
+            with pytest.raises(Disconnected, match="not connected as a plane"):
+                tait_graph(front, reverse)
+
+    @settings(max_examples=300, deadline=None)
+    @given(front_words(max_crossings=6, connected=False))
+    @example(parse_front("L1 R1 L1 R1"))
+    @example(parse_front("L1 L1 R1 R1"))
+    @example(parse_front("L1 L2 X1 X1 R2 R1 L1 R1"))
+    @example(parse_front("L1 L1 L3 X2 X2 R3 R2 R1"))
+    @example(parse_front(TREFOIL))
+    def test_face_count_is_plane_connectivity(self, front):
+        # the sweep's face count against the reference's search along the
+        # arcs, on split fronts as well as connected ones
+        split = not plane_connected(front.desingularize())
+        for reverse in (False, True):
+            try:
+                tait_graph(front, reverse)
+            except Disconnected:
+                assert split
+            else:
+                assert not split
 
     def test_reference_shares_no_code_with_the_sweep(self):
         # the sweep is checked against the reference only as long as the
@@ -196,21 +208,20 @@ class TestTripwires:
     def test_front_checks_survive_optimize(self):
         # a sweep that leaves strands open raises NonzeroEndState and a
         # position that is a bool MalformedToken (bad input); two loops
-        # side by side, built without the front's checks, make three faces
-        # for no crossing, which the Tait sweep refuses with ConventionError,
-        # under python -O as well
+        # side by side are a legal front, but make three faces for no
+        # crossing, which the Tait sweep refuses with Disconnected, under
+        # python -O as well
         code = (
             "from types import SimpleNamespace\n"
-            "from khfront import (ConventionError, FrontDiagram, MalformedToken,\n"
+            "from khfront import (Disconnected, FrontDiagram, MalformedToken,\n"
             "                     NonzeroEndState, tait_graph)\n"
             "from khfront.front import desingularize\n"
-            "split = object.__new__(FrontDiagram)\n"
-            "object.__setattr__(split, 'events', (('L', 1), ('R', 1)) * 2)\n"
+            "split = FrontDiagram((('L', 1), ('R', 1)) * 2)\n"
             "checks = (\n"
             "    (lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
             "     NonzeroEndState),\n"
             "    (lambda: FrontDiagram((('L', True), ('R', True))), MalformedToken),\n"
-            "    (lambda: tait_graph(split), ConventionError),\n"
+            "    (lambda: tait_graph(split), Disconnected),\n"
             ")\n"
             "for check, expected in checks:\n"
             "    try:\n"

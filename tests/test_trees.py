@@ -1,5 +1,6 @@
 """Spanning trees, activities, bigradings, splicing, duality labels."""
 
+import re
 import time
 from collections import Counter
 
@@ -23,10 +24,11 @@ from khfront import (
     tree_euler_characteristic,
 )
 from khfront import trees
+from khfront.tait import TaitEdge
 from khfront.trees import _validate_tree
 
 import tree_reference
-from conftest import front_words, matrix_tree_count
+from conftest import front_words, matrix_tree_count, run_optimized
 from tree_reference import (
     DUAL_LABEL,
     brute_force_trees,
@@ -91,7 +93,9 @@ class TestEnumeration:
         calls = []
         search = trees._bridges
         monkeypatch.setattr(
-            trees, "_bridges", lambda ends: calls.append(1) or search(ends)
+            trees,
+            "_bridges",
+            lambda ends, n_vertices: calls.append(1) or search(ends, n_vertices),
         )
         for word in (
             TREFOIL,
@@ -141,6 +145,35 @@ class TestBigradingCounts:
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
             bigrading_counts(TaitGraph(2, []))
+
+
+class TestEdgeChecks:
+    """The census checks each edge of a library graph before its bridge
+    search: an end that is no vertex would index past the vertex lists
+    (or, at -1, from their back), and a sign that is not +-1 would be
+    counted as positive."""
+
+    @pytest.mark.parametrize("census", [bigrading_counts, trees_of])
+    @pytest.mark.parametrize(
+        "edge", [TaitEdge(0, 5, 1), TaitEdge(-1, 0, 1), TaitEdge(0, 1, 2)]
+    )
+    def test_edge_off_the_graph_is_refused(self, edge, census):
+        g = TaitGraph(2, [TaitEdge(0, 1, 1), edge])
+        with pytest.raises(ValueError, match=re.escape(f"edge 1 {edge!r}")):
+            census(g)
+
+    def test_edge_check_survives_optimize(self):
+        code = (
+            "from khfront import TaitGraph, bigrading_counts\n"
+            "from khfront.tait import TaitEdge\n"
+            "try:\n"
+            "    bigrading_counts(TaitGraph(2, [TaitEdge(0, 5, 1)]))\n"
+            "except ValueError as exc:\n"
+            "    raise SystemExit(0 if str(exc).startswith('edge 0') else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestActivities:
