@@ -90,12 +90,18 @@ class FrontDiagram:
 def parse_front(text: str) -> FrontDiagram:
     """Parse a whitespace-separated front word such as ``"L1 L3 X2 R2 R1"``.
 
-    Raises TooLarge for more than ``EVENT_LIMIT`` events, MalformedToken
-    (for a bad token or a word with none), StrandUnderflow or
-    NonzeroEndState.  A split front parses; whether it is connected is
-    decided by ``tait.tait_graph``, which refuses it.
+    Raises TooLarge for more than ``EVENT_LIMIT`` events, before any token
+    is matched, MalformedToken (for a bad token or a word with none),
+    StrandUnderflow or NonzeroEndState.  A split front parses; whether it
+    is connected is decided by ``tait.tait_graph``, which refuses it.
     """
-    tokens = text.split()
+    # split no further than one token past the limit: a word far over it
+    # is refused before its tokens are held, let alone matched
+    tokens = text.split(None, EVENT_LIMIT)
+    if len(tokens) > EVENT_LIMIT:
+        raise TooLarge(
+            f"the word has more events than the front limit of {EVENT_LIMIT}"
+        )
     # a word repeats few distinct tokens: match each one once
     event_of: dict[str, Event] = {}
     for token in tokens:

@@ -41,7 +41,8 @@ class TaitEdge(NamedTuple):
 class TaitGraph:
     """Signed, edge-ordered multigraph on the vertices 0 to
     ``n_vertices`` - 1.  Nothing is checked here: the census checks each
-    edge, and its bridge search refuses a graph that is not connected."""
+    edge, and the union-find that plans its sweep refuses a graph that is
+    not connected."""
 
     def __init__(self, n_vertices: int, edges: list[TaitEdge]):
         self.n_vertices = n_vertices

@@ -27,11 +27,11 @@ to span.  The listing is shared: ``labelled_trees`` makes a record of
 each tree, and the ``trees`` command writes each tree straight from its
 codes.
 
-* Reduce first.  A bridge of G stays a bridge, and a loop stays a loop,
-  in every minor of the recursion, so each is labelled alike in every
-  tree and leaves the other labels alone.  One bridge search contracts
-  the bridges and drops the loops, each with its fixed label, and is
-  where a graph that is not connected is refused.
+* Drop the loops first.  A loop of G stays a loop in every minor of the
+  recursion, so it is labelled alike in every tree and leaves the other
+  labels alone.  Every other edge is swept, a bridge of G too: the rule
+  below finds it a bridge of its minor.  The union-find that plans the
+  sweep is where a graph that is not connected is refused.
 * The state before edge e is the contraction partition of the frontier:
   the vertices with edges both above e and at or below it.  On a front
   these are black faces that span the line between crossings e and
@@ -103,80 +103,31 @@ _CLASS = {1: "good", 2: "bad"}
 LISTING_LIMIT = 100_000
 
 
-def _bridges(ends: list[tuple[int, int]], n_vertices: int) -> set[int]:
-    """Bridges of the graph on the vertices 0 to ``n_vertices`` - 1 whose
-    edges join the vertex pairs ``ends``, by one iterative Tarjan search
-    from vertex 0.  Raises Disconnected unless the search reaches every
-    vertex, so a graph with no vertex is refused too."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    for e, (a, b) in enumerate(ends):
-        if a != b:
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-    bridges: set[int] = set()
-    disc = {0: 0}
-    low = {0: 0}
-    stack = [(0, -1, iter(adj[0] if adj else ()))]
-    while stack:
-        v, via, around = stack[-1]
-        for w, e in around:
-            if e == via:
-                continue
-            if w in disc:
-                low[v] = min(low[v], disc[w])
-            else:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, e, iter(adj[w])))
-                break
-        else:
-            stack.pop()
-            if stack:
-                up = stack[-1][0]
-                low[up] = min(low[up], low[v])
-                if low[v] > disc[up]:
-                    bridges.add(via)
-    if len(disc) != n_vertices:
-        raise Disconnected("graph is not connected")
-    return bridges
-
-
 def _reduce(g: TaitGraph) -> tuple[dict[int, int], list[int], list, list]:
-    """The bridge and loop reduction, by one bridge search, which also
-    refuses a graph that is not connected.
+    """The loop reduction and the frontier plan of the other edges.
 
-    Returns the label codes of the bridges and loops by edge id, the ids
-    of the other edges in ascending order, their ends in the graph with
-    the bridges contracted, and whether each of them is negative.  An
-    edge with an end outside 0 to V - 1 or a sign other than +-1 raises
-    ValueError.
+    Returns the label codes of the loops by edge id, the ids of the other
+    edges in ascending order, their plan (see ``_plan``), which refuses a
+    graph that is not connected, and whether each of them is negative.
+    An edge with an end outside 0 to V - 1 or a sign other than +-1
+    raises ValueError.
     """
     vertices = range(g.n_vertices)
-    ends = []
+    fixed: dict[int, int] = {}
+    kept, ends, neg = [], [], []
     for i, (a, b, sign) in enumerate(g.edges):
         if a not in vertices or b not in vertices or sign not in (1, -1):
             raise ValueError(
                 f"edge {i} {g.edges[i]!r} needs ends in 0..{g.n_vertices - 1} "
                 "and a sign of +1 or -1"
             )
-        ends.append((a, b))
-    bridges = _bridges(ends, g.n_vertices)
-    parent = list(vertices)
-    fixed: dict[int, int] = {}
-    kept = []
-    for i, e in enumerate(g.edges):
-        if e.u == e.v:
-            fixed[i] = _LOOP + (e.sign < 0)
-        elif i in bridges:
-            fixed[i] = _L + (e.sign < 0)
-            parent[_find(parent, e.u)] = _find(parent, e.v)
+        if a == b:
+            fixed[i] = _LOOP + (sign < 0)
         else:
             kept.append(i)
-    return (
-        fixed,
-        kept,
-        [(_find(parent, ends[i][0]), _find(parent, ends[i][1])) for i in kept],
-        [g.edges[i].sign < 0 for i in kept],
-    )
+            ends.append((a, b))
+            neg.append(sign < 0)
+    return fixed, kept, _plan(ends, g.n_vertices), neg
 
 
 def _canon(labels) -> tuple[int, ...]:
@@ -206,13 +157,16 @@ def _joined(labels: list[int], comps: tuple[int, ...], pa: int, pb: int) -> bool
     return x == y
 
 
-def _plan(ends: list[tuple[int, int]]) -> list[tuple]:
-    """The frontier plan of the sweep, per edge e: the positions of e's
-    ends among the working vertices (the frontier above e and the ends
-    of e that are new to it), their number, the positions that stay on
-    the next frontier and those that leave it, the components of the
-    edges below e on the working vertices, and whether those components
-    hold e's ends apart."""
+def _plan(ends: list[tuple[int, int]], n_vertices: int) -> list[tuple]:
+    """The frontier plan of the sweep over the edges that join the vertex
+    pairs ``ends`` on the vertices 0 to ``n_vertices`` - 1, per edge e:
+    the positions of e's ends among the working vertices (the frontier
+    above e and the ends of e that are new to it), their number, the
+    positions that stay on the next frontier and those that leave it, the
+    components of the edges below e on the working vertices, and whether
+    those components hold e's ends apart.  Raises Disconnected unless the
+    edges join every vertex into one component, so a graph with no vertex
+    is refused too."""
     n = len(ends)
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
@@ -227,7 +181,7 @@ def _plan(ends: list[tuple[int, int]]) -> list[tuple]:
         works[e] = work
         frontier = [x for x in work if lo[x] < e]
     plan = []
-    parent = list(range(max(lo, default=-1) + 1))
+    parent = list(range(n_vertices))
     for e, (a, b) in enumerate(ends):
         work = works[e]
         comps = _canon([_find(parent, x) for x in work])
@@ -242,15 +196,18 @@ def _plan(ends: list[tuple[int, int]]) -> list[tuple]:
             comps[pa] != comps[pb],
         ))
         parent[_find(parent, a)] = _find(parent, b)
+    if len({_find(parent, x) for x in range(n_vertices)}) != 1:
+        raise Disconnected("graph is not connected")
     return plan
 
 
 def _level(states: Iterable[tuple], step: tuple, sign: int, last: bool) -> dict:
     """The step rule at one edge: ``{state: its one or two (label code,
-    next state)}``.  The edge is a loop (l), a bridge (L, contracted), or
-    a branch into an inactive tree edge (D, contracted) and an inactive
-    non-tree edge (d, deleted).  A class that leaves the frontier while
-    edges remain (a deleted bridge) raises ConventionError."""
+    next state)}``.  The edge is a loop (l), a bridge of the current minor
+    (L, contracted), which every bridge of G is, or a branch into an
+    inactive tree edge (D, contracted) and an inactive non-tree edge (d,
+    deleted).  A class that leaves the frontier while edges remain (a
+    deleted bridge) raises ConventionError."""
     pa, pb, width, keep, leave, comps, apart = step
     level = {}
     for state in states:
@@ -295,19 +252,16 @@ def _pour(states: dict, key: tuple[int, ...], bucket: list) -> None:
         counts[k + shift] = counts.get(k + shift, 0) + c
 
 
-def _sweep(
-    ends: list[tuple[int, int]], neg: list[bool]
-) -> dict[tuple[int, int], int]:
-    """The (u, v) counts of the trees of the reduced edges: ``ends``
-    lists each edge's vertex pair (small integers) and ``neg`` whether it
-    is negative.  Each state holds its counts keyed by u * (n + 1) + v
+def _sweep(plan: list[tuple], neg: list[bool]) -> dict[tuple[int, int], int]:
+    """The (u, v) counts of the trees of the reduced edges: ``plan`` is
+    their frontier plan (see ``_plan``) and ``neg`` says whether each is
+    negative.  Each state holds its counts keyed by u * (n + 1) + v
     for n edges, relative to an offset in the same encoding, which stays
     exact since 0 <= v <= n."""
-    plan = _plan(ends)
-    stride = len(ends) + 1
+    stride = len(plan) + 1
     shifts = [du * stride + dv for du, dv in _SHIFT]
     buckets = {(): [0, {0: 1}, True]}
-    for e in range(len(ends) - 1, -1, -1):
+    for e in range(len(plan) - 1, -1, -1):
         step: dict = {}
         for state, children in _level(buckets, plan[e], neg[e], e == 0).items():
             bucket = buckets[state]
@@ -327,9 +281,9 @@ def bigrading_counts(g: TaitGraph) -> dict[tuple[int, int], int]:
     """The number of spanning trees at each bigrading (u, v), in ascending
     order of (u, v), without listing any tree: the (u, v) counts of
     ``labelled_trees``."""
-    fixed, _, ends, neg = _reduce(g)
+    fixed, _, plan, neg = _reduce(g)
     u0, v0 = _bigrading(bytes(fixed.values()))
-    return {(u + u0, v + v0): c for (u, v), c in _sweep(ends, neg).items()}
+    return {(u + u0, v + v0): c for (u, v), c in _sweep(plan, neg).items()}
 
 
 def _tree_codes(g: TaitGraph) -> list[bytes]:
@@ -343,11 +297,10 @@ def _tree_codes(g: TaitGraph) -> list[bytes]:
     than ``LISTING_LIMIT`` trees, counted over the transitions first,
     raise TooLarge.
     """
-    fixed, kept, ends, neg = _reduce(g)
-    plan = _plan(ends)
+    fixed, kept, plan, neg = _reduce(g)
     levels = []  # levels[j]: the states before kept edge j
     states: Iterable = [()]
-    for j in range(len(ends) - 1, -1, -1):
+    for j in range(len(plan) - 1, -1, -1):
         levels.append(_level(states, plan[j], neg[j], j == 0))
         states = dict.fromkeys(k for ch in levels[-1].values() for _, k in ch)
     levels.reverse()

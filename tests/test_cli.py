@@ -158,6 +158,23 @@ class TestTrees:
         assert (proc.returncode, proc.stdout) == (EXIT_CONVENTION, ""), proc.stderr
         assert proc.stderr == "convention tripwire: 0 edges for 3 vertices\n"
 
+    def test_fifteen_hundred_bridges(self, capsys):
+        # the canonical graph of this kink chain is a star of 1,500
+        # bridges, the reversed one a vertex with 1,500 loops; the sweep
+        # labels each bridge by its rule, in time linear in the bridges
+        # (about 27 ms on a 2-core x86 box)
+        word = "L1 " + "L3 X2 R3 " * 1500 + "R1"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trees", word, "--json", "--coloring", "both")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, err
+        rows = json.loads(out)["trees"]
+        assert [row["coloring"] for row in rows] == ["canonical", "reversed"]
+        assert rows[0]["edges"] == list(range(1500)) and rows[1]["edges"] == []
+        assert set(rows[0]["labels"].values()) == {PRETTY["Lb"]}
+        assert set(rows[1]["labels"].values()) == {PRETTY["l"]}
+        assert elapsed < 1
+
     @pytest.mark.parametrize("flags", [["--json"], []])
     def test_builds_no_record(self, capsys, monkeypatch, flags):
         # both writers read the listed label codes, not records
@@ -503,6 +520,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(EVENT_LIMIT) in err
         assert time.perf_counter() - start < 5
+
+    def test_ten_million_token_file_is_refused_at_once(self, capsys, tmp_path):
+        # a 30 MB file: the word is split one token past the limit, not
+        # into ten million tokens
+        path = tmp_path / "huge.front"
+        path.write_text("# tb=0\n" + "X1 " * 10**7 + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", f"@{path}")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and str(EVENT_LIMIT) in err
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize(
         "command", ["analyze", "certify", "homology", "jones", "corpus"]

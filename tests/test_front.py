@@ -1,5 +1,6 @@
 """Front parsing, validation, desingularization, and tb."""
 
+import time
 from collections import Counter
 
 import pytest
@@ -107,6 +108,22 @@ class TestParsing:
             parse_front(" ".join(f"{kind}{pos}" for kind, pos in events))
         with pytest.raises(TooLarge):
             FrontDiagram(events)
+
+    def test_a_word_at_the_limit_parses(self):
+        # EVENT_LIMIT events, with whitespace around them, split into
+        # EVENT_LIMIT tokens
+        word = " L1 L2 " + "X1 " * (EVENT_LIMIT - 4) + "R2 R1 \n"
+        assert parse_front(word).crossing_count == EVENT_LIMIT - 4
+
+    @pytest.mark.parametrize("token", ["X1", "Q1"])
+    def test_ten_million_tokens_are_refused_before_matching(self, token):
+        # the word is split one token past the limit and refused there,
+        # so a malformed word that long is too large before it is malformed
+        word = f"{token} " * 10**7
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=str(EVENT_LIMIT)):
+            parse_front(word)
+        assert time.perf_counter() - start < 1
 
     def test_disconnected(self):
         # two circles side by side or nested that never interact: the word

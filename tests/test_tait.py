@@ -255,13 +255,16 @@ class TestTripwires:
         assert proc.returncode == 0, proc.stderr
 
     def test_census_sweep_check_survives_optimize(self):
-        # the counting sweep on edges that no connected graph reduces to:
-        # a class leaves the frontier while an edge remains
+        # the counting sweep on the plan of the path 0 - 1 - 2 with its top
+        # edge, a bridge, marked as not apart: its deleted branch leaves
+        # vertex 2's class off the frontier while an edge remains
         code = (
             "from khfront import ConventionError\n"
-            "from khfront.trees import _sweep\n"
+            "from khfront.trees import _plan, _sweep\n"
+            "plan = _plan([(0, 1), (1, 2)], 3)\n"
+            "plan[1] = plan[1][:-1] + (False,)\n"
             "try:\n"
-            "    _sweep([(0, 1), (2, 3)], [False, False])\n"
+            "    _sweep(plan, [False, False])\n"
             "except ConventionError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"

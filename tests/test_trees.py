@@ -23,7 +23,6 @@ from khfront import (
     tait_graph,
     tree_euler_characteristic,
 )
-from khfront import trees
 from khfront.tait import TaitEdge
 from khfront.trees import _validate_tree
 
@@ -38,6 +37,32 @@ from tree_reference import (
 )
 
 TREFOIL = "L1 L2 X1 X1 X1 R2 R1"
+
+#: graphs with bridges, which no front of the benchmark has: both
+#: colorings of a kink chain (a star of bridges, or a vertex with loops)
+#: and of two trefoils joined by a kink (two triangles and a bridge), and
+#: a signed path, a star, and a cycle with a pendant edge
+BRIDGED = {
+    f"{name}-{coloring}": tait_graph(parse_front(word), reverse)
+    for name, word in (
+        ("kinks", "L1 " + "L3 X2 R3 " * 5 + "R1"),
+        ("trefoils", "L1 L2 X1 X1 X1 R2 L3 X2 R3 L2 X1 X1 X1 R2 R1"),
+    )
+    for coloring, reverse in (("canonical", False), ("reversed", True))
+}
+BRIDGED |= {
+    "path": TaitGraph(
+        4, [TaitEdge(0, 1, 1), TaitEdge(1, 2, -1), TaitEdge(3, 2, -1)]
+    ),
+    "star": TaitGraph(
+        5,
+        [TaitEdge(0, 1, -1), TaitEdge(2, 0, 1), TaitEdge(0, 3, 1), TaitEdge(0, 4, -1)],
+    ),
+    "pendant": TaitGraph(
+        4,
+        [TaitEdge(0, 1, 1), TaitEdge(2, 3, -1), TaitEdge(1, 2, -1), TaitEdge(2, 0, 1)],
+    ),
+}
 
 
 def setup(word):
@@ -87,25 +112,17 @@ class TestEnumeration:
             assert len(set(listed)) == len(listed)
             assert set(listed) == brute_force_trees(g)
 
-    def test_one_bridge_search_per_listing(self, monkeypatch):
-        # the bridges are found once, by the reduction; the sweep finds
-        # the bridges of every minor without searching again
-        calls = []
-        search = trees._bridges
-        monkeypatch.setattr(
-            trees,
-            "_bridges",
-            lambda ends, n_vertices: calls.append(1) or search(ends, n_vertices),
-        )
-        for word in (
-            TREFOIL,
-            "L1 L2 " + "X1 " * 20 + "R2 R1",
-            "L1 " + "L2 X1 X1 X1 R2 L2 X1 R2 " * 3 + "R1",
-        ):
-            for g in both_colorings(parse_front(word)):
-                calls.clear()
-                assert len(trees_of(g)) > 1
-                assert len(calls) == 1
+    @pytest.mark.parametrize("name", BRIDGED)
+    def test_bridges_go_through_the_sweep(self, name):
+        # the sweep's rule labels a bridge of G as a bridge of its minor:
+        # the trees, their labels and their counts against the references
+        g = BRIDGED[name]
+        recs = list(labelled_trees(g))
+        assert len({rec.tree for rec in recs}) == len(recs)
+        assert {rec.tree for rec in recs} == brute_force_trees(g)
+        for rec in recs:
+            assert rec == classify_activities(g, rec.tree)
+        assert bigrading_counts(g) == dict(Counter((rec.u, rec.v) for rec in recs))
 
     def test_disconnected_graph(self):
         with pytest.raises(Disconnected):
@@ -147,11 +164,17 @@ class TestBigradingCounts:
             bigrading_counts(TaitGraph(2, []))
 
 
+#: graphs that are not connected: two vertices, a loop beside a vertex
+#: with no edge, and no vertex at all
+SPLIT = [TaitGraph(2, []), TaitGraph(2, [TaitEdge(1, 1, 1)]), TaitGraph(0, [])]
+
+
 class TestEdgeChecks:
-    """The census checks each edge of a library graph before its bridge
-    search: an end that is no vertex would index past the vertex lists
-    (or, at -1, from their back), and a sign that is not +-1 would be
-    counted as positive."""
+    """The census checks each edge of a library graph before it plans its
+    sweep: an end that is no vertex would index past the union-find (or,
+    at -1, from its back), and a sign that is not +-1 would be counted as
+    positive.  The plan's union-find then refuses a graph that is not
+    connected."""
 
     @pytest.mark.parametrize("census", [bigrading_counts, trees_of])
     @pytest.mark.parametrize(
@@ -171,6 +194,29 @@ class TestEdgeChecks:
             "except ValueError as exc:\n"
             "    raise SystemExit(0 if str(exc).startswith('edge 0') else 1)\n"
             "raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("census", [bigrading_counts, trees_of])
+    @pytest.mark.parametrize("g", SPLIT, ids=["two-vertices", "loop", "empty"])
+    def test_split_graph_is_refused(self, g, census):
+        with pytest.raises(Disconnected, match="graph is not connected"):
+            census(g)
+
+    def test_split_graph_is_refused_under_optimize(self):
+        code = (
+            "from khfront import (Disconnected, TaitGraph, bigrading_counts,\n"
+            "                     labelled_trees)\n"
+            "from khfront.tait import TaitEdge\n"
+            "for g in (TaitGraph(2, []), TaitGraph(2, [TaitEdge(1, 1, 1)]),\n"
+            "          TaitGraph(0, [])):\n"
+            "    for census in (bigrading_counts, labelled_trees):\n"
+            "        try:\n"
+            "            list(census(g))\n"
+            "        except Disconnected:\n"
+            "            continue\n"
+            "        raise SystemExit(1)\n"
         )
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
