@@ -94,20 +94,20 @@ def sharpness_report(
     """The bound and its certificate-based sharpness verdict, cross-checked
     against the oracle when requested.
 
-    Always computes tb and, from the tree counts at each (u, v) of
-    ``bigrading_counts``, the minimum of u, checking u >= 1 - C and,
-    once per (u, v), the grading identity
+    Always computes tb, read off the front's strands, and, from the tree
+    counts at each (u, v) of ``bigrading_counts``, the minimum of u,
+    checking u >= 1 - C and, once per (u, v), the grading identity
     min over tree generators of (j - i) = min u + w - 1.  With the oracle,
-    also the true minimum delta of the homology, checking
-    tb <= min_delta.
+    also builds the desingularized diagram, checks the strands' writhe
+    against the diagram's, and computes the true minimum delta of the
+    homology, checking tb <= min_delta.
 
     sharp_certified: some v has more good v-trees than bad (v+2)-trees,
     so the homology is nonzero on the bound line and the bound is an
     equality.  not_sharp_certified: no good tree exists, so the bound is
     strict.  Otherwise inconclusive.
     """
-    d = front.desingularize()
-    w = d.writhe()
+    w = front.writhe
     c = front.cusp_count
     counts = bigrading_counts(tait_graph(front))
     min_u = min(u for u, _ in counts)
@@ -116,7 +116,9 @@ def sharpness_report(
             f"tree with u={min_u} violates u >= 1 - C = {1 - c}"
         )
     tree_min_delta = min(
-        j - i for u, v in counts for i, j in generator_ij(u, v, d.n, w)
+        j - i
+        for u, v in counts
+        for i, j in generator_ij(u, v, front.crossing_count, w)
     )
     if tree_min_delta != min_u + w - 1:
         raise ConventionError(
@@ -126,6 +128,12 @@ def sharpness_report(
     census = _good_bad(counts, c)
     min_delta = None
     if with_oracle:
+        d = front.desingularize()
+        if d.writhe() != w:
+            raise ConventionError(
+                f"the strand sweep's writhe {w} differs from the diagram's "
+                f"{d.writhe()}"
+            )
         min_delta = khovanov_homology(d, max_crossings=max_crossings).min_delta()
     report = BoundReport(
         tb=w - c,

@@ -260,7 +260,7 @@ def _cmd_trees(args) -> _Output:
     """``trees``: the listed label codes of each tree, written as JSON or
     text with no record built in between."""
     front = _load_front(args.front)
-    d = front.desingularize()
+    n = front.crossing_count
     rows = [
         (name, codes)
         for name, reverse in (("canonical", False), ("reversed", True))
@@ -269,7 +269,7 @@ def _cmd_trees(args) -> _Output:
     ]
 
     def trees() -> Iterator[tuple]:
-        return _tree_fields(rows, d.n, d.writhe(), front.cusp_count)
+        return _tree_fields(rows, n, front.writhe, front.cusp_count)
 
     def text() -> str:
         pretty = [PRETTY[lab] for lab in _LABEL_OF_CODE]
@@ -280,7 +280,7 @@ def _cmd_trees(args) -> _Output:
             for col, codes, edges, u, v, cls, ij in trees()
         )
 
-    return lambda: _trees_json(trees(), d.n), text
+    return lambda: _trees_json(trees(), n), text
 
 
 def _cmd_homology(args) -> _Output:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import KhfrontError, MalformedToken
-from .front import FrontDiagram, parse_front
+from .front import EVENT_LIMIT, FrontDiagram, parse_front
 
 _TB_HEADER = "# tb="
 
@@ -140,19 +140,30 @@ def write_corpus_dir(path: Path) -> list[Path]:
 def _read_front_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     """Read a .front file once: its front, whose event word is the
     non-empty lines that are not comments (a comment starts with '#')
-    joined, and its first ``# tb=N`` header line, stripped, or None."""
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise KhfrontError(f"{path}: {exc}") from None
+    joined, and its first ``# tb=N`` header line, stripped, or None.
+
+    The file is read line by line, and reading stops once the word has
+    more than ``EVENT_LIMIT`` events, so ``parse_front`` refuses a file of
+    any length with TooLarge after holding no more than that.
+    """
     words = []
     header = None
-    for line in text.splitlines():
-        word = line.strip()
-        if header is None and word.startswith(_TB_HEADER):
-            header = word
-        elif word and not word.startswith("#"):
-            words.append(word)
+    events = 0
+    try:
+        with path.open() as f:
+            # str.splitlines ends a line at more characters than a file's
+            # lines do
+            for line in (line for raw in f for line in raw.splitlines()):
+                word = line.strip()
+                if header is None and word.startswith(_TB_HEADER):
+                    header = word
+                elif word and not word.startswith("#"):
+                    words.append(word)
+                    events += len(word.split(None, EVENT_LIMIT - events))
+                    if events > EVENT_LIMIT:
+                        break
+    except UnicodeDecodeError as exc:
+        raise KhfrontError(f"{path}: {exc}") from None
     return parse_front(" ".join(words)), header
 
 

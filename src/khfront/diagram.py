@@ -1,7 +1,10 @@
 """Planar link diagrams as combinatorial maps on packed integer ports.
 
-A diagram is a desingularized front, built by the front sweep
-(``front.desingularize``): a 4-valent plane graph with one node per
+A diagram is a desingularized front, built by ``front.desingularize``
+for the oracle only: the tree side reads tb, n and the writhe off the
+front's strands and builds no diagram.  The diagram's own crossing signs
+(``crossing_signs``) are the oracle's, and they check the strands' writhe
+whenever the oracle runs.  It is a 4-valent plane graph with one node per
 crossing, and the four arc-ends at a crossing in fixed geometric ports
 
     0 = NW (upper left)   1 = NE (upper right)
@@ -39,7 +42,8 @@ def _find(parent: list[int], x: int) -> int:
 
 
 class LinkDiagram:
-    """A connected-or-not planar diagram, as the front sweep builds it.
+    """A connected-or-not planar diagram, as ``front.desingularize``
+    builds it.
     At every crossing the NW-SE strand is over: fronts put the
     smaller-slope strand on top.
 

@@ -10,13 +10,21 @@ right:
 Strand positions are 1-based from the top.  Crossings therefore have
 strictly increasing x-order by construction, and the strand of smaller
 slope is the over-strand at every crossing.
+
+The tree side reads a front through four numbers: its Tait graph (see
+``tait``), its crossing count n, its cusp pairs C and its writhe w, so
+tb = w - C.  One sweep over the strands validates the word and reads n
+and w off it.  The desingularized link diagram (``desingularize``) is
+built only for the oracle and for orientations other than the canonical
+one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .diagram import NE, NW, SE, SW, LinkDiagram
@@ -38,13 +46,18 @@ class FrontDiagram:
     """A validated front word, split or not.
 
     Construction refuses a word with no event (MalformedToken) or with
-    more than ``EVENT_LIMIT`` events (TooLarge), then runs the sweep,
-    which checks every event's strand-count legality as it applies it;
-    use ``parse_front`` for text input.  A split front is legal: the
-    oracle answers it, and ``tait.tait_graph`` refuses it.
+    more than ``EVENT_LIMIT`` events (TooLarge), then runs the strand
+    sweep, which checks every event's strand-count legality as it applies
+    it and reads off the crossing count and the canonical writhe; use
+    ``parse_front`` for text input.  A split front is legal: the oracle
+    answers it, and ``tait.tait_graph`` refuses it.
     """
 
     events: tuple[Event, ...]
+    #: n, and the writhe w of the canonical orientation, both read off
+    #: the strands
+    crossing_count: int = field(init=False, compare=False)
+    writhe: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.events:
@@ -54,7 +67,9 @@ class FrontDiagram:
                 f"{len(self.events)} events exceeds the front limit of "
                 f"{EVENT_LIMIT}"
             )
-        self.desingularize()  # the sweep checks the word
+        n, w = _strand_sweep(self.events)
+        object.__setattr__(self, "crossing_count", n)
+        object.__setattr__(self, "writhe", w)
 
     @cached_property
     def _diagram(self) -> LinkDiagram:
@@ -62,29 +77,108 @@ class FrontDiagram:
 
     @property
     def cusp_count(self) -> int:
-        """C(F): half the number of cusps.  The sweep has checked that
-        every event is a cusp or one of the diagram's crossings."""
-        return (len(self.events) - self._diagram.n) // 2
-
-    @property
-    def crossing_count(self) -> int:
-        return self._diagram.n
+        """C(F): half the number of cusps.  The strand sweep has checked
+        that every event is a cusp or a crossing."""
+        return (len(self.events) - self.crossing_count) // 2
 
     def word(self) -> str:
         return " ".join(f"{kind}{pos}" for kind, pos in self.events)
 
     def desingularize(self) -> LinkDiagram:
-        """The desingularized link diagram.  It is computed once per front
-        and shared by every caller, so it must not be mutated."""
+        """The desingularized link diagram, for the oracle and for
+        ``tb(flips)``.  It is built on first use, once per front, and
+        shared by every caller, so it must not be mutated."""
         return self._diagram
 
     def tb(self, flips: Optional[Sequence[bool]] = None) -> int:
-        """Thurston-Bennequin number: writhe of the desingularization
-        minus half the number of cusps."""
-        return self._diagram.writhe(flips) - self.cusp_count
+        """Thurston-Bennequin number: writhe minus half the number of
+        cusps.  The canonical orientation's writhe is read off the
+        strands; ``flips`` (see ``LinkDiagram.crossing_signs``) takes it
+        from the desingularized diagram."""
+        w = self.writhe if flips is None else self._diagram.writhe(flips)
+        return w - self.cusp_count
 
     def __repr__(self) -> str:
         return f"FrontDiagram({self.word()!r})"
+
+
+def _strand_sweep(events: Sequence[Event]) -> tuple[int, int]:
+    """Validate the word and return its crossing count and the writhe of
+    its canonical orientation.
+
+    Each event is checked before it is applied: MalformedToken for an
+    event that is no pair of a kind and an int position of at least 1,
+    or for an unknown kind; StrandUnderflow for too few strands.  Strands
+    left open at the end raise NonzeroEndState.  The Tait graph's sweep
+    (``tait``) and ``desingularize`` rely on these checks.
+
+    A strand runs from the left cusp that makes it to the right cusp that
+    ends it, through its crossings, and keeps one direction all the way.
+    A cusp joins two strands that run in opposite directions, and every
+    strand has two cusp ends, so a component is a cycle of strands that
+    alternate in direction.  The canonical orientation is that of
+    ``LinkDiagram.components``: at a component's first crossing in
+    x-order its over-strand (NW to SE) runs rightward if it belongs to the
+    component, and its under-strand otherwise.  A crossing's sign is the
+    product of its two strands' directions, +1 for rightward.
+    """
+    strands: list[int] = []  # the strand at each position, top first
+    # the strand that each strand's right cusp joins; strands 2k and
+    # 2k + 1 share a left cusp
+    mate: list[int] = []
+    crossed: list[int] = []  # over- and under-strand of each crossing
+
+    for i, event in enumerate(events):
+        try:
+            kind, pos = event
+        except (TypeError, ValueError):
+            pos = None
+        # ``type(pos) is int`` refuses True and False, which are ints too
+        if type(pos) is not int or pos < 1:
+            raise MalformedToken(
+                f"event {i}: {event!r} is no pair of a kind and a position >= 1"
+            )
+        if kind == "L":
+            if pos > len(strands) + 1:
+                raise StrandUnderflow(
+                    f"event {i}: left cusp at position {pos} "
+                    f"with {len(strands)} strands"
+                )
+            t = len(mate)
+            mate += (t, t)
+            strands[pos - 1 : pos - 1] = (t, t + 1)
+            continue
+        if kind not in ("R", "X"):
+            raise MalformedToken(f"event {i}: unknown kind {kind!r}")
+        if pos + 1 > len(strands):
+            raise StrandUnderflow(
+                f"event {i}: {kind}{pos} needs strands {pos},{pos + 1} "
+                f"but only {len(strands)} exist"
+            )
+        s, t = strands[pos - 1], strands[pos]
+        if kind == "R":
+            mate[s], mate[t] = t, s
+            del strands[pos - 1 : pos + 1]
+        else:  # crossing: the strand at p goes over, from NW to SE
+            crossed += (s, t)
+            strands[pos - 1], strands[pos] = t, s
+
+    if strands:
+        raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
+    # +1 for a rightward strand, -1 for a leftward one, 0 on a component
+    # not met yet.  Crossings come in x-order, each over-strand before its
+    # under-strand, so the first strand met on a component runs rightward
+    way = [0] * len(mate)
+    for s in crossed:
+        if not way[s]:
+            x = s
+            while True:
+                way[x], way[x ^ 1] = 1, -1
+                x = mate[x ^ 1]
+                if x == s:
+                    break
+    ways = list(map(way.__getitem__, crossed))
+    return len(crossed) // 2, sum(map(mul, ways[::2], ways[1::2]))
 
 
 def parse_front(text: str) -> FrontDiagram:
@@ -114,17 +208,12 @@ def parse_front(text: str) -> FrontDiagram:
 
 
 def desingularize(front: FrontDiagram) -> LinkDiagram:
-    """Smooth all cusps of the front into a link diagram.
+    """Smooth all cusps of the front into a link diagram, for the oracle.
 
     Cusps become smooth turning arcs; every crossing keeps its x-order and
-    has the smaller-slope (NW-SE) branch on top.
-
-    The sweep validates the word as it applies it: each event is checked
-    before it is applied (MalformedToken for an event that is no pair of
-    a kind and an int position of at least 1, or for an unknown kind;
-    StrandUnderflow for too few strands), and strands left open at the
-    end raise NonzeroEndState.  The Tait graph's sweep (``tait``) relies
-    on these checks.
+    has the smaller-slope (NW-SE) branch on top.  The word was validated
+    by the strand sweep when the front was built, so nothing is checked
+    here.
     """
     # An open strand is an int: a port x >= 0 when its partial arc runs
     # back to port x, else ~t for the cusp-born strand t.  far[t] is what
@@ -143,34 +232,12 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
         else:
             arcs.append((f, x))
 
-    for i, event in enumerate(front.events):
-        try:
-            kind, pos = event
-        except (TypeError, ValueError):
-            pos = None
-        # ``type(pos) is int`` refuses True and False, which are ints too
-        if type(pos) is not int or pos < 1:
-            raise MalformedToken(
-                f"event {i}: {event!r} is no pair of a kind and a position >= 1"
-            )
+    for kind, pos in front.events:
         if kind == "L":
-            if pos > len(strands) + 1:
-                raise StrandUnderflow(
-                    f"event {i}: left cusp at position {pos} "
-                    f"with {len(strands)} strands"
-                )
             t = len(far)
             far += (~(t + 1), ~t)
             strands[pos - 1 : pos - 1] = (~t, ~(t + 1))
-            continue
-        if kind not in ("R", "X"):
-            raise MalformedToken(f"event {i}: unknown kind {kind!r}")
-        if pos + 1 > len(strands):
-            raise StrandUnderflow(
-                f"event {i}: {kind}{pos} needs strands {pos},{pos + 1} "
-                f"but only {len(strands)} exist"
-            )
-        if kind == "R":
+        elif kind == "R":
             s, t = strands[pos - 1], strands[pos]
             fs = s if s >= 0 else far[~s]
             ft = t if t >= 0 else far[~t]
@@ -192,7 +259,4 @@ def desingularize(front: FrontDiagram) -> LinkDiagram:
             attach(strands[pos - 1], x + NW)
             attach(strands[pos], x + SW)
             strands[pos - 1], strands[pos] = x + NE, x + SE
-
-    if strands:
-        raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
     return LinkDiagram(n, arcs, free_loops=free_loops)

@@ -282,3 +282,28 @@ class TestTripwires:
         )
         proc = run_optimized("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_strand_writhe_is_checked_when_the_oracle_runs(self):
+        # the tree side trusts the strand sweep's writhe; the oracle run
+        # builds the diagram, and a sweep that is off by two is refused
+        # there with both writhes, under python -O as well
+        code = (
+            "import khfront.front\n"
+            "from khfront import ConventionError, parse_front, sharpness_report\n"
+            "sweep = khfront.front._strand_sweep\n"
+            "def skewed(events):\n"
+            "    n, w = sweep(events)\n"
+            "    return n, w - 2\n"
+            "khfront.front._strand_sweep = skewed\n"
+            "front = parse_front('L1 L2 X1 X1 X1 R2 R1')\n"
+            "print(sharpness_report(front).tb)\n"
+            "try:\n"
+            "    sharpness_report(front, with_oracle=True)\n"
+            "except ConventionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "-1\nthe strand sweep's writhe 1 differs from the diagram's 3\n"
+        )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from khfront import (
+    BUNDLED,
     generator_ij,
     labelled_trees,
     parse_front,
@@ -403,13 +404,13 @@ class TestCorpus:
 
         files = write_corpus_dir(tmp_path)
         reads = Counter()
-        read_text = Path.read_text
+        open_path = Path.open
 
         def counting(self, *args, **kwargs):
             reads[self] += 1
-            return read_text(self, *args, **kwargs)
+            return open_path(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(Path, "open", counting)
         code, _, _ = run(capsys, "corpus", str(tmp_path), "--jobs", "1")
         assert code == EXIT_OK
         assert reads == Counter(files)
@@ -532,6 +533,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(EVENT_LIMIT) in err
         assert time.perf_counter() - start < 1
 
+    def test_ten_million_line_file_is_refused_as_it_is_read(self, tmp_path):
+        # a 30 MB file of one token a line is read only up to the event
+        # limit, in a child whose own peak RSS the wrapper reads; holding
+        # a string per line took about 0.9 GB
+        path = tmp_path / "lines.front"
+        path.write_text("X1\n" * 10**7)
+        code = (
+            "import resource, subprocess, sys, time\n"
+            "start = time.perf_counter()\n"
+            "proc = subprocess.run([sys.executable, '-m', 'khfront.cli',\n"
+            f"                       'analyze', '@{path}'],\n"
+            "                      capture_output=True, text=True)\n"
+            "print(proc.returncode, time.perf_counter() - start,\n"
+            "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "print(proc.stdout + proc.stderr, end='')\n"
+        )
+        proc = run_python("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        status, output = proc.stdout.split("\n", 1)
+        exit_code, seconds, peak_kb = status.split()
+        assert int(exit_code) == EXIT_INVALID
+        assert output == (
+            "error: the word has more events than the front limit of "
+            f"{EVENT_LIMIT}\n"
+        )
+        assert float(seconds) < 10
+        assert int(peak_kb) < 100 * 1024  # Linux reports kilobytes
+
     @pytest.mark.parametrize(
         "command", ["analyze", "certify", "homology", "jones", "corpus"]
     )
@@ -650,6 +679,34 @@ class TestParser:
         fresh = run_python("-m", "khfront.cli", "homology", HOPF)
         assert fresh.returncode == EXIT_OK, fresh.stderr
         assert plain == fresh.stdout != flipped
+
+
+class TestTreeSideBuildsNoDiagram:
+    """Without the oracle, tb, n and w come off the front's strands: no
+    command on the tree side desingularizes a front."""
+
+    WORDS = [e.word for e in BUNDLED] + ["L1 " + "L2 X1 R2 " * 300 + "R1"]
+
+    @pytest.mark.parametrize("argvs", [
+        [["analyze", word] for word in WORDS],
+        [["certify", word] for word in WORDS],
+        [["trees", word, "--coloring", "both"] for word in WORDS],
+        [["corpus"]],
+    ], ids=["analyze", "certify", "trees", "corpus"])
+    def test_outputs_unchanged_with_desingularize_refused(
+        self, capsys, monkeypatch, argvs
+    ):
+        import khfront.front
+
+        runs = [argv + flags for argv in argvs for flags in ([], ["--json"])]
+        plain = [run(capsys, *argv) for argv in runs]
+
+        def refuse(front):
+            raise AssertionError(f"{front!r} desingularized")
+
+        monkeypatch.setattr(khfront.front, "desingularize", refuse)
+        assert [run(capsys, *argv) for argv in runs] == plain
+        assert {code for code, _, _ in plain} == {EXIT_OK}
 
 
 class TestRuntime:

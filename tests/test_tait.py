@@ -206,20 +206,17 @@ class TestEdgeOrder:
 
 class TestTripwires:
     def test_front_checks_survive_optimize(self):
-        # a sweep that leaves strands open raises NonzeroEndState and a
-        # position that is a bool MalformedToken (bad input); two loops
-        # side by side are a legal front, but make three faces for no
-        # crossing, which the Tait sweep refuses with Disconnected, under
-        # python -O as well
+        # the strand sweep that builds a front raises NonzeroEndState
+        # for a word that leaves strands open and MalformedToken for a
+        # position that is a bool (bad input); two loops side by side are
+        # a legal front, but make three faces for no crossing, which the
+        # Tait sweep refuses with Disconnected, under python -O as well
         code = (
-            "from types import SimpleNamespace\n"
             "from khfront import (Disconnected, FrontDiagram, MalformedToken,\n"
             "                     NonzeroEndState, tait_graph)\n"
-            "from khfront.front import desingularize\n"
             "split = FrontDiagram((('L', 1), ('R', 1)) * 2)\n"
             "checks = (\n"
-            "    (lambda: desingularize(SimpleNamespace(events=(('L', 1),))),\n"
-            "     NonzeroEndState),\n"
+            "    (lambda: FrontDiagram((('L', 1),)), NonzeroEndState),\n"
             "    (lambda: FrontDiagram((('L', True), ('R', True))), MalformedToken),\n"
             "    (lambda: tait_graph(split), Disconnected),\n"
             ")\n"
