@@ -17,7 +17,7 @@ WORD = "L1 L2 X1 X1 X1 R2 R1"
 front = parse_front(WORD)
 graph = tait_graph(front)
 dual = tait_graph(front, reverse=True)
-n = front.crossing_count
+n = front.n
 
 print(f"canonical graph : {graph}  signs {[e.sign for e in graph.edges]}")
 print(f"reversed graph  : {dual}  signs {[e.sign for e in dual.edges]}")

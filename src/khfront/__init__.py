@@ -4,7 +4,6 @@ Khovanov homology and Jones polynomial oracles."""
 
 from .bounds import BoundReport, sharpness_report
 from .corpus import BUNDLED, CorpusEntry
-from .diagram import LinkDiagram
 from .errors import (
     ConventionError,
     Disconnected,
@@ -43,7 +42,6 @@ __all__ = [
     "FrontDiagram",
     "KhfrontError",
     "LaurentPoly",
-    "LinkDiagram",
     "MalformedToken",
     "NonzeroEndState",
     "NotASpanningTree",

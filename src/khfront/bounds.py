@@ -98,9 +98,8 @@ def sharpness_report(
     counts at each (u, v) of ``bigrading_counts``, the minimum of u,
     checking u >= 1 - C and, once per (u, v), the grading identity
     min over tree generators of (j - i) = min u + w - 1.  With the oracle,
-    also builds the desingularized diagram, checks the strands' writhe
-    against the diagram's, and computes the true minimum delta of the
-    homology, checking tb <= min_delta.
+    also computes the true minimum delta of the homology of the front in
+    the same orientation, checking tb <= min_delta.
 
     sharp_certified: some v has more good v-trees than bad (v+2)-trees,
     so the homology is nonzero on the bound line and the bound is an
@@ -118,7 +117,7 @@ def sharpness_report(
     tree_min_delta = min(
         j - i
         for u, v in counts
-        for i, j in generator_ij(u, v, front.crossing_count, w)
+        for i, j in generator_ij(u, v, front.n, w)
     )
     if tree_min_delta != min_u + w - 1:
         raise ConventionError(
@@ -128,13 +127,7 @@ def sharpness_report(
     census = _good_bad(counts, c)
     min_delta = None
     if with_oracle:
-        d = front.desingularize()
-        if d.writhe() != w:
-            raise ConventionError(
-                f"the strand sweep's writhe {w} differs from the diagram's "
-                f"{d.writhe()}"
-            )
-        min_delta = khovanov_homology(d, max_crossings=max_crossings).min_delta()
+        min_delta = khovanov_homology(front, max_crossings=max_crossings).min_delta()
     report = BoundReport(
         tb=w - c,
         C=c,

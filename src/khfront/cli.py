@@ -90,7 +90,8 @@ def _parser() -> _Parser:
         if orient:
             sp.add_argument(
                 "--orient",
-                help="per-component orientation signs, e.g. '+,-' (canonical order)",
+                help="one +/- sign per component, e.g. '+,-', in order of first "
+                "crossing (over-strand first), crossing-free loops last",
             )
 
     for name in ("analyze", "certify"):
@@ -140,11 +141,9 @@ def _flips(front: FrontDiagram, orient: Optional[str]) -> Optional[list[bool]]:
     if orient is None:
         return None
     signs = [s.strip() for s in orient.split(",")]
-    n_comp = front.desingularize().component_count()
+    n_comp = front.component_count
     if len(signs) != n_comp or any(s not in ("+", "-") for s in signs):
-        raise KhfrontError(
-            f"--orient needs {n_comp} comma-separated +/- signs"
-        )
+        raise KhfrontError(f"--orient needs {n_comp} comma-separated +/- signs")
     return [s == "-" for s in signs]
 
 
@@ -260,7 +259,7 @@ def _cmd_trees(args) -> _Output:
     """``trees``: the listed label codes of each tree, written as JSON or
     text with no record built in between."""
     front = _load_front(args.front)
-    n = front.crossing_count
+    n = front.n
     rows = [
         (name, codes)
         for name, reverse in (("canonical", False), ("reversed", True))
@@ -286,9 +285,7 @@ def _cmd_trees(args) -> _Output:
 def _cmd_homology(args) -> _Output:
     front = _load_front(args.front)
     flips = _flips(front, args.orient)
-    table = khovanov_homology(
-        front.desingularize(), flips=flips, max_crossings=args.max_crossings
-    )
+    table = khovanov_homology(front, flips=flips, max_crossings=args.max_crossings)
     payload = {"schema": 1, **table.to_json_dict(), "min_delta": table.min_delta()}
     return lambda: _dumps(payload), table.pretty
 
@@ -296,9 +293,7 @@ def _cmd_homology(args) -> _Output:
 def _cmd_jones(args) -> _Output:
     front = _load_front(args.front)
     flips = _flips(front, args.orient)
-    poly = kauffman_jones(
-        front.desingularize(), flips=flips, max_crossings=args.max_crossings
-    )
+    poly = kauffman_jones(front, flips=flips, max_crossings=args.max_crossings)
     payload = {
         "schema": 1,
         "variable": "q",

@@ -16,6 +16,11 @@ from .errors import KhfrontError, MalformedToken
 from .front import EVENT_LIMIT, FrontDiagram, parse_front
 
 _TB_HEADER = "# tb="
+#: characters ``_read_front_file`` reads at a time
+_CHUNK = 1 << 13
+#: the characters at which ``str.splitlines`` ends a line; a file read in
+#: text mode has turned each CR LF and each lone CR into LF
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -142,29 +147,54 @@ def _read_front_file(path: Path) -> tuple[FrontDiagram, Optional[str]]:
     non-empty lines that are not comments (a comment starts with '#')
     joined, and its first ``# tb=N`` header line, stripped, or None.
 
-    The file is read line by line, and reading stops once the word has
-    more than ``EVENT_LIMIT`` events, so ``parse_front`` refuses a file of
-    any length with TooLarge after holding no more than that.
+    The file is read ``_CHUNK`` characters at a time, and reading stops
+    once the word has more than ``EVENT_LIMIT`` events, so ``parse_front``
+    refuses a file of any length, one long line too, with TooLarge after
+    holding no more than that and a chunk.
     """
-    words = []
+    tokens: list[str] = []
     header = None
-    events = 0
+    # the current line's kind once a non-blank character is read: "w" for
+    # words, "h" for a comment that is or may yet be the header, "#" for
+    # any other comment, which is never held
+    kind = ""
+    cut: list[str] = []  # the pieces of a cut token, or of the header line
     try:
         with path.open() as f:
-            # str.splitlines ends a line at more characters than a file's
-            # lines do
-            for line in (line for raw in f for line in raw.splitlines()):
-                word = line.strip()
-                if header is None and word.startswith(_TB_HEADER):
-                    header = word
-                elif word and not word.startswith("#"):
-                    words.append(word)
-                    events += len(word.split(None, EVENT_LIMIT - events))
-                    if events > EVENT_LIMIT:
-                        break
+            while len(tokens) <= EVENT_LIMIT:
+                chunk = f.read(_CHUNK)
+                # a line end after the last chunk closes its last line
+                for piece in (chunk or "\n").splitlines(keepends=True):
+                    if not kind:
+                        piece = piece.lstrip()
+                        if not piece:
+                            continue
+                        kind = "w" if piece[0] != "#" else "#" if header else "h"
+                    if kind == "w":
+                        words = piece.split()
+                        if cut and not piece[0].isspace():
+                            cut.append(words.pop(0))  # the cut token runs on
+                        if cut and (words or piece[-1].isspace()):
+                            tokens.append("".join(cut))  # and ends here
+                            cut = []
+                        if words and not piece[-1].isspace():
+                            cut = [words.pop()]
+                        tokens += words
+                    elif kind == "h":
+                        cut.append(piece)
+                        # no piece is empty, so this starts the line
+                        start = "".join(cut[: len(_TB_HEADER)])
+                        if not start.startswith(_TB_HEADER[: len(start)]):
+                            kind, cut = "#", []
+                    if piece[-1] in _LINE_ENDS:
+                        if kind == "h":
+                            header, cut = "".join(cut).strip(), []
+                        kind = ""
+                if not chunk:
+                    break
     except UnicodeDecodeError as exc:
         raise KhfrontError(f"{path}: {exc}") from None
-    return parse_front(" ".join(words)), header
+    return parse_front(" ".join(tokens)), header
 
 
 def read_corpus_file(path: Path) -> tuple[FrontDiagram, Optional[int]]:

@@ -11,23 +11,21 @@ Strand positions are 1-based from the top.  Crossings therefore have
 strictly increasing x-order by construction, and the strand of smaller
 slope is the over-strand at every crossing.
 
-The tree side reads a front through four numbers: its Tait graph (see
-``tait``), its crossing count n, its cusp pairs C and its writhe w, so
-tb = w - C.  One sweep over the strands validates the word and reads n
-and w off it.  The desingularized link diagram (``desingularize``) is
-built only for the oracle and for orientations other than the canonical
-one.
+The paper reads everything off the front: its Tait graph (see ``tait``),
+its crossing count n, its cusp pairs C and its writhe w, so tb = w - C.
+One sweep over the strands validates the word, orients its components
+and reads n, w and every crossing's sign off them.  It is the package's
+only orientation: the tree side and the oracles (see ``oracle``) read it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
-from .diagram import NE, NW, SE, SW, LinkDiagram
 from .errors import MalformedToken, NonzeroEndState, StrandUnderflow, TooLarge
 
 Event = tuple[str, int]  # ("L" | "R" | "X", 1-based position)
@@ -41,6 +39,14 @@ EVENT_LIMIT = 50_000
 _TOKEN = re.compile(r"([LRX])([0-9]+)\Z")
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class FrontDiagram:
     """A validated front word, split or not.
@@ -48,16 +54,21 @@ class FrontDiagram:
     Construction refuses a word with no event (MalformedToken) or with
     more than ``EVENT_LIMIT`` events (TooLarge), then runs the strand
     sweep, which checks every event's strand-count legality as it applies
-    it and reads off the crossing count and the canonical writhe; use
-    ``parse_front`` for text input.  A split front is legal: the oracle
-    answers it, and ``tait.tait_graph`` refuses it.
+    it and orients the components; use ``parse_front`` for text input.  A
+    split front is legal: the oracle answers it, and ``tait.tait_graph``
+    refuses it.
     """
 
     events: tuple[Event, ...]
-    #: n, and the writhe w of the canonical orientation, both read off
-    #: the strands
-    crossing_count: int = field(init=False, compare=False)
+    #: the crossing count, the number of components (crossing-free loops
+    #: included) and the writhe of the canonical orientation
+    n: int = field(init=False, compare=False)
+    component_count: int = field(init=False, compare=False)
     writhe: int = field(init=False, compare=False)
+    #: per crossing, its over- then its under-strand: the strand's
+    #: direction (+1 rightward) and its component, in canonical order
+    _ways: list[int] = field(init=False, compare=False)
+    _components: list[int] = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.events:
@@ -67,60 +78,72 @@ class FrontDiagram:
                 f"{len(self.events)} events exceeds the front limit of "
                 f"{EVENT_LIMIT}"
             )
-        n, w = _strand_sweep(self.events)
-        object.__setattr__(self, "crossing_count", n)
-        object.__setattr__(self, "writhe", w)
-
-    @cached_property
-    def _diagram(self) -> LinkDiagram:
-        return desingularize(self)
+        ways, components, count = _strand_sweep(self.events)
+        object.__setattr__(self, "_ways", ways)
+        object.__setattr__(self, "_components", components)
+        object.__setattr__(self, "n", len(ways) // 2)
+        object.__setattr__(self, "component_count", count)
+        object.__setattr__(self, "writhe", sum(map(mul, ways[::2], ways[1::2])))
 
     @property
     def cusp_count(self) -> int:
         """C(F): half the number of cusps.  The strand sweep has checked
         that every event is a cusp or a crossing."""
-        return (len(self.events) - self.crossing_count) // 2
+        return (len(self.events) - self.n) // 2
 
     def word(self) -> str:
         return " ".join(f"{kind}{pos}" for kind, pos in self.events)
 
-    def desingularize(self) -> LinkDiagram:
-        """The desingularized link diagram, for the oracle and for
-        ``tb(flips)``.  It is built on first use, once per front, and
-        shared by every caller, so it must not be mutated."""
-        return self._diagram
+    def crossing_signs(self, flips: Optional[Sequence[bool]] = None) -> list[int]:
+        """Orientation sign of each crossing, in x-order.
+
+        ``flips[i]`` reverses component i of the canonical order: the
+        components by their first crossing in x-order, the over-strand's
+        before the under-strand's, then the crossing-free loops.  It holds
+        one entry per component; any other length raises ValueError.
+        """
+        ways = self._ways
+        if flips is not None:
+            if len(flips) != self.component_count:
+                raise ValueError(
+                    f"flips has {len(flips)} entries for "
+                    f"{self.component_count} components"
+                )
+            ways = [-w if flips[k] else w for w, k in zip(ways, self._components)]
+        return list(map(mul, ways[::2], ways[1::2]))
 
     def tb(self, flips: Optional[Sequence[bool]] = None) -> int:
         """Thurston-Bennequin number: writhe minus half the number of
-        cusps.  The canonical orientation's writhe is read off the
-        strands; ``flips`` (see ``LinkDiagram.crossing_signs``) takes it
-        from the desingularized diagram."""
-        w = self.writhe if flips is None else self._diagram.writhe(flips)
+        cusps, the writhe under the orientation ``flips`` (see
+        ``crossing_signs``)."""
+        w = self.writhe if flips is None else sum(self.crossing_signs(flips))
         return w - self.cusp_count
 
     def __repr__(self) -> str:
         return f"FrontDiagram({self.word()!r})"
 
 
-def _strand_sweep(events: Sequence[Event]) -> tuple[int, int]:
-    """Validate the word and return its crossing count and the writhe of
-    its canonical orientation.
+def _strand_sweep(events: Sequence[Event]) -> tuple[list[int], list[int], int]:
+    """Validate the word and orient it: per crossing, the direction and
+    the component of its over- and its under-strand, and the number of
+    components.
 
     Each event is checked before it is applied: MalformedToken for an
     event that is no pair of a kind and an int position of at least 1,
     or for an unknown kind; StrandUnderflow for too few strands.  Strands
     left open at the end raise NonzeroEndState.  The Tait graph's sweep
-    (``tait``) and ``desingularize`` rely on these checks.
+    (``tait``) and the oracle's smoothing rely on these checks.
 
     A strand runs from the left cusp that makes it to the right cusp that
     ends it, through its crossings, and keeps one direction all the way.
     A cusp joins two strands that run in opposite directions, and every
     strand has two cusp ends, so a component is a cycle of strands that
-    alternate in direction.  The canonical orientation is that of
-    ``LinkDiagram.components``: at a component's first crossing in
-    x-order its over-strand (NW to SE) runs rightward if it belongs to the
-    component, and its under-strand otherwise.  A crossing's sign is the
-    product of its two strands' directions, +1 for rightward.
+    alternate in direction.  The canonical orientation numbers the
+    components in the order in which the crossings, in x-order and each
+    over-strand before its under-strand, first meet them, and the first
+    strand met on each runs rightward; the crossing-free loops come last.
+    A crossing's sign is the product of its two strands' directions, +1
+    for rightward.
     """
     strands: list[int] = []  # the strand at each position, top first
     # the strand that each strand's right cusp joins; strands 2k and
@@ -166,19 +189,23 @@ def _strand_sweep(events: Sequence[Event]) -> tuple[int, int]:
     if strands:
         raise NonzeroEndState(f"{len(strands)} strands remain after the last event")
     # +1 for a rightward strand, -1 for a leftward one, 0 on a component
-    # not met yet.  Crossings come in x-order, each over-strand before its
-    # under-strand, so the first strand met on a component runs rightward
+    # not met yet; the crossed strands first, then every strand's left
+    # cusp, so the loops with no crossing come last
     way = [0] * len(mate)
-    for s in crossed:
+    component = [0] * len(mate)
+    count = 0
+    for s in chain(crossed, range(0, len(mate), 2)):
         if not way[s]:
             x = s
             while True:
                 way[x], way[x ^ 1] = 1, -1
+                component[x] = component[x ^ 1] = count
                 x = mate[x ^ 1]
                 if x == s:
                     break
+            count += 1
     ways = list(map(way.__getitem__, crossed))
-    return len(crossed) // 2, sum(map(mul, ways[::2], ways[1::2]))
+    return ways, list(map(component.__getitem__, crossed)), count
 
 
 def parse_front(text: str) -> FrontDiagram:
@@ -205,58 +232,3 @@ def parse_front(text: str) -> FrontDiagram:
                 raise MalformedToken(f"bad token {token!r}")
             event_of[token] = (m.group(1), int(m.group(2)))
     return FrontDiagram(tuple(map(event_of.__getitem__, tokens)))
-
-
-def desingularize(front: FrontDiagram) -> LinkDiagram:
-    """Smooth all cusps of the front into a link diagram, for the oracle.
-
-    Cusps become smooth turning arcs; every crossing keeps its x-order and
-    has the smaller-slope (NW-SE) branch on top.  The word was validated
-    by the strand sweep when the front was built, so nothing is checked
-    here.
-    """
-    # An open strand is an int: a port x >= 0 when its partial arc runs
-    # back to port x, else ~t for the cusp-born strand t.  far[t] is what
-    # sits at the other end of t's partial arc: a port, or ~u for the open
-    # strand u when the arc is still open on both sides.
-    strands: list[int] = []
-    far: list[int] = []
-    arcs: list[tuple[int, int]] = []
-    free_loops = 0
-    n = 0
-
-    def attach(s: int, x: int) -> None:
-        f = s if s >= 0 else far[~s]
-        if f < 0:
-            far[~f] = x
-        else:
-            arcs.append((f, x))
-
-    for kind, pos in front.events:
-        if kind == "L":
-            t = len(far)
-            far += (~(t + 1), ~t)
-            strands[pos - 1 : pos - 1] = (~t, ~(t + 1))
-        elif kind == "R":
-            s, t = strands[pos - 1], strands[pos]
-            fs = s if s >= 0 else far[~s]
-            ft = t if t >= 0 else far[~t]
-            if fs < 0 and ft < 0:
-                if fs == t:
-                    free_loops += 1
-                else:
-                    far[~fs], far[~ft] = ft, fs
-            elif fs < 0:
-                far[~fs] = ft
-            elif ft < 0:
-                far[~ft] = fs
-            else:
-                arcs.append((fs, ft))
-            del strands[pos - 1 : pos + 1]
-        else:  # crossing
-            x = 4 * n
-            n += 1
-            attach(strands[pos - 1], x + NW)
-            attach(strands[pos], x + SW)
-            strands[pos - 1], strands[pos] = x + NE, x + SE
-    return LinkDiagram(n, arcs, free_loops=free_loops)

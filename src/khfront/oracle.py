@@ -2,9 +2,14 @@
 Bar-Natan's scanning algorithm, and the Jones polynomial as a state sum
 in q swept over matchings.
 
-Both work directly on a LinkDiagram and share nothing with the spanning
-tree model beyond the diagram itself, so agreement between the two sides
-is meaningful evidence.
+Both take a front, and share nothing with the spanning tree model beyond
+its word and its crossing signs, so agreement between the two sides is
+meaningful evidence.  Each smooths the front's cusps into a port map
+(``_desingularize``): port p of crossing c, in x-order, is the integer
+x = 4c + p, with the places 0 = NW, 1 = NE, 2 = SE and 3 = SW, and
+``mate[x]`` is the port at the other end of x's arc, which may pass
+through cusps.  The NW-SE strand, of smaller slope, is over at every
+crossing.
 
 Khovanov homology is computed one crossing at a time (D. Bar-Natan, "Fast
 Khovanov homology computations", JKTR 16 (2007), arXiv:math/0606318), so
@@ -71,8 +76,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import A_PAIRS, B_PAIRS, LinkDiagram, _find
 from .errors import ConventionError, EmptyTable, TooLarge
+from .front import FrontDiagram, _find
 from .laurent import LaurentPoly
 from .snf import invariant_factors
 
@@ -82,6 +87,15 @@ DEFAULT_MAX_CROSSINGS = 14
 #: matchings of the <= 4(n - k) open arc-ends, so at most 2^11 for
 #: n <= 14: the limit never trips under the default crossing limit
 JONES_STATE_LIMIT = 2**11
+
+#: the four places of a port, x & 3
+NW, NE, SE, SW = range(4)
+
+#: port pairings of the A- and B-smoothings.  The NW-SE strand is always
+#: over, so the A-smoothing (the one merging the two regions swept
+#: counterclockwise from the over-strand) joins NW-NE and SW-SE
+A_PAIRS = ((NW, NE), (SW, SE))
+B_PAIRS = ((NW, SW), (NE, SE))
 
 Matching = tuple[tuple[int, int], ...]  # sorted pairs (u, v), u < v, of arc ids
 Morphism = dict[int, int]  # dotted-circle bitmask -> coefficient
@@ -140,13 +154,69 @@ def _circle() -> LaurentPoly:
     return LaurentPoly.monomial(1) + LaurentPoly.monomial(-1)
 
 
-def _check_oracle_input(d: LinkDiagram, max_crossings: int) -> None:
+def _desingularize(front: FrontDiagram) -> tuple[list[int], int]:
+    """Smooth all cusps of the front: each crossing port's mate, and the
+    number of crossing-free loops.  The word was validated when the front
+    was built, so nothing is checked here."""
+    # An open strand is an int: a port x >= 0 when its partial arc runs
+    # back to port x, else ~t for the cusp-born strand t.  far[t] is what
+    # sits at the other end of t's partial arc: a port, or ~u for the open
+    # strand u when the arc is still open on both sides.
+    strands: list[int] = []
+    far: list[int] = []
+    mate = [0] * (4 * front.n)
+    free_loops = 0
+    x = 0  # the NW port of the next crossing
+
+    def attach(s: int, y: int) -> None:
+        f = s if s >= 0 else far[~s]
+        if f < 0:
+            far[~f] = y
+        else:
+            mate[f], mate[y] = y, f
+
+    for kind, pos in front.events:
+        if kind == "L":
+            t = len(far)
+            far += (~(t + 1), ~t)
+            strands[pos - 1 : pos - 1] = (~t, ~(t + 1))
+        elif kind == "R":
+            s, t = strands[pos - 1], strands[pos]
+            fs = s if s >= 0 else far[~s]
+            ft = t if t >= 0 else far[~t]
+            if fs < 0 and ft < 0:
+                if fs == t:
+                    free_loops += 1
+                else:
+                    far[~fs], far[~ft] = ft, fs
+            elif fs < 0:
+                far[~fs] = ft
+            elif ft < 0:
+                far[~ft] = fs
+            else:
+                mate[fs], mate[ft] = ft, fs
+            del strands[pos - 1 : pos + 1]
+        else:  # crossing
+            attach(strands[pos - 1], x + NW)
+            attach(strands[pos], x + SW)
+            strands[pos - 1], strands[pos] = x + NE, x + SE
+            x += 4
+    return mate, free_loops
+
+
+def _oriented(
+    front: FrontDiagram, flips: Optional[Sequence[bool]], max_crossings: int
+) -> tuple[list[int], int, int, int]:
+    """The port map of a front, its numbers n+ and n- of positive and
+    negative crossings under ``flips``, and its number of crossing-free
+    loops; TooLarge past ``max_crossings`` crossings."""
     if max_crossings < 0:
         raise ValueError(f"max_crossings must be 0 or more, not {max_crossings}")
-    if d.n > max_crossings:
-        raise TooLarge(
-            f"{d.n} crossings exceeds the oracle limit of {max_crossings}"
-        )
+    if front.n > max_crossings:
+        raise TooLarge(f"{front.n} crossings exceeds the oracle limit of {max_crossings}")
+    signs = front.crossing_signs(flips)
+    mate, free_loops = _desingularize(front)
+    return mate, signs.count(1), signs.count(-1), free_loops
 
 
 def _partner(a) -> dict[int, int]:
@@ -299,15 +369,15 @@ class _Complex:
 
     # -- one crossing -------------------------------------------------------
 
-    def add_crossing(self, d: LinkDiagram, c: int) -> None:
-        """Replace the complex by that of this tangle with crossing c
-        added, every closed loop delooped.  An arc is labelled by its
-        lower port."""
+    def add_crossing(self, mate: list[int], c: int) -> None:
+        """Replace the complex by that of this tangle with crossing c of
+        the port map ``mate`` added, every closed loop delooped.  An arc
+        is labelled by its lower port."""
         # each port's end at c: its arc if the arc comes from an earlier
         # crossing, else -1 - port, joined first to the arc's other end (a
         # later crossing's arc 4c + port, or the other end of a self-arc)
         x0 = 4 * c
-        ends = list(enumerate(d.mate[x0 : x0 + 4]))
+        ends = list(enumerate(mate[x0 : x0 + 4]))
         label = [y if y < x0 else -1 - p for p, y in ends]
         fresh = [(x0 + p, -1 - p) for p, y in ends if y >= x0 + 4]
         fresh += [(-1 - p, -1 - (y & 3)) for p, y in ends if x0 + p < y < x0 + 4]
@@ -315,19 +385,19 @@ class _Complex:
         def glue(a: Matching, s: int) -> tuple[Matching, list[int]]:
             """Matching a with smoothing s at c: the new matching, and one
             port on each closed loop."""
-            mate = _partner((*a, *fresh))
+            partner = _partner((*a, *fresh))
             loops = []
             for p, q in (A_PAIRS, B_PAIRS)[s]:
                 x, y = label[p], label[q]
-                mx = mate.pop(x)
+                mx = partner.pop(x)
                 if mx == y:
-                    del mate[y]
+                    del partner[y]
                     loops.append(p)
                 else:
-                    my = mate.pop(y)
-                    mate[mx] = my
-                    mate[my] = mx
-            return tuple(sorted((u, v) for u, v in mate.items() if u < v)), loops
+                    my = partner.pop(y)
+                    partner[mx] = my
+                    partner[my] = mx
+            return tuple(sorted((u, v) for u, v in partner.items() if u < v)), loops
 
         glued: dict[tuple[Matching, int], tuple[Matching, list[int]]] = {}
         objs: list[tuple[Matching, int, int]] = []
@@ -477,28 +547,28 @@ class _Complex:
 
 
 def khovanov_homology(
-    d: LinkDiagram,
+    front: FrontDiagram,
     flips: Optional[Sequence[bool]] = None,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> BigradedTable:
-    """Integer Khovanov homology of an oriented diagram, scanned one
-    crossing at a time.
+    """Integer Khovanov homology of the front, oriented by ``flips`` (see
+    ``FrontDiagram.crossing_signs``), scanned one crossing at a time in
+    x-order."""
+    return _khovanov(*_oriented(front, flips, max_crossings))
 
-    The square of the differential is verified to vanish on every partial
-    complex, before its +-identity entries are cancelled; each residual
-    bidegree block goes through Smith normal form.  The k crossing-free
-    loops then tensor the table with (Z(0, 1) + Z(0, -1))^k (Künneth), so
-    a crossing-free diagram has (q + 1/q)^k at i = 0, the empty one Z at
-    (0, 0).
-    """
-    _check_oracle_input(d, max_crossings)
-    n_plus, n_minus = d.positive_negative(flips)
+
+def _khovanov(
+    mate: list[int], n_plus: int, n_minus: int, free_loops: int = 0
+) -> BigradedTable:
+    """Integer Khovanov homology of the diagram whose crossing ports are
+    joined by ``mate``, with n+ positive and n- negative crossings and
+    ``free_loops`` crossing-free loops, scanned in crossing order (see the
+    module docstring); the empty diagram has Z at (0, 0)."""
     cx = _Complex([((), 0, 0)], [{}])
-    for c in range(d.n):
-        cx.add_crossing(d, c)
+    for c in range(len(mate) // 4):
+        cx.add_crossing(mate, c)
         cx.check_d_squared_zero()
         cx.eliminate()
-
     # the boundary is empty, so every entry is an integer; reduce each
     # block d: (i, j) -> (i + 1, j), its entries keyed by object
     deg = [(h - n_minus, q + n_plus - 2 * n_minus) for _, h, q in cx.objs]
@@ -512,7 +582,7 @@ def khovanov_homology(
     factors = {ij: invariant_factors(mat) for ij, mat in blocks.items()}
     # Z(0, 1) + Z(0, -1) is free, so there is no Tor term: the group at
     # (i, j) lands at (i, j + e) c times for each term c q^e of (q + 1/q)^k
-    shifts = (_circle() ** d.free_loops).items()
+    shifts = (_circle() ** free_loops).items()
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, jq), dim in dims.items():
         f_in = factors.get((i - 1, jq), ())
@@ -527,26 +597,25 @@ def khovanov_homology(
 
 
 def kauffman_jones(
-    d: LinkDiagram,
+    front: FrontDiagram,
     flips: Optional[Sequence[bool]] = None,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPoly:
-    """Unreduced Jones polynomial in q, in Khovanov's normalisation
-    (Bar-Natan, AGT 2 (2002), arXiv:math/0201043):
+    """Unreduced Jones polynomial of the front, oriented by ``flips`` (see
+    ``FrontDiagram.crossing_signs``), swept over its crossings in
+    x-order."""
+    return _jones(*_oriented(front, flips, max_crossings))
 
-        (-1)^{n-} q^{n+ - 2 n-} * sum over states of (-q)^b (q + 1/q)^k
 
-    where a state has b B-smoothings (1-smoothings) and k loops; the
-    unknot maps to q + 1/q.
-
-    The sum is swept over the crossings in index order, keeping one
-    polynomial per matching of the open arc-ends: each crossing joins
-    every matching with the A-smoothing (weight 1) and the B-smoothing
-    (weight -q), and each loop that closes multiplies by q + 1/q.  Raises
-    TooLarge when more than ``JONES_STATE_LIMIT`` matchings are held after
-    a crossing, and ConventionError unless the sweep ends on the empty
-    matching."""
-    _check_oracle_input(d, max_crossings)
+def _jones(
+    mate: list[int], n_plus: int, n_minus: int, free_loops: int = 0
+) -> LaurentPoly:
+    """Unreduced Jones polynomial of the diagram whose crossing ports are
+    joined by ``mate``, with n+ positive and n- negative crossings and
+    ``free_loops`` crossing-free loops, swept over the crossings in index
+    order (see the module docstring).  Raises TooLarge when more than
+    ``JONES_STATE_LIMIT`` matchings are held after a crossing, and
+    ConventionError unless the sweep ends on the empty matching."""
     # q-exponent -> coefficient of (1 or -q) (q + 1/q)^k, by smoothing and k
     weight = [
         [
@@ -559,13 +628,13 @@ def kauffman_jones(
     # matching is a sorted tuple of pairs of labels, each pair joined by a
     # strand of the tangle swept
     states: dict[Matching, dict[int, int]] = {(): {0: 1}}
-    for c in range(d.n):
+    for c in range(len(mate) // 4):
         # each port's end at c: its arc if that arc is open, else -1 - port,
         # joined first to the arc's other end (an open label or a port)
         label = [0] * 4
         fresh = []
         for p in range(4):
-            y = d.mate[4 * c + p]
+            y = mate[4 * c + p]
             other_c, other_p = divmod(y, 4)
             if other_c < c:
                 label[p] = y  # the lower port of an arc from an earlier c
@@ -578,22 +647,22 @@ def kauffman_jones(
         swept: dict[Matching, dict[int, int]] = {}
         for matching, poly in states.items():
             for s, pairs in enumerate((A_PAIRS, B_PAIRS)):
-                mate = {}
+                partner = {}
                 for u, v in (*matching, *fresh):
-                    mate[u] = v
-                    mate[v] = u
+                    partner[u] = v
+                    partner[v] = u
                 loops = 0
                 for p, q in pairs:
                     x, y = label[p], label[q]
-                    mx = mate.pop(x)
+                    mx = partner.pop(x)
                     if mx == y:
-                        del mate[y]
+                        del partner[y]
                         loops += 1
                     else:
-                        my = mate.pop(y)
-                        mate[mx] = my
-                        mate[my] = mx
-                key = tuple(sorted((u, v) for u, v in mate.items() if u < v))
+                        my = partner.pop(y)
+                        partner[mx] = my
+                        partner[my] = mx
+                key = tuple(sorted((u, v) for u, v in partner.items() if u < v))
                 into = swept.setdefault(key, {})
                 for de, dv in weight[s][loops].items():
                     for e, v in poly.items():
@@ -608,6 +677,5 @@ def kauffman_jones(
         raise ConventionError(
             f"the Jones sweep ended on {len(states)} matchings, not the empty one"
         )
-    n_plus, n_minus = d.positive_negative(flips)
-    total = LaurentPoly(states[()]) * _circle() ** d.free_loops
+    total = LaurentPoly(states[()]) * _circle() ** free_loops
     return LaurentPoly.monomial(n_plus - 2 * n_minus, (-1) ** n_minus) * total

@@ -16,7 +16,7 @@ model.  At ``X p`` the black corners are W and E (the old and new gap p)
 when gap p is black, and the edge is positive; otherwise they are N and
 S (gaps p - 1 and p + 1), and the edge is negative.  The NW-SE strand is
 over at every crossing, so +1 marks the edge whose A-smoothing (see
-``diagram``) joins its two black corners.  The two colorings' graphs are
+``oracle``) joins its two black corners.  The two colorings' graphs are
 planar duals: the same edges, in the same order, with every sign flipped.
 """
 
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import _find
 from .errors import Disconnected
-from .front import FrontDiagram
+from .front import FrontDiagram, _find
 
 
 class TaitEdge(NamedTuple):

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Collection, Iterable, Iterator, Optional
 
-from .diagram import _find
 from .errors import (
     ConventionError,
     Disconnected,
@@ -60,7 +59,7 @@ from .errors import (
     ParityViolation,
     TooLarge,
 )
-from .front import FrontDiagram
+from .front import FrontDiagram, _find
 from .laurent import LaurentPoly
 from .tait import TaitGraph
 
@@ -451,8 +450,8 @@ def splice_front(
     """Splice every inactive crossing of the tree (D, db -> A; d, Db -> B)
     by event-word surgery, keeping the active ones: Legendrian A-splices
     drop the crossing event, B-splices replace it by a right cusp followed
-    by a left cusp.  F_T is a one-component unknot front whose
-    desingularization has writhe -u(T).
+    by a left cusp.  F_T is a one-component unknot front of writhe
+    -u(T).
 
     Returns (F_T, tb(F_T), C(F_T)).
     """

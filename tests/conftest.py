@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import khfront
 from khfront import BUNDLED, CorpusEntry, FrontDiagram
 
+from link_diagram import desingularize
 from tait_reference import plane_connected
 
 
@@ -107,7 +108,7 @@ def front_words(
         events.append(("R", pos))
         k -= 2
     front = FrontDiagram(tuple(events))
-    assume(not connected or plane_connected(front.desingularize()))
+    assume(not connected or plane_connected(desingularize(front)))
     return front
 
 

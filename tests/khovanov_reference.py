@@ -21,9 +21,10 @@ import heapq
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from khfront.diagram import A_PAIRS, B_PAIRS, _find
+from khfront.front import _find
 from khfront.laurent import LaurentPoly
 from khfront.oracle import BigradedTable, _circle
+from link_diagram import A_PAIRS, B_PAIRS
 
 
 def _port_arc(d) -> list[int]:

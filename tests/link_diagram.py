@@ -1,10 +1,14 @@
-"""Planar link diagrams as combinatorial maps on packed integer ports.
+"""Planar link diagrams as combinatorial maps on packed integer ports, a
+test reference.
 
-A diagram is a desingularized front, built by ``front.desingularize``
-for the oracle only: the tree side reads tb, n and the writhe off the
-front's strands and builds no diagram.  The diagram's own crossing signs
-(``crossing_signs``) are the oracle's, and they check the strands' writhe
-whenever the oracle runs.  It is a 4-valent plane graph with one node per
+The package reads orientation, crossing signs and the writhe off a
+front's strands (``FrontDiagram.crossing_signs``), and its oracles smooth
+the cusps into a port map of their own.  ``desingularize`` here builds
+the whole diagram of a front, arcs and all, and ``LinkDiagram`` walks its
+components to orient it, so the tests can check the front against it and
+renumber its crossings through PD codes (``pd_codec``), trace its faces
+(``tait_reference``) and build its cube of resolutions
+(``khovanov_reference``).  It is a 4-valent plane graph with one node per
 crossing, and the four arc-ends at a crossing in fixed geometric ports
 
     0 = NW (upper left)   1 = NE (upper right)
@@ -14,14 +18,15 @@ Port p of crossing c is the integer x = 4c + p, so x >> 2 is its crossing
 and x & 3 its place.  Arcs join ports and may pass smoothly through cusps
 of a front; cusps are never nodes.  ``mate[x]`` is the port at the other
 end of x's arc, and ``x ^ 2`` is the port reached passing straight
-through x's crossing.  Faces are not traced here: the Tait graph's sweep
-(see ``tait``) reads them off the front word.
+through x's crossing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from typing import Optional, Sequence
+
+from khfront import FrontDiagram
 
 #: the four places of a port, x & 3
 NW, NE, SE, SW = range(4)
@@ -33,17 +38,8 @@ A_PAIRS = ((NW, NE), (SW, SE))
 B_PAIRS = ((NW, SW), (NE, SE))
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 class LinkDiagram:
-    """A connected-or-not planar diagram, as ``front.desingularize``
-    builds it.
+    """A connected-or-not planar diagram, as ``desingularize`` builds it.
     At every crossing the NW-SE strand is over: fronts put the
     smaller-slope strand on top.
 
@@ -152,3 +148,57 @@ class LinkDiagram:
             f"LinkDiagram(n={self.n}, components={self.component_count()}, "
             f"writhe={self.writhe()})"
         )
+
+
+def desingularize(front: FrontDiagram) -> LinkDiagram:
+    """Smooth all cusps of the front into a link diagram.
+
+    Cusps become smooth turning arcs; every crossing keeps its x-order and
+    has the smaller-slope (NW-SE) branch on top.  The word was validated
+    when the front was built, so nothing is checked here.
+    """
+    # An open strand is an int: a port x >= 0 when its partial arc runs
+    # back to port x, else ~t for the cusp-born strand t.  far[t] is what
+    # sits at the other end of t's partial arc: a port, or ~u for the open
+    # strand u when the arc is still open on both sides.
+    strands: list[int] = []
+    far: list[int] = []
+    arcs: list[tuple[int, int]] = []
+    free_loops = 0
+    n = 0
+
+    def attach(s: int, x: int) -> None:
+        f = s if s >= 0 else far[~s]
+        if f < 0:
+            far[~f] = x
+        else:
+            arcs.append((f, x))
+
+    for kind, pos in front.events:
+        if kind == "L":
+            t = len(far)
+            far += (~(t + 1), ~t)
+            strands[pos - 1 : pos - 1] = (~t, ~(t + 1))
+        elif kind == "R":
+            s, t = strands[pos - 1], strands[pos]
+            fs = s if s >= 0 else far[~s]
+            ft = t if t >= 0 else far[~t]
+            if fs < 0 and ft < 0:
+                if fs == t:
+                    free_loops += 1
+                else:
+                    far[~fs], far[~ft] = ft, fs
+            elif fs < 0:
+                far[~fs] = ft
+            elif ft < 0:
+                far[~ft] = fs
+            else:
+                arcs.append((fs, ft))
+            del strands[pos - 1 : pos + 1]
+        else:  # crossing
+            x = 4 * n
+            n += 1
+            attach(strands[pos - 1], x + NW)
+            attach(strands[pos], x + SW)
+            strands[pos - 1], strands[pos] = x + NE, x + SE
+    return LinkDiagram(n, arcs, free_loops=free_loops)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from khfront.diagram import NE, NW, SE, SW, LinkDiagram
+from link_diagram import NE, NW, SE, SW, LinkDiagram
 from tait_reference import face_of_corner
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from khfront import FrontDiagram, LinkDiagram, TaitGraph
+from khfront import FrontDiagram, TaitGraph
 from khfront.tait import TaitEdge
+from link_diagram import LinkDiagram
 
 #: quadrant of the corner at which a face walk arrives through place p:
 #: arriving at NW it sweeps W on its way to SW, and so on

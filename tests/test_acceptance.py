@@ -21,6 +21,7 @@ from khfront import (
 from khfront.cli import EXIT_OK, main
 
 from conftest import matrix_tree_count, quick_entries
+from link_diagram import desingularize
 from tait_reference import face_walk_graphs, front_corner, renumbered
 from tree_reference import dual_tree
 
@@ -31,20 +32,16 @@ def _report(name: str):
     print(f"ACCEPTANCE {name}: PASS")
 
 
-def _graph(front):
-    return front.desingularize(), tait_graph(front)
-
-
 def test_1_euler_characteristic_identity():
     """Tree-model Euler characteristic == Jones == homology Euler
     characteristic on every quick-corpus diagram, within 60 s."""
     start = time.monotonic()
     for entry in quick_entries():
         front = entry.front()
-        d, g = _graph(front)
-        tree_side = tree_euler_characteristic(g, d.n, d.writhe())
-        jones = kauffman_jones(d)
-        homology_side = khovanov_homology(d).graded_euler()
+        g = tait_graph(front)
+        tree_side = tree_euler_characteristic(g, front.n, front.writhe)
+        jones = kauffman_jones(front)
+        homology_side = khovanov_homology(front).graded_euler()
         assert tree_side == jones == homology_side, entry.name
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0, f"{elapsed:.1f}s > 60s"
@@ -58,7 +55,7 @@ def test_2_tree_grading_lower_bound_and_splice():
     for entry in BUNDLED:
         front = entry.front()
         c = front.cusp_count
-        _, g = _graph(front)
+        g = tait_graph(front)
         for rec in labelled_trees(g, front):
             assert rec.u >= 1 - c, entry.name
             _, tb_t, _ = splice_front(front, rec)
@@ -71,15 +68,15 @@ def test_3_tb_bound_with_named_cases():
     equalities for unknot and right trefoil with the full integer table."""
     for entry in BUNDLED:
         front = entry.front()
-        table = khovanov_homology(front.desingularize())
+        table = khovanov_homology(front)
         assert front.tb() <= table.min_delta(), entry.name
     strict = ENTRIES["unknot-stabilized"].front()
     assert strict.tb() == -2
-    assert khovanov_homology(strict.desingularize()).min_delta() == -1
+    assert khovanov_homology(strict).min_delta() == -1
     eq = ENTRIES["unknot-max-tb"].front()
-    assert eq.tb() == khovanov_homology(eq.desingularize()).min_delta() == -1
+    assert eq.tb() == khovanov_homology(eq).min_delta() == -1
     tref = ENTRIES["trefoil-right-max-tb"].front()
-    table = khovanov_homology(tref.desingularize())
+    table = khovanov_homology(tref)
     assert tref.tb() == table.min_delta() == 1
     assert table.groups == {
         (0, 1): (1, ()),
@@ -126,11 +123,10 @@ def test_6_duality_suite():
     and so the census, are invariant under coloring reversal."""
     for entry in BUNDLED:
         front = entry.front()
-        d = front.desingularize()
         g, gr = tait_graph(front), tait_graph(front, reverse=True)
-        reference = face_walk_graphs(d, front_corner(front))
+        reference = face_walk_graphs(desingularize(front), front_corner(front))
         assert [renumbered(g), renumbered(gr)] == list(map(renumbered, reference))
-        assert g.n_vertices + gr.n_vertices == d.n + 2, entry.name
+        assert g.n_vertices + gr.n_vertices == front.n + 2, entry.name
         assert [e.sign for e in gr.edges] == [-e.sign for e in g.edges]
         for rec in labelled_trees(g):
             dual_tree(g, gr, rec.tree)  # raises unless every label swaps
@@ -144,10 +140,10 @@ def test_7_oracle_self_checks():
     unknot homology is Z at (0, +-1) only."""
     for entry in quick_entries():
         front = entry.front()
-        d, g = _graph(front)
-        khovanov_homology(d)  # raises ConventionError unless d^2 = 0
+        g = tait_graph(front)
+        khovanov_homology(front)  # raises ConventionError unless d^2 = 0
         assert len(list(labelled_trees(g))) == matrix_tree_count(g), entry.name
-    table = khovanov_homology(parse_front("L1 R1").desingularize())
+    table = khovanov_homology(parse_front("L1 R1"))
     assert table.groups == {(0, -1): (1, ()), (0, 1): (1, ())}
     _report("7 oracle self-checks: d^2=0, matrix-tree count, unknot table")
 

@@ -6,9 +6,11 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from khfront import (
     BUNDLED,
@@ -25,6 +27,7 @@ from khfront.cli import (
     _parser,
     main,
 )
+from khfront import corpus
 from khfront.front import EVENT_LIMIT
 from khfront.oracle import JONES_STATE_LIMIT
 from khfront.trees import LISTING_LIMIT, PRETTY
@@ -196,14 +199,13 @@ class TestTrees:
     def test_text_equals_the_lines_of_the_records(self, front):
         # the text writer reads label codes; the reference formats the
         # records.  L1 R1 has no crossing, so no edges and no labels
-        d = front.desingularize()
-        w = d.writhe()
+        w = front.writhe
         lines = [
             f"[{name}] "
             f"edges={sorted(rec.tree)} labels="
             + "".join(PRETTY[rec.labels[k]] for k in sorted(rec.labels))
             + f" u={rec.u} v={rec.v} class={rec.class_} "
-            f"generators={generator_ij(rec.u, rec.v, d.n, w)}"
+            f"generators={generator_ij(rec.u, rec.v, front.n, w)}"
             for name, reverse in COLORINGS
             for rec in labelled_trees(tait_graph(front, reverse), front)
         ]
@@ -219,13 +221,12 @@ class TestTrees:
         # the writer must match json.dumps on every front; the 12-crossing
         # example has the key order of 11 or more labels ("10" < "2") and
         # barred labels
-        d = front.desingularize()
-        w = d.writhe()
+        w = front.writhe
         payload = {"schema": 1, "trees": [
             {
                 "coloring": name,
                 **record_json_dict(rec),
-                "generators": list(generator_ij(rec.u, rec.v, d.n, w)),
+                "generators": list(generator_ij(rec.u, rec.v, front.n, w)),
             }
             for name, reverse in COLORINGS
             for rec in labelled_trees(tait_graph(front, reverse), front)
@@ -304,6 +305,41 @@ class TestOracleCommands:
         assert code == EXIT_INVALID
         assert out == ""
         assert "--orient needs 2 comma-separated +/- signs" in err
+
+    @pytest.mark.parametrize(
+        "command, orient, expected",
+        [
+            ("homology", "+,+,-", (
+                "  (  0,  -1)  Z\n"
+                "  (  0,   1)  Z + Z\n"
+                "  (  0,   3)  Z\n"
+                "  (  2,   3)  Z\n"
+                "  (  2,   5)  Z + Z\n"
+                "  (  2,   7)  Z\n"
+            )),
+            ("homology", "-,+,+", (
+                "  ( -2,  -7)  Z\n"
+                "  ( -2,  -5)  Z + Z\n"
+                "  ( -2,  -3)  Z\n"
+                "  (  0,  -3)  Z\n"
+                "  (  0,  -1)  Z + Z\n"
+                "  (  0,   1)  Z\n"
+            )),
+            ("jones", "+,+,-", "q^-1 + 2*q + 2*q^3 + 2*q^5 + q^7\n"),
+            ("jones", "-,+,+", "q^-7 + 2*q^-5 + 2*q^-3 + 2*q^-1 + q\n"),
+        ],
+    )
+    def test_orient_orders_rings_before_free_loops(
+        self, capsys, command, orient, expected
+    ):
+        # a Hopf link beside a free loop: its rings come first, in the
+        # order of their first crossings, and the free loop last, so the
+        # third sign reverses only the loop, and the link is positive
+        # exactly when the first two signs agree
+        word = "L1 L1 X2 X2 R1 R1 L1 R1"
+        assert run(capsys, command, word, "--orient", orient) == (
+            EXIT_OK, expected, ""
+        )
 
     def test_max_crossings(self, capsys):
         code, _, err = run(capsys, "homology", TREFOIL, "--max-crossings", "2")
@@ -414,6 +450,36 @@ class TestCorpus:
         code, _, _ = run(capsys, "corpus", str(tmp_path), "--jobs", "1")
         assert code == EXIT_OK
         assert reads == Counter(files)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([
+                "X1", "L2", "#", "# tb=", "tb=", "3", " ", "\t", "\n", "\r",
+                "\r\n", "\x0c", "\x85", "\u2028",
+            ]),
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    @example(["  ", "# tb=", "3", " ", "\n", "X1", "X1", "\n", "# tb=", "\n"], 2)
+    def test_chunks_read_as_whole_lines(self, tmp_path_factory, parts, chunk):
+        # the file read a few characters at a time, against the rule on
+        # the whole text: the words of the lines whose first non-blank is
+        # not '#', and the first line that starts '# tb=', stripped
+        text = "".join(parts)
+        path = tmp_path_factory.mktemp("chunks") / "f.front"
+        path.write_text(text, newline="")
+        words, header = [], None
+        for line in text.replace("\r\n", "\n").replace("\r", "\n").splitlines():
+            line = line.strip()
+            if header is None and line.startswith("# tb="):
+                header = line
+            elif line and not line.startswith("#"):
+                words += line.split()
+        with mock.patch.object(corpus, "_CHUNK", chunk), \
+                mock.patch.object(corpus, "parse_front", str.split):
+            assert corpus._read_front_file(path) == (words, header)
 
     def test_analyze_ignores_a_malformed_header(self, capsys, tmp_path):
         path = tmp_path / "f.front"
@@ -534,32 +600,34 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
 
     def test_ten_million_line_file_is_refused_as_it_is_read(self, tmp_path):
-        # a 30 MB file of one token a line is read only up to the event
-        # limit, in a child whose own peak RSS the wrapper reads; holding
-        # a string per line took about 0.9 GB
-        path = tmp_path / "lines.front"
-        path.write_text("X1\n" * 10**7)
-        code = (
-            "import resource, subprocess, sys, time\n"
-            "start = time.perf_counter()\n"
-            "proc = subprocess.run([sys.executable, '-m', 'khfront.cli',\n"
-            f"                       'analyze', '@{path}'],\n"
-            "                      capture_output=True, text=True)\n"
-            "print(proc.returncode, time.perf_counter() - start,\n"
-            "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-            "print(proc.stdout + proc.stderr, end='')\n"
-        )
-        proc = run_python("-c", code, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        status, output = proc.stdout.split("\n", 1)
-        exit_code, seconds, peak_kb = status.split()
-        assert int(exit_code) == EXIT_INVALID
-        assert output == (
-            "error: the word has more events than the front limit of "
-            f"{EVENT_LIMIT}\n"
-        )
-        assert float(seconds) < 10
-        assert int(peak_kb) < 100 * 1024  # Linux reports kilobytes
+        # a 30 MB file of one token a line, and one of a single line of
+        # tokens, are read only up to the event limit, in a child whose
+        # own peak RSS the wrapper reads; holding a string per line took
+        # about 0.9 GB, and holding the one line about 106 MB
+        for text, limit_mb in (("X1\n" * 10**7, 100), ("X1 " * 10**7, 50)):
+            path = tmp_path / "tokens.front"
+            path.write_text(text)
+            code = (
+                "import resource, subprocess, sys, time\n"
+                "start = time.perf_counter()\n"
+                "proc = subprocess.run([sys.executable, '-m', 'khfront.cli',\n"
+                f"                       'analyze', '@{path}'],\n"
+                "                      capture_output=True, text=True)\n"
+                "print(proc.returncode, time.perf_counter() - start,\n"
+                "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+                "print(proc.stdout + proc.stderr, end='')\n"
+            )
+            proc = run_python("-c", code, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            status, output = proc.stdout.split("\n", 1)
+            exit_code, seconds, peak_kb = status.split()
+            assert int(exit_code) == EXIT_INVALID
+            assert output == (
+                "error: the word has more events than the front limit of "
+                f"{EVENT_LIMIT}\n"
+            )
+            assert float(seconds) < 10
+            assert int(peak_kb) < limit_mb * 1024  # Linux reports kilobytes
 
     @pytest.mark.parametrize(
         "command", ["analyze", "certify", "homology", "jones", "corpus"]
@@ -683,7 +751,7 @@ class TestParser:
 
 class TestTreeSideBuildsNoDiagram:
     """Without the oracle, tb, n and w come off the front's strands: no
-    command on the tree side desingularizes a front."""
+    command on the tree side smooths a front into the oracle's ports."""
 
     WORDS = [e.word for e in BUNDLED] + ["L1 " + "L2 X1 R2 " * 300 + "R1"]
 
@@ -696,7 +764,7 @@ class TestTreeSideBuildsNoDiagram:
     def test_outputs_unchanged_with_desingularize_refused(
         self, capsys, monkeypatch, argvs
     ):
-        import khfront.front
+        import khfront.oracle
 
         runs = [argv + flags for argv in argvs for flags in ([], ["--json"])]
         plain = [run(capsys, *argv) for argv in runs]
@@ -704,7 +772,7 @@ class TestTreeSideBuildsNoDiagram:
         def refuse(front):
             raise AssertionError(f"{front!r} desingularized")
 
-        monkeypatch.setattr(khfront.front, "desingularize", refuse)
+        monkeypatch.setattr(khfront.oracle, "_desingularize", refuse)
         assert [run(capsys, *argv) for argv in runs] == plain
         assert {code for code, _, _ in plain} == {EXIT_OK}
 

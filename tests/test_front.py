@@ -1,16 +1,17 @@
-"""Front parsing, validation, desingularization, and tb."""
+"""Front parsing, validation, orientation and tb, and the reference
+link diagram."""
 
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
+from hypothesis import strategies as st
 
 from khfront import (
     BUNDLED,
     Disconnected,
     FrontDiagram,
-    LinkDiagram,
     MalformedToken,
     NonzeroEndState,
     StrandUnderflow,
@@ -21,9 +22,11 @@ from khfront import (
     sharpness_report,
     tait_graph,
 )
+from khfront import oracle
 from khfront.front import EVENT_LIMIT
 
-from conftest import front_words
+from conftest import front_words, run_optimized
+from link_diagram import LinkDiagram, desingularize
 from pd_codec import from_pd, to_pd, white_corner
 from tait_reference import face_of_corner, face_walk_graphs
 
@@ -49,17 +52,17 @@ class TestParsing:
     def test_unknot_word(self):
         f = parse_front("L1 R1")
         assert f.cusp_count == 1
-        assert f.crossing_count == 0
+        assert f.n == 0
         assert f.word() == "L1 R1"
 
     def test_trefoil_word(self):
         f = parse_front(TREFOIL)
         assert f.cusp_count == 2
-        assert f.crossing_count == 3
+        assert f.n == 3
 
     def test_one_crossing_kink_parses(self):
         f = parse_front("L1 L2 X1 R2 R1")
-        assert f.crossing_count == 1
+        assert f.n == 1
 
     def test_malformed_token(self):
         with pytest.raises(MalformedToken):
@@ -113,7 +116,7 @@ class TestParsing:
         # EVENT_LIMIT events, with whitespace around them, split into
         # EVENT_LIMIT tokens
         word = " L1 L2 " + "X1 " * (EVENT_LIMIT - 4) + "R2 R1 \n"
-        assert parse_front(word).crossing_count == EVENT_LIMIT - 4
+        assert parse_front(word).n == EVENT_LIMIT - 4
 
     @pytest.mark.parametrize("token", ["X1", "Q1"])
     def test_ten_million_tokens_are_refused_before_matching(self, token):
@@ -130,7 +133,7 @@ class TestParsing:
         # parses, and the Tait sweep refuses it, for the census too
         for word in ("L1 R1 L1 R1", "L1 L1 R1 R1"):
             front = parse_front(word)
-            assert front.desingularize().free_loops == 2
+            assert (front.n, front.component_count) == (0, 2)
             with pytest.raises(Disconnected):
                 tait_graph(front)
             with pytest.raises(Disconnected):
@@ -155,37 +158,39 @@ class TestMeasures:
 
     def test_trefoil_tb(self):
         f = parse_front(TREFOIL)
-        assert f.desingularize().writhe() == 3
+        assert f.writhe == 3
         assert f.tb() == 1
 
     def test_kink_tb(self):
         f = parse_front("L1 L2 X1 R2 R1")
-        assert f.desingularize().writhe() == 1
+        assert f.writhe == 1
         assert f.tb() == -1
 
     @pytest.mark.parametrize("entry", BUNDLED, ids=lambda e: e.name)
     def test_bundled_entry_records_its_front(self, entry):
         front = entry.front()
-        assert entry.crossings == front.crossing_count
-        assert entry.components == front.desingularize().component_count()
+        assert entry.crossings == front.n
+        assert entry.components == front.component_count
         assert entry.tb == front.tb()
 
 
 class TestDesingularization:
+    """The reference diagram of a front, and its PD codes."""
+
     def test_unknot_diagram(self):
-        d = parse_front("L1 R1").desingularize()
+        d = desingularize(parse_front("L1 R1"))
         assert d.n == 0
         assert d.component_count() == 1
         assert sphere_regions(d) == 2
 
     def test_trefoil_diagram(self):
-        d = parse_front(TREFOIL).desingularize()
+        d = desingularize(parse_front(TREFOIL))
         assert d.n == 3
         assert d.component_count() == 1
         assert sphere_regions(d) == 5  # V - E + F = 3 - 6 + 5 = 2
 
     def test_hopf_front_components(self):
-        d = parse_front("L1 L2 X1 X1 R2 R1").desingularize()
+        d = desingularize(parse_front("L1 L2 X1 X1 R2 R1"))
         assert d.n == 2
         assert d.component_count() == 2
 
@@ -202,7 +207,7 @@ class TestDesingularization:
         # in the same order from the same passages; the flips orient them
         # as the code does, so the writhe and the exported code are the
         # same
-        d = front.desingularize()
+        d = desingularize(front)
         assume(d.n > 0)  # a PD code holds no crossing-free loop
         d2, flips = from_pd(to_pd(d))
         assert d2.n == d.n
@@ -217,12 +222,12 @@ class TestDesingularization:
     def test_pd_round_trip_keeps_the_hopf_link_positive(self):
         # each component passes under once; one of them enters its under
         # passage from the right, so the code lists that crossing from NE
-        d = parse_front("L1 L1 X2 X2 R1 R1").desingularize()
-        d2, flips = from_pd(to_pd(d))
-        assert d.writhe() == d2.writhe(flips) == 2
+        front = parse_front("L1 L1 X2 X2 R1 R1")
+        d2, flips = from_pd(to_pd(desingularize(front)))
+        assert front.writhe == d2.writhe(flips) == 2
         assert (
-            khovanov_homology(d2, flips=flips).groups
-            == khovanov_homology(d).groups
+            oracle._khovanov(d2.mate, *d2.positive_negative(flips)).groups
+            == khovanov_homology(front).groups
         )
         # a code in the usual convention, read as it orients the link
         for code, writhe in (
@@ -255,21 +260,59 @@ class TestDiagramChecks:
 
 class TestFrontProperties:
     @settings(max_examples=200, deadline=None)
-    @given(front_words(max_crossings=12, max_cusp_pairs=5, connected=False))
+    @given(
+        front_words(max_crossings=12, max_cusp_pairs=5, connected=False),
+        # one flip per component, a component having a left cusp at least
+        st.lists(st.booleans(), min_size=5, max_size=5),
+    )
     # the first component's kink comes before its two crossings with the
     # second, so orienting a new component by its under-strand first
     # would reverse it and flip the sign of both of those crossings
-    @example(parse_front("L1 X1 L3 X2 X2 R1 R1"))
-    def test_tb_is_writhe_minus_cusps(self, front):
-        # the strands' crossing count and writhe are the diagram's
-        d = front.desingularize()
-        assert front.crossing_count == d.n
-        assert front.tb() + front.cusp_count == d.writhe()
+    @example(parse_front("L1 X1 L3 X2 X2 R1 R1"), [False] * 5)
+    # a Hopf link beside a free loop: numbering the free loop first would
+    # reverse the second ring, not the loop, and make the link negative
+    @example(parse_front("L1 L1 X2 X2 R1 R1 L1 R1"), [False, False, True] + [False] * 2)
+    def test_tb_is_writhe_minus_cusps(self, front, bits):
+        # the strands' crossing count, components, signs and writhe are
+        # those of the reference diagram, which walks its components, in
+        # the canonical orientation and in a random one
+        d = desingularize(front)
+        flips = bits[: d.component_count()]
+        assert front.n == d.n
+        assert front.component_count == d.component_count()
+        assert front.crossing_signs() == d.crossing_signs()
+        assert front.crossing_signs(flips) == d.crossing_signs(flips)
+        assert front.tb() + front.cusp_count == front.writhe == d.writhe()
+        assert front.tb(flips) + front.cusp_count == d.writhe(flips)
+        for wrong in (flips + [False], flips[1:]):
+            with pytest.raises(ValueError, match="flips"):
+                front.crossing_signs(wrong)
+
+    def test_wrong_flips_raise_under_optimize(self):
+        # one flip too many or too few, through the signs, tb and both
+        # oracles of a Hopf link beside a free loop
+        code = (
+            "from khfront import kauffman_jones, khovanov_homology, parse_front\n"
+            "front = parse_front('L1 L1 X2 X2 R1 R1 L1 R1')\n"
+            "calls = (front.crossing_signs, front.tb, lambda flips:\n"
+            "         khovanov_homology(front, flips), lambda flips:\n"
+            "         kauffman_jones(front, flips))\n"
+            "for call in calls:\n"
+            "    for flips in ([True] * 2, [True] * 4):\n"
+            "        try:\n"
+            "            call(flips)\n"
+            "        except ValueError as exc:\n"
+            "            if 'flips' in str(exc):\n"
+            "                continue\n"
+            "        raise SystemExit(1)\n"
+        )
+        proc = run_optimized("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(front_words())
     def test_euler_formula(self, front):
-        d = front.desingularize()
+        d = desingularize(front)
         assert d.n - 2 * d.n + sphere_regions(d) == 2
 
     @settings(max_examples=60, deadline=None)
@@ -280,8 +323,7 @@ class TestFrontProperties:
     @settings(max_examples=60, deadline=None)
     @given(front_words())
     def test_crossing_signs_are_units(self, front):
-        d = front.desingularize()
-        assert all(s in (-1, 1) for s in d.crossing_signs())
+        assert all(s in (-1, 1) for s in front.crossing_signs())
 
     def test_random_fronts_reach_their_size(self):
         # crossings must not be dropped by closing the last right cusp
@@ -297,7 +339,7 @@ class TestFrontProperties:
         )
         @given(front_words(max_crossings=8))
         def draw(front):
-            sizes.append(front.crossing_count)
+            sizes.append(front.n)
 
         draw()
         assert len(sizes) == 100

@@ -62,7 +62,7 @@ THREE_COMPONENTS = "L1 L1 L3 X2 X2 X4 X4 R3 R1 R1"
 PUBLIC_NAMES = [
     "BUNDLED", "BigradedTable", "BoundReport", "ConventionError",
     "CorpusEntry", "Disconnected", "EmptyTable", "FrontDiagram",
-    "KhfrontError", "LaurentPoly", "LinkDiagram", "MalformedToken",
+    "KhfrontError", "LaurentPoly", "MalformedToken",
     "NonzeroEndState", "NotASpanningTree", "ParityViolation",
     "SpanningTreeRecord", "StrandUnderflow", "TaitGraph", "TooLarge",
     "bigrading_counts", "generator_ij", "kauffman_jones", "khovanov_homology",

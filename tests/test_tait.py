@@ -1,5 +1,7 @@
 """Tait graphs read off a front's gaps, against the face-walk reference."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ import tait_reference
 from khfront import (
     BUNDLED,
     Disconnected,
-    LinkDiagram,
     TaitGraph,
     bigrading_counts,
     kauffman_jones,
@@ -19,6 +20,7 @@ from khfront import (
 from khfront.tait import TaitEdge
 
 from conftest import front_words, run_optimized
+from link_diagram import LinkDiagram, desingularize
 from pd_codec import from_pd, to_pd, white_corner
 from tait_reference import (
     CORNER_AT,
@@ -41,7 +43,7 @@ class TestReferenceColoring:
     @settings(max_examples=50, deadline=None)
     @given(front_words())
     def test_adjacent_faces_differ(self, front):
-        d = front.desingularize()
+        d = desingularize(front)
         if d.n:
             face = face_of_corner(d)
             black = black_faces(d, front_corner(front))
@@ -54,7 +56,7 @@ class TestReferenceColoring:
         # the gap below the k-th strand is white exactly when k is even,
         # so crossing X p has its N corner (the gap below strand p - 1)
         # white exactly when p is odd
-        d = front.desingularize()
+        d = desingularize(front)
         positions = [pos for kind, pos in front.events if kind == "X"]
         if positions:
             face = face_of_corner(d)
@@ -98,7 +100,7 @@ class TestTaitGraph:
         # edge for edge, with equal signs and with ends equal once both
         # graphs' vertices are numbered in order of first appearance, on
         # both colorings
-        reference = face_walk_graphs(front.desingularize(), front_corner(front))
+        reference = face_walk_graphs(desingularize(front), front_corner(front))
         for g, ref in zip(graphs_of(front), reference):
             assert renumbered(g) == (g.n_vertices, g.edges) == renumbered(ref)
 
@@ -111,7 +113,7 @@ class TestTaitGraph:
     def test_vertices_plus_edges_match_crossings(self, front):
         # the black faces of one coloring are the white faces of the
         # other, and a connected diagram has n + 2 faces
-        n = front.crossing_count
+        n = front.n
         g, gr = graphs_of(front)
         assert len(g.edges) == len(gr.edges) == n
         assert g.n_vertices + gr.n_vertices == n + 2
@@ -121,7 +123,7 @@ class TestTaitGraph:
     def test_pd_import_coloring(self, front):
         # a PD import carries no front: the codec seeds the reference's
         # coloring at a corner of a face with the most corners
-        d2, _ = from_pd(to_pd(front.desingularize()))
+        d2, _ = from_pd(to_pd(desingularize(front)))
         if d2.n:
             face = face_of_corner(d2)
             black = black_faces(d2, white_corner(d2))
@@ -150,7 +152,7 @@ class TestTaitGraph:
     def test_face_count_is_plane_connectivity(self, front):
         # the sweep's face count against the reference's search along the
         # arcs, on split fronts as well as connected ones
-        split = not plane_connected(front.desingularize())
+        split = not plane_connected(desingularize(front))
         for reverse in (False, True):
             try:
                 tait_graph(front, reverse)
@@ -194,14 +196,15 @@ class TestEdgeOrder:
         # list; the tree count and the graded Euler characteristic do not
         # depend on the order
         front = parse_front(word)
-        d = front.desingularize()
+        n = front.n
         g = tait_graph(front, reverse)
-        perm = data.draw(st.permutations(range(d.n)))
-        inv = sorted(range(d.n), key=perm.__getitem__)
-        h = TaitGraph(g.n_vertices, [g.edges[inv[j]] for j in range(d.n)])
-        assert [h.edges[perm[j]] for j in range(d.n)] == g.edges
+        perm = data.draw(st.permutations(range(n)))
+        inv = sorted(range(n), key=perm.__getitem__)
+        h = TaitGraph(g.n_vertices, [g.edges[inv[j]] for j in range(n)])
+        assert [h.edges[perm[j]] for j in range(n)] == g.edges
         assert sum(bigrading_counts(h).values()) == sum(bigrading_counts(g).values())
-        assert tree_euler_characteristic(h, d.n, d.writhe()) == kauffman_jones(d)
+        euler = tree_euler_characteristic(h, n, front.writhe)
+        assert euler == kauffman_jones(front)
 
 
 class TestTripwires:
@@ -232,9 +235,11 @@ class TestTripwires:
 
     def test_diagram_checks_survive_optimize(self):
         # a port used twice, a port on no arc, a wrong arc count, and a
-        # negative count of free loops
+        # negative count of free loops, in the reference diagram
+        tests = str(Path(__file__).resolve().parent)
         code = (
-            "from khfront import LinkDiagram\n"
+            f"import sys; sys.path.insert(0, {tests!r})\n"
+            "from link_diagram import LinkDiagram\n"
             "checks = (\n"
             "    lambda: LinkDiagram(1, [(0, 1), (0, 2)]),\n"
             "    lambda: LinkDiagram(1, [(0, 1), (2, 7)]),\n"

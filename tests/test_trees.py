@@ -67,7 +67,7 @@ BRIDGED |= {
 
 def setup(word):
     front = parse_front(word)
-    return front, front.desingularize(), tait_graph(front)
+    return front, tait_graph(front)
 
 
 def both_colorings(front):
@@ -80,7 +80,7 @@ def trees_of(g):
 
 class TestEnumeration:
     def test_trefoil_trees(self):
-        _, _, g = setup(TREFOIL)
+        _, g = setup(TREFOIL)
         assert trees_of(g) == [
             frozenset({0, 1}),
             frozenset({0, 2}),
@@ -88,12 +88,12 @@ class TestEnumeration:
         ]
 
     def test_unknot_single_empty_tree(self):
-        _, _, g = setup("L1 R1")
+        _, g = setup("L1 R1")
         assert trees_of(g) == [frozenset()]
 
     def test_count_matches_matrix_tree(self):
         for word in (TREFOIL, "L1 L2 X1 R2 R1", "L1 L2 X1 X1 R2 R1"):
-            _, _, g = setup(word)
+            _, g = setup(word)
             assert len(trees_of(g)) == matrix_tree_count(g)
 
     @settings(max_examples=40, deadline=None)
@@ -129,13 +129,13 @@ class TestEnumeration:
             trees_of(TaitGraph(2, []))
 
     def test_not_a_spanning_tree(self):
-        _, _, g = setup(TREFOIL)
+        _, g = setup(TREFOIL)
         with pytest.raises(NotASpanningTree):
             _validate_tree(g, frozenset({0}))
         with pytest.raises(NotASpanningTree):
             _validate_tree(g, frozenset({0, 1, 2}))
         # two Hopf clasps: V - 1 = 2 edges, but edges 0 and 1 are parallel
-        _, _, g = setup("L1 L2 X1 X1 R2 L2 X1 X1 R2 R1")
+        _, g = setup("L1 L2 X1 X1 R2 L2 X1 X1 R2 R1")
         assert g.n_vertices == 3
         with pytest.raises(NotASpanningTree):
             _validate_tree(g, frozenset({0, 1}))
@@ -224,7 +224,7 @@ class TestEdgeChecks:
 
 class TestActivities:
     def test_trefoil_labels(self):
-        front, _, g = setup(TREFOIL)
+        front, g = setup(TREFOIL)
         recs = {tuple(sorted(rec.tree)): rec for rec in labelled_trees(g, front)}
         assert recs[(0, 1)].labels == {0: "L", 1: "L", 2: "d"}
         assert recs[(0, 2)].labels == {0: "L", 1: "d", 2: "D"}
@@ -276,7 +276,7 @@ class TestActivities:
                 assert classify_activities(g, tree).labels == expected
 
     def test_good_bad_mutually_exclusive(self):
-        front, _, g = setup(TREFOIL)
+        front, g = setup(TREFOIL)
         for rec in labelled_trees(g, front):
             assert rec.class_ in ("good", "bad", "neither")
 
@@ -295,26 +295,25 @@ class TestActivities:
 
 class TestBigradings:
     def test_trefoil_generator_pairs(self):
-        front, d, g = setup(TREFOIL)
+        front, g = setup(TREFOIL)
         pairs = set()
         for rec in labelled_trees(g, front):
-            pairs.update(generator_ij(rec.u, rec.v, d.n, d.writhe()))
+            pairs.update(generator_ij(rec.u, rec.v, front.n, front.writhe))
         assert pairs == {(3, 7), (3, 9), (2, 5), (2, 7), (0, 1), (0, 3)}
 
     def test_unknot_generators(self):
-        front, d, g = setup("L1 R1")
+        front, g = setup("L1 R1")
         (rec,) = labelled_trees(g, front)
-        assert generator_ij(rec.u, rec.v, d.n, d.writhe()) == ((0, -1), (0, 1))
+        assert generator_ij(rec.u, rec.v, front.n, front.writhe) == ((0, -1), (0, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(front_words())
     def test_delta_of_generators(self, front):
         # each tree's generators sit at j - i = u + w -+ 1
-        d = front.desingularize()
-        w = d.writhe()
+        w = front.writhe
         g = tait_graph(front)
         for rec in labelled_trees(g):
-            (i1, j1), (i2, j2) = generator_ij(rec.u, rec.v, d.n, w)
+            (i1, j1), (i2, j2) = generator_ij(rec.u, rec.v, front.n, w)
             assert j1 - i1 == rec.u + w - 1
             assert j2 - i2 == rec.u + w + 1
 
@@ -355,9 +354,8 @@ class TestSplicing:
         g = tait_graph(front)
         for rec in labelled_trees(g, front):
             f_t, tb_t, c_t = splice_front(front, rec)
-            unknot = f_t.desingularize()
-            assert unknot.component_count() == 1
-            assert unknot.writhe() == -rec.u
+            assert f_t.component_count == 1
+            assert f_t.writhe == -rec.u
             assert c_t == front.cusp_count + rec.count("d") + rec.count("Db")
             assert tb_t == -rec.u - c_t
 
@@ -366,7 +364,7 @@ class TestMinXTree:
     def test_trefoil_min_x(self):
         # the greedy tree is the lexicographically first, so the listing
         # starts with it
-        _, _, g = setup(TREFOIL)
+        _, g = setup(TREFOIL)
         assert min_x_tree(g) == next(labelled_trees(g)).tree == frozenset({0, 1})
 
     def test_alternating_min_x_is_good(self):
@@ -383,12 +381,12 @@ class TestMinXTree:
 
 class TestEulerCharacteristic:
     def test_trefoil(self):
-        _, d, g = setup(TREFOIL)
-        poly = tree_euler_characteristic(g, d.n, d.writhe())
+        front, g = setup(TREFOIL)
+        poly = tree_euler_characteristic(g, front.n, front.writhe)
         assert dict(poly.items()) == {1: 1, 3: 1, 5: 1, 9: -1}
 
     def test_crossings_and_writhe_of_different_parity(self):
-        _, _, g = setup(TREFOIL)
+        _, g = setup(TREFOIL)
         with pytest.raises(ParityViolation):
             tree_euler_characteristic(g, 3, 2)
 
@@ -406,9 +404,9 @@ class TestEulerCharacteristic:
         ]
         start = time.perf_counter()
         for word, known in cases:
-            _, d, g = setup(word)
-            tree_side = tree_euler_characteristic(g, d.n, d.writhe())
-            assert tree_side == kauffman_jones(d, max_crossings=d.n), word[:20]
+            front, g = setup(word)
+            tree_side = tree_euler_characteristic(g, front.n, front.writhe)
+            assert tree_side == kauffman_jones(front, max_crossings=front.n), word[:20]
             assert known is None or tree_side == known
         elapsed = time.perf_counter() - start
         assert elapsed < 2, f"{elapsed:.2f}s"

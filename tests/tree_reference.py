@@ -22,7 +22,7 @@ from khfront import (
     SpanningTreeRecord,
     TaitGraph,
 )
-from khfront.diagram import _find
+from khfront.front import _find
 from khfront.trees import _validate_tree
 
 #: label swap between an edge and its dual under complementary dual trees
